@@ -12,6 +12,7 @@ __all__ = [
     "hermitize",
     "rel_residual",
     "eigmin_hermitian",
+    "spectrum",
     "resolvent_apply",
     "exp_pair_integral",
 ]
@@ -47,24 +48,48 @@ def eigmin_hermitian(a):
     return float(np.linalg.eigvalsh(hermitize(a)).min())
 
 
-def resolvent_apply(a, z, rhs, scale=None, what="matrix"):
+def spectrum(a):
+    """Eigenvalues and 2-norm of a square matrix: the pole guard data of
+    :func:`resolvent_apply`, computed once per matrix by its owner."""
+    if a.shape[0] == 0:
+        return np.zeros(0, dtype=complex), 0.0
+    return np.linalg.eigvals(a), float(np.linalg.norm(a, 2))
+
+
+def resolvent_apply(a, z, rhs, spec, what="matrix"):
     """Solve (a - z I) x = rhs, guarding against z near the spectrum.
 
-    The guard is |z - eigenvalue| < POLE_CUTOFF * (1 + scale) with
-    ``scale`` defaulting to ||a||.
+    ``z`` is a scalar or a 1-D array; an array gives a (k,) + rhs.shape
+    result from one stacked solve.  ``spec`` is ``spectrum(a)``.  The guard is
+    |z - eigenvalue| < POLE_CUTOFF * (1 + ||a||); the first offending z is
+    named in the SingularityError.
     """
-    if a.shape[0] == 0:
-        return np.zeros_like(rhs)
-    if scale is None:
-        scale = np.linalg.norm(a, 2)
-    eigs = np.linalg.eigvals(a)
-    gap = np.abs(eigs - z).min()
-    if gap < defaults.POLE_CUTOFF * (1.0 + scale):
-        raise SingularityError(
-            f"z = {z} is within {gap:.3e} of the spectrum of the {what}"
-        )
+    eigs, scale = spec
+    cutoff = defaults.POLE_CUTOFF * (1.0 + scale)
     n = a.shape[0]
-    return np.linalg.solve(a - z * np.eye(n), rhs)
+    if np.ndim(z) == 0:
+        # scalar z skips the array wrapping of the batched path, which
+        # would add about half the cost of the solve to every scalar call
+        if n == 0:
+            return np.zeros_like(rhs)
+        gap = np.abs(eigs - z).min()
+        if gap < cutoff:
+            raise SingularityError(
+                f"z = {z} is within {gap:.3e} of the spectrum of the {what}"
+            )
+        return np.linalg.solve(a - z * np.eye(n), rhs)
+    zs = np.asarray(z, dtype=complex).reshape(-1)
+    if n == 0:
+        return np.zeros(zs.shape + rhs.shape, dtype=complex)
+    gaps = np.abs(eigs - zs[:, None]).min(axis=1)
+    bad = np.flatnonzero(gaps < cutoff)
+    if bad.size:
+        i = bad[0]
+        raise SingularityError(
+            f"z = {zs[i]} is within {gaps[i]:.3e} of the spectrum of the {what}"
+        )
+    mats = a - zs[:, None, None] * np.eye(n)
+    return np.linalg.solve(mats, np.broadcast_to(rhs, zs.shape + rhs.shape))
 
 
 def _sylvester_gap(a):

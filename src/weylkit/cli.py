@@ -46,6 +46,7 @@ from .rational import params_from_realization, realization_from_params, validate
 from .structured import (
     build_structured_operator,
     canonical_from_kernel,
+    default_operator_length,
     factorize_triangular,
     fundamental_from_kernel,
     recover_potential,
@@ -155,8 +156,8 @@ def _cmd_direct(args):
     hgrid = GridFunction(h=xs[1] - xs[0] if len(xs) > 1 else 1.0, values=hvals, x0=0.0)
     io.write_grid_csv(os.path.join(outdir, "H.csv"), hgrid)
     pair = weyl_pair(params, validate=False)
-    _write_z_rows(os.path.join(outdir, "phi.csv"), zs, [pair.phi(z) for z in zs])
-    _write_z_rows(os.path.join(outdir, "phi_hat.csv"), zs, [pair.phi_hat(z) for z in zs])
+    _write_z_rows(os.path.join(outdir, "phi.csv"), zs, pair.phi(np.array(zs)))
+    _write_z_rows(os.path.join(outdir, "phi_hat.csv"), zs, pair.phi_hat(np.array(zs)))
     wrows = [(x, z, fundamental_direct(params, x, z)) for z in zs for x in xs]
     _write_xz_rows(os.path.join(outdir, "w.csv"), wrows, (2 * params.p, 2 * params.p))
     _manifest(outdir, "direct", {
@@ -180,7 +181,7 @@ def _cmd_inverse(args):
     hgrid = GridFunction(h=xs[1] - xs[0] if len(xs) > 1 else 1.0, values=hvals, x0=0.0)
     io.write_grid_csv(os.path.join(outdir, "H.csv"), hgrid)
     pair = weyl_pair(params, validate=False)
-    _write_z_rows(os.path.join(outdir, "phi.csv"), zs, [pair.phi(z) for z in zs])
+    _write_z_rows(os.path.join(outdir, "phi.csv"), zs, pair.phi(np.array(zs)))
     _manifest(outdir, "inverse", {
         "realization": os.path.basename(args.realization), "xmax": args.xmax,
         "nx": args.nx, "z": args.z,
@@ -229,7 +230,7 @@ def _cmd_fundamental(args):
         kernel = io.read_kernel_csv(args.kernel)
     d = _parse_diag(args.d)
     zs = _parse_zgrid(args.z)
-    l = args.l if args.l is not None else kernel.l / float(np.abs(d).max())
+    l = args.l if args.l is not None else default_operator_length(kernel, d)
     op = build_structured_operator(kernel, d=d, l=l)
     fac = factorize_triangular(op)
     outdir = _outdir(args)

@@ -11,6 +11,8 @@ value of phi at infinity, expressed through the exponential integral.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as sp_fft
+
 from . import defaults
 from ._linalg import eigmin_hermitian
 from .exceptions import DomainError, StructuralError
@@ -29,6 +31,9 @@ __all__ = [
 class WeylSampler:
     """Callable wrapper around a p x p Weyl function on the upper half-plane.
 
+    ``fn`` takes a 1-D array of z and returns the (k, p, p) stack of values;
+    every constructor below builds one that does.  Calling the sampler with
+    a scalar z gives the p x p value, with an array of z the stacked values.
     ``source`` records provenance; tabulated samplers are pinned to their
     sampling line Im z = eta and interpolate linearly in the real part.
     """
@@ -40,23 +45,31 @@ class WeylSampler:
     zeta_range: tuple = field(default=None, repr=False)
 
     def __call__(self, z):
-        z = complex(z)
-        if z.imag <= 0:
+        z = np.asarray(z, dtype=complex)
+        zs = z.reshape(-1)
+        if np.any(zs.imag <= 0):
             raise DomainError("Weyl samplers are defined for Im z > 0 only")
         if self.eta is not None:
-            if abs(z.imag - self.eta) > 1e-9 * max(1.0, self.eta):
+            off = np.abs(zs.imag - self.eta) > 1e-9 * max(1.0, self.eta)
+            if off.any():
                 raise DomainError(
-                    f"tabulated sampler is pinned to the line Im z = {self.eta}"
+                    f"tabulated sampler is pinned to the line Im z = {self.eta}; "
+                    f"z = {zs[off][0]} is off it"
                 )
             lo, hi = self.zeta_range
-            if not lo - 1e-9 <= z.real <= hi + 1e-9:
-                raise DomainError("tabulated sampler queried outside its zeta range")
-        return np.atleast_2d(np.asarray(self.fn(z), dtype=complex))
+            out = (zs.real < lo - 1e-9) | (zs.real > hi + 1e-9)
+            if out.any():
+                raise DomainError(
+                    f"tabulated sampler queried outside its zeta range at z = {zs[out][0]}"
+                )
+        vals = np.asarray(self.fn(zs), dtype=complex)
+        return vals.reshape(z.shape + (self.p, self.p))
 
     @classmethod
     def from_constant(cls, value):
         value = np.atleast_2d(np.asarray(value, dtype=complex))
-        return cls(fn=lambda z: value, p=value.shape[0], source="constant")
+        return cls(fn=lambda zs: np.repeat(value[None], zs.size, axis=0),
+                   p=value.shape[0], source="constant")
 
     @classmethod
     def from_weyl_pair(cls, pair):
@@ -74,10 +87,12 @@ class WeylSampler:
 
         factor = _d.DISK_LENGTH_FACTOR if length_factor is None else length_factor
 
-        def fn(z):
-            return weyl_disk_approx(hamiltonian, complex(z),
-                                    l=factor / complex(z).imag,
-                                    steps_per_unit=steps_per_unit)
+        def fn(zs):
+            return np.array([
+                weyl_disk_approx(hamiltonian, complex(z), l=factor / z.imag,
+                                 steps_per_unit=steps_per_unit)
+                for z in zs
+            ])
 
         return cls(fn=fn, p=p, source="disk-oracle")
 
@@ -89,27 +104,68 @@ class WeylSampler:
             values = values[:, None, None]
         if zetas.ndim != 1 or values.shape[0] != zetas.size:
             raise StructuralError("need one p x p sample per zeta")
+        if zetas.size < 2:
+            raise StructuralError("a tabulated sampler needs at least two zetas")
         if eta <= 0:
             raise DomainError("sampling line must have eta > 0")
         order = np.argsort(zetas)
         zetas = zetas[order]
         values = values[order]
         p = values.shape[1]
-        flat = values.reshape(zetas.size, -1)
 
-        def fn(z):
-            zeta = np.real(z)
-            out = np.empty(flat.shape[1], dtype=complex)
-            for i in range(flat.shape[1]):
-                out[i] = np.interp(zeta, zetas, flat[:, i].real) + 1j * np.interp(
-                    zeta, zetas, flat[:, i].imag
-                )
-            return out.reshape(p, p)
+        def fn(zs):
+            zeta = zs.real
+            lo = np.clip(np.searchsorted(zetas, zeta, side="right") - 1, 0, zetas.size - 2)
+            t = (zeta - zetas[lo]) / (zetas[lo + 1] - zetas[lo])
+            t = np.clip(t, 0.0, 1.0)[:, None, None]
+            return (1.0 - t) * values[lo] + t * values[lo + 1]
 
         return cls(
             fn=fn, p=p, source="tabulated", eta=float(eta),
             zeta_range=(float(zetas[0]), float(zetas[-1])),
         )
+
+
+def _unit_chirp(theta, q):
+    """exp(2 pi i f q), f = theta / 2pi rounded once, for whole or half q.
+
+    The phase theta q reaches 1e4-1e7 rad on long lines, where forming it in
+    double precision would cost 1e-12-1e-9 in every chirp value.  Instead f
+    is split into three parts whose first two times q are exact, and only
+    fractional cycles enter exp.  Every q sees the same f, which the
+    Bluestein identity needs.
+    """
+    rest = theta / (2.0 * np.pi)
+    bits = 52 - int(np.ceil(np.log2(q.max() + 2.0)))
+    cycles = np.zeros_like(q)
+    for _ in range(2):
+        mant, ex = np.frexp(rest)
+        part = np.ldexp(np.round(np.ldexp(mant, bits)), ex - bits)
+        cycles += np.modf(part * q)[0]
+        rest -= part
+    cycles += np.modf(rest * q)[0]
+    return np.exp(2j * np.pi * cycles)
+
+
+def _chirp_z(c, theta, m):
+    """Chirp-z transform y_j = sum_n c_n exp(i theta j n), j < m, along axis 0.
+
+    Bluestein's identity jn = (j^2 + n^2 - (j - n)^2) / 2 turns the sum into
+    one linear convolution with the chirp exp(-i theta k^2 / 2), done with
+    FFTs of a length >= n + m - 1: O((n + m) log(n + m)) work per entry of
+    the trailing axes instead of the O(n m) of the direct sum.
+    """
+    n = c.shape[0]
+    length = sp_fft.next_fast_len(n + m - 1)
+    k = np.arange(max(n, m), dtype=float)
+    chirp = _unit_chirp(theta, 0.5 * k * k)
+    tail = (1,) * (c.ndim - 1)
+    b = np.zeros(length, dtype=complex)
+    b[:m] = chirp[:m].conj()
+    b[length - n + 1:] = chirp[n - 1:0:-1].conj()
+    spec = sp_fft.fft(c * chirp[:n].reshape((n,) + tail), length, axis=0)
+    spec *= sp_fft.fft(b).reshape((length,) + tail)
+    return sp_fft.ifft(spec, axis=0, overwrite_x=True)[:m] * chirp[:m].reshape((m,) + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +183,6 @@ def _panel_nodes(grid, gl_order):
     return nodes.ravel(), weights.ravel().copy()
 
 
-def _linear_values(grid, nodes):
-    """Values of the piecewise-linear interpolant of ``grid`` at nodes."""
-    return grid.at(nodes)
-
-
 def _chi_values(grid, nodes):
     """chi(x) = -2i int_0^x s(t)* dt for the piecewise-linear model of s."""
     xs = grid.xs
@@ -147,6 +198,18 @@ def _chi_values(grid, nodes):
     return -2j * (prefix[idx] + partial)
 
 
+def _line_step(zs):
+    """The real step of ``zs`` when it is a horizontal line of two or more
+    equally spaced points (to 16 ulp of max|z|), else None."""
+    if zs.size < 2:
+        return None
+    step = (zs[-1].real - zs[0].real) / (zs.size - 1)
+    nominal = zs[0] + step * np.arange(zs.size)
+    if np.abs(zs - nominal).max() > 16 * np.finfo(float).eps * np.abs(zs).max():
+        return None
+    return step
+
+
 def weyl_from_amplitude(s, z, mode="dirac", d=None, gl_order=None):
     """Weyl function from the amplitude by a truncated Laplace-type integral.
 
@@ -158,16 +221,20 @@ def weyl_from_amplitude(s, z, mode="dirac", d=None, gl_order=None):
 
     ``z`` may be a scalar or an array; integration uses composite
     Gauss-Legendre panels aligned with the grid of ``s``, so all modes
-    integrate the same piecewise-linear model of the data.
+    integrate the same piecewise-linear model of the data.  When the
+    flattened ``z`` is a uniform horizontal line (Im z constant, constant
+    real step) the sum runs as ``gl_order`` chirp-z transforms over the
+    panels, O((K + N) log(K + N)) per matrix entry for K points and N
+    panels; scattered ``z`` use the direct O(K N gl_order) sum.
     """
     if gl_order is None:
         gl_order = defaults.GL_ORDER
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    zs = np.asarray(z, dtype=complex).reshape(-1)
     if np.any(zs.imag <= 0):
         raise DomainError("weyl_from_amplitude requires Im z > 0")
     nodes, weights = _panel_nodes(s, gl_order)
     if mode == "dirac":
-        vals = np.conj(np.transpose(_linear_values(s, nodes), (0, 2, 1)))
+        vals = np.conj(np.transpose(s.at(nodes), (0, 2, 1)))
         pref = 2.0 * zs
     elif mode == "chi":
         vals = _chi_values(s, nodes)
@@ -178,17 +245,28 @@ def weyl_from_amplitude(s, z, mode="dirac", d=None, gl_order=None):
         d = np.asarray(d, dtype=float).reshape(-1)
         if np.any(d >= 0):
             raise DomainError("canonical mode requires D < 0")
-        vals = _linear_values(s, nodes)
+        vals = s.at(nodes)
         pref = -zs
     else:
         raise StructuralError(f"unknown amplitude mode {mode!r}")
-    out = np.empty((zs.size, s.rows, s.cols), dtype=complex)
-    chunk = max(1, int(2e6 / max(nodes.size, 1)))
     wv = weights[:, None, None] * vals
-    for i0 in range(0, zs.size, chunk):
-        zb = zs[i0:i0 + chunk]
-        phases = np.exp(1j * zb[:, None] * nodes[None, :])
-        out[i0:i0 + chunk] = np.einsum("kn,nab->kab", phases, wv)
+    step = _line_step(zs) if nodes.size else None
+    if step is None:
+        out = np.empty((zs.size, s.rows, s.cols), dtype=complex)
+        chunk = max(1, int(2e6 / max(nodes.size, 1)))
+        for i0 in range(0, zs.size, chunk):
+            zb = zs[i0:i0 + chunk]
+            phases = np.exp(1j * zb[:, None] * nodes[None, :])
+            out[i0:i0 + chunk] = np.einsum("kn,nab->kab", phases, wv)
+    else:
+        # node (q, g) sits at q h + c_g, so for z_k = z_0 + k step each
+        # Gauss-Legendre index g is one chirp-z transform over the panels q
+        panels = s.m - 1
+        offsets = nodes[:gl_order]
+        wv = wv.reshape(panels, gl_order, s.rows, s.cols)
+        damp = np.exp(1j * zs[0] * s.h * np.arange(panels))
+        inner = _chirp_z(damp[:, None, None, None] * wv, step * s.h, zs.size)
+        out = np.einsum("kg,kgab->kab", np.exp(1j * zs[:, None] * offsets[None, :]), inner)
     out *= pref[:, None, None]
     if mode == "canonical":
         out = np.einsum("a,kab->kab", d, out)
@@ -257,6 +335,9 @@ def amplitude_from_weyl(
     from the window edges.  This removes both the truncation tail and the
     cutoff ringing that would otherwise contaminate the differentiated
     accelerant; ``tail_correction=False`` gives the raw truncated rule.
+    ``phi`` is sampled on the whole line in one call, and both grids being
+    uniform, the sum is one chirp-z transform: O((Z + X) log(Z + X)) per
+    matrix entry for Z zetas and X positions.
 
     Returns (s, k, report): s on the node grid of [0, xmax] with
     s(0) = I/2 enforced, k on the midpoint grid, and a report carrying the
@@ -294,11 +375,12 @@ def amplitude_from_weyl(
     weights[0] *= 0.5
     weights[-1] *= 0.5
 
-    samples = np.array([np.atleast_2d(phi(z + 1j * eta)) for z in zetas])
-    if p is None:
-        p = samples.shape[1]
-
     zw = zetas + 1j * eta
+    samples = np.asarray(phi(zw), dtype=complex)
+    if p is None:
+        p = samples.shape[-1]
+    samples = samples.reshape(zetas.size, p, p)
+
     if mode == "canonical":
         base = np.einsum("ab,kbc->kac", np.diag(1.0 / np.abs(d)), samples)
         if phi_at_infinity is None:
@@ -329,13 +411,11 @@ def amplitude_from_weyl(
     half = h / 2.0
     xs = half * np.arange(2 * m + 1)
 
-    core = np.empty((xs.size, p, p), dtype=complex)
-    wint = weights[:, None, None] * integrand
-    chunk = max(1, int(2e6 / zetas.size))
-    for i0 in range(0, xs.size, chunk):
-        xb = xs[i0:i0 + chunk]
-        phases = np.exp(-1j * np.outer(xb, zetas))
-        core[i0:i0 + chunk] = np.einsum("kn,nab->kab", phases, wint)
+    # x_j = j h/2 and zeta_n = zeta_0 + n step make the sum over zeta one
+    # chirp-z transform
+    step = (zetas[-1] - zetas[0]) / (zetas.size - 1)
+    core = np.exp(-1j * zetas[0] * xs)[:, None, None] * _chirp_z(
+        weights[:, None, None] * integrand, -half * step, xs.size)
     if tail_correction:
         # exact full-line transforms of the subtracted pole model
         core += _pole_transform(order, xs, eta)[:, None, None] * m0[None]

@@ -12,6 +12,7 @@ and the pair of rational Weyl functions -- is available in closed form.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -25,6 +26,7 @@ from ._linalg import (
     hermitize,
     rel_residual,
     resolvent_apply,
+    spectrum,
 )
 from .exceptions import (
     DomainError,
@@ -247,7 +249,8 @@ def transfer_matrix(params, x, z, state=None):
         state = evolve_state(params, x)
     p = params.p
     J = anti_diag_j(p)
-    res = resolvent_apply(params.alpha, z, state.lam, what="alpha matrix")
+    res = resolvent_apply(params.alpha, z, state.lam, spectrum(params.alpha),
+                          what="alpha matrix")
     core = np.linalg.solve(state.sigma, res)
     return np.eye(2 * p, dtype=complex) - 1j * J @ state.lam.conj().T @ core
 
@@ -260,9 +263,16 @@ def _q0(params, lam, sigma):
 
 
 def _gauge_factor_ode(params, xs):
-    """Integrate v0' = -q0 v0, v0(0) = I with an adaptive RK scheme."""
+    """Integrate v0' = -q0 v0, v0(0) = I with an adaptive RK scheme.
+
+    One pass through the sorted positions: each leg starts where the last
+    one ended, and returns its end value from the integrator, so a single
+    position gets exactly the integration from 0 it would get alone.
+    """
     n, p = params.n, params.p
     m = 2 * p
+    if min(xs, default=0.0) < 0:
+        raise DomainError("positions must be nonnegative")
 
     def rhs(x, y):
         state = evolve_state(params, x)
@@ -270,18 +280,26 @@ def _gauge_factor_ode(params, xs):
         v = y.reshape(m, m)
         return (-q0 @ v).ravel()
 
-    y0 = np.eye(m, dtype=complex).ravel()
-    xf = max(xs)
-    if xf == 0.0:
-        return [np.eye(m, dtype=complex) for _ in xs]
-    sol = solve_ivp(
-        rhs, (0.0, xf), y0, t_eval=sorted(set(xs)),
-        rtol=defaults.ODE_TOL, atol=defaults.ODE_TOL, method="RK45",
-    )
-    if not sol.success:
-        raise WeylkitError(sol.message)  # pragma: no cover
-    table = {t: sol.y[:, i].reshape(m, m) for i, t in enumerate(sol.t)}
-    return [table[x] if x > 0 else np.eye(m, dtype=complex) for x in xs]
+    y = np.eye(m, dtype=complex).ravel()
+    x0 = 0.0
+    table = {}
+    for x in sorted(set(xs)):
+        if x > x0:
+            sol = solve_ivp(
+                rhs, (x0, x), y, t_eval=[x],
+                rtol=defaults.ODE_TOL, atol=defaults.ODE_TOL, method="RK45",
+            )
+            if not sol.success:
+                raise WeylkitError(sol.message)  # pragma: no cover
+            y, x0 = sol.y[:, 0], x
+        table[x] = y.reshape(m, m)
+    return [table[x] for x in xs]
+
+
+def _alpha_singular(params):
+    """Whether 0 is within the pole guard of the spectrum of alpha."""
+    eigs, scale = spectrum(params.alpha)
+    return np.abs(eigs).min() <= defaults.POLE_CUTOFF * (1.0 + scale)
 
 
 def gauge_factor(params, x, state=None):
@@ -290,9 +308,7 @@ def gauge_factor(params, x, state=None):
     Uses the closed form v0 = w(x, 0) when alpha is invertible; falls back
     to integrating v0' = -q0 v0 otherwise.
     """
-    eigs = np.linalg.eigvals(params.alpha)
-    scale = np.linalg.norm(params.alpha, 2)
-    if np.abs(eigs).min() > defaults.POLE_CUTOFF * (1.0 + scale):
+    if not _alpha_singular(params):
         w_x = transfer_matrix(params, x, 0.0, state=state)
         w_0 = transfer_matrix(params, 0.0, 0.0)
         # renormalize so that v0(0) = I; J-unitarity of the transfer matrix
@@ -354,24 +370,23 @@ def evolve_grid(params, xs):
 def hamiltonian_grid(params, xs):
     """Hamiltonian samples H(x) for an array of positions, vectorized.
 
-    Requires alpha invertible (the closed gauge-factor form); falls back to
-    per-point evaluation otherwise.
+    Uses the closed gauge-factor form when alpha is invertible; otherwise
+    integrates the gauge ODE once through all of ``xs``.
     """
     xs = np.asarray(xs, dtype=float).reshape(-1)
-    eigs = np.linalg.eigvals(params.alpha)
-    scale = np.linalg.norm(params.alpha, 2)
-    if np.abs(eigs).min() <= defaults.POLE_CUTOFF * (1.0 + scale):
-        return np.array([hamiltonian_direct(params, float(x)) for x in xs])
-    n, p = params.n, params.p
-    _, lam, sigma = evolve_grid(params, xs)
-    J = anti_diag_j(p)
-    res = np.linalg.solve(params.alpha[None, :, :], lam)
-    core = np.linalg.solve(sigma, res)
-    w0x = np.eye(2 * p, dtype=complex)[None] - 1j * np.einsum(
-        "ij,kjl,klm->kim", J, np.conj(np.transpose(lam, (0, 2, 1))), core
-    )
-    w00 = transfer_matrix(params, 0.0, 0.0)
-    v0 = w0x @ np.linalg.inv(w00)
+    p = params.p
+    if _alpha_singular(params):
+        v0 = np.array(_gauge_factor_ode(params, xs.tolist())).reshape(-1, 2 * p, 2 * p)
+    else:
+        _, lam, sigma = evolve_grid(params, xs)
+        J = anti_diag_j(p)
+        res = np.linalg.solve(params.alpha[None, :, :], lam)
+        core = np.linalg.solve(sigma, res)
+        w0x = np.eye(2 * p, dtype=complex)[None] - 1j * np.einsum(
+            "ij,kjl,klm->kim", J, np.conj(np.transpose(lam, (0, 2, 1))), core
+        )
+        w00 = transfer_matrix(params, 0.0, 0.0)
+        v0 = w0x @ np.linalg.inv(w00)
     row = np.hstack([np.diag(params.d) / 2.0, np.eye(p)]).astype(complex)
     beta = row[None] @ v0
     h = np.conj(np.transpose(beta, (0, 2, 1))) @ beta
@@ -427,16 +442,27 @@ class WeylPair:
     def d_negative(self):
         return bool(np.all(self.d < 0.0))
 
+    @cached_property
+    def gamma_spectrum(self):
+        """(eigenvalues, norm) of gamma for the pole guard, computed once."""
+        return spectrum(self.gamma)
+
+    @cached_property
+    def gamma_hat_spectrum(self):
+        """(eigenvalues, norm) of gamma_hat for the pole guard, computed once."""
+        return spectrum(self.gamma_hat)
+
     def phi(self, z):
-        res = resolvent_apply(self.gamma, z, self.psi2, what="gamma matrix")
+        """phi at a scalar z (p x p) or a 1-D array of z ((k, p, p) stack)."""
+        res = resolvent_apply(self.gamma, z, self.psi2, self.gamma_spectrum,
+                              what="gamma matrix")
         return -0.5j * np.diag(self.d) + self.psi1_0.conj().T @ res
 
     def phi_hat(self, z):
-        res = resolvent_apply(self.gamma_hat, z, self.psi2_hat, what="gamma-hat matrix")
+        """phi_hat at a scalar z (p x p) or a 1-D array of z ((k, p, p) stack)."""
+        res = resolvent_apply(self.gamma_hat, z, self.psi2_hat, self.gamma_hat_spectrum,
+                              what="gamma-hat matrix")
         return 0.5j * np.diag(np.abs(self.d)) + self.psi1_0_hat.conj().T @ res
-
-    def phi_grid(self, zs):
-        return np.array([self.phi(z) for z in np.asarray(zs).ravel()])
 
 
 def weyl_pair(params, validate=True):

@@ -15,11 +15,12 @@ reproduces phi and the Hamiltonian.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import defaults
-from ._linalg import eigmin_hermitian, rel_residual, resolvent_apply
+from ._linalg import eigmin_hermitian, rel_residual, resolvent_apply, spectrum
 from .exceptions import DomainError, StructuralError, ValidationError
 from .gbdt import GbdtParams, weyl_pair
 
@@ -66,9 +67,16 @@ class Realization:
     def p(self):
         return self.d.size
 
+    @cached_property
+    def gamma_spectrum(self):
+        """(eigenvalues, norm) of gamma for the pole guard, computed once."""
+        return spectrum(self.gamma)
+
     def phi(self, z):
-        """Evaluate the realized Weyl function at z."""
-        res = resolvent_apply(self.gamma, z, self.psi2, what="gamma matrix")
+        """The realized Weyl function at a scalar z (p x p) or a 1-D array
+        of z ((k, p, p) stack)."""
+        res = resolvent_apply(self.gamma, z, self.psi2, self.gamma_spectrum,
+                              what="gamma matrix")
         return 0.5j * np.diag(np.abs(self.d)) + self.psi1_0.conj().T @ res
 
 
@@ -86,7 +94,7 @@ def validate_realization(r, grid, tol=defaults.IDENTITY_TOL):
     scale = (np.linalg.norm(r.gamma, 2) if r.n else 0.0) + 1.0
     identity_rel = rel_residual(residual, scale)
     herglotz_min = min(
-        eigmin_hermitian((r.phi(z) - r.phi(z).conj().T) / 2j) for z in grid
+        eigmin_hermitian((val - val.conj().T) / 2j) for val in r.phi(np.array(grid))
     )
     R = 1e6
     at_inf = r.phi(1j * R) - 0.5j * np.diag(np.abs(r.d))

@@ -29,6 +29,7 @@ from .grids import DifferenceKernel, GridFunction
 __all__ = [
     "StructuredOperator",
     "TriangularFactor",
+    "default_operator_length",
     "build_structured_operator",
     "factorize_triangular",
     "recover_potential",
@@ -88,6 +89,13 @@ class StructuredOperator:
         return bool(info == 0)
 
 
+def default_operator_length(kernel, d=None):
+    """Longest operator length l, a whole number of grid steps, whose
+    arguments max|d| * l stay on the stored kernel (l = kernel.l for d None)."""
+    scale = 1.0 if d is None else float(np.abs(np.asarray(d, dtype=float)).max())
+    return kernel.h * int(np.floor(kernel.l / (scale * kernel.h) + 1e-9))
+
+
 def build_structured_operator(kernel, d=None, l=None):
     """Assemble S = I + h [kernel matrix] on the midpoint grid of [0, l].
 
@@ -107,7 +115,7 @@ def build_structured_operator(kernel, d=None, l=None):
     else:
         scale = 1.0
     if l is None:
-        l = kernel.l / scale
+        l = default_operator_length(kernel, d)
     m = int(round(l / h))
     if m < 1 or abs(m * h - l) > 1e-9 * max(1.0, l):
         raise StructuralError("grid step must divide the operator length")

@@ -55,13 +55,13 @@ def const_v_phi(z, v0=V0):
 
     The decaying column of exp(ix[[z, v], [-v, -z]]) selects
     phi(z) = -i (z - lam - v) / (z - lam + v) with lam the root of
-    z^2 - v^2 in the upper half-plane.
+    z^2 - v^2 in the upper half-plane.  A scalar z gives a 1 x 1 value,
+    an array of z the (k, 1, 1) stack a WeylSampler ``fn`` returns.
     """
-    z = complex(z)
+    z = np.asarray(z, dtype=complex)
     lam = np.sqrt(z * z - v0 * v0 + 0j)
-    if lam.imag < 0:
-        lam = -lam
-    return np.array([[-1j * (z - lam - v0) / (z - lam + v0)]])
+    lam = np.where(lam.imag < 0, -lam, lam)
+    return (-1j * (z - lam - v0) / (z - lam + v0))[..., None, None]
 
 
 def const_v_u0(x, v0=V0):

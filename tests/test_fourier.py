@@ -1,10 +1,15 @@
+import re
+
+import mpmath
 import numpy as np
 import pytest
 
 import weylkit as wk
 from weylkit.fourier import (
     WeylSampler,
+    _chirp_z,
     _pole_transform,
+    _unit_chirp,
     amplitude_from_weyl,
     amplitude_tail_bound,
     herglotz_check,
@@ -72,10 +77,48 @@ class TestForward:
             np.testing.assert_allclose(batch[i], weyl_from_amplitude(s, z, mode="dirac"),
                                        atol=1e-14)
 
+    @pytest.mark.parametrize("mode", ["dirac", "chi", "canonical"])
+    def test_uniform_line_matches_dense_path(self, mode):
+        # a uniform line takes the chirp-z path; scalar z take the direct sum
+        sg, _ = gauss_amplitude_grid(xmax=10.0, h=1 / 64)
+        zs = np.linspace(40.0, -40.0, 1601) + 0.8j
+        d = GAUSS_D if mode == "canonical" else None
+        fast = weyl_from_amplitude(sg, zs, mode=mode, d=d)
+        dense = np.array([weyl_from_amplitude(sg, z, mode=mode, d=d) for z in zs[::40]])
+        assert np.abs(fast[::40] - dense).max() <= 1e-10 * np.abs(dense).max()
+        grid = weyl_from_amplitude(sg, zs[:1600].reshape(40, 40), mode=mode, d=d)
+        assert grid.shape == (40, 40, 2, 2)
+        assert np.abs(grid.reshape(1600, 2, 2) - fast[:1600]).max() \
+            <= 1e-12 * np.abs(dense).max()
+
     def test_tail_bound_scale(self):
         s = smooth_grid(xmax=10.0)
         bound = amplitude_tail_bound(s, 2j, mode="dirac")
         assert 0 < bound < 1e-7
+
+
+class TestChirpZ:
+    @pytest.mark.parametrize("n, m", [(9, 9), (7, 20), (40, 5)])
+    def test_against_direct_sum(self, n, m):
+        rng = np.random.default_rng(10 * n + m)
+        c = rng.normal(size=(n, 2, 3)) + 1j * rng.normal(size=(n, 2, 3))
+        theta = -0.37
+        phases = np.exp(1j * theta * np.outer(np.arange(m), np.arange(n)))
+        direct = np.einsum("jn,nab->jab", phases, c)
+        np.testing.assert_allclose(_chirp_z(c, theta, m), direct, rtol=0,
+                                   atol=1e-13 * np.abs(c).sum())
+
+    def test_chirp_phase_reduced_exactly(self):
+        # theta q reaches 5e7 rad here, where the double-precision product
+        # theta * q would be off by about 1e-8
+        theta = 0.05 / 512
+        f = theta / (2.0 * np.pi)
+        q = 0.5 * np.array([0.0, 3.0, 12345.0, 2.0 ** 19 + 1, 2.0 ** 20 - 3]) ** 2
+        with mpmath.workdps(40):
+            ref = np.array([complex(mpmath.expj(2 * mpmath.pi * mpmath.mpf(f) * mpmath.mpf(v)))
+                            for v in q])
+        assert np.abs(_unit_chirp(theta, q) - ref).max() < 1e-14
+        assert np.abs(np.exp(1j * theta * q) - ref).max() > 1e-10
 
 
 class TestPoleTransform:
@@ -126,6 +169,24 @@ class TestInverse:
                                        mode="dirac", phi_at_infinity=2j * np.eye(1))
         # s(0) is snapped to I/2 in each output, so compare away from 0
         assert np.abs(s12.values[1:] - s1.values[1:] - s2.values[1:]).max() < 1e-6
+
+    def test_against_dense_reference_sum(self):
+        prm = make_params(2, 2, seed=61)
+        samp = WeylSampler.from_weyl_pair(wk.weyl_pair(prm))
+        eta, a, dzeta = 1.0, 40.0, 0.05
+        s, _, _ = amplitude_from_weyl(samp, eta=eta, a=a, h=1 / 32, xmax=1.0,
+                                      mode="canonical", d=prm.d, dzeta=dzeta,
+                                      tail_correction=False)
+        # trapezoid sum of e^{-i zeta x} |D|^-1 phi(zeta + i eta) / (zeta + i eta)
+        zetas = np.linspace(-a, a, 2 * int(round(a / dzeta)) + 1)
+        w = np.full(zetas.size, zetas[1] - zetas[0])
+        w[[0, -1]] *= 0.5
+        zw = zetas + 1j * eta
+        base = np.array([np.diag(1.0 / np.abs(prm.d)) @ samp(z) / z for z in zw])
+        xs = s.xs[1:]
+        ref = np.einsum("jn,nab->jab", np.exp(-1j * np.outer(xs, zetas)) * w, base)
+        ref *= (np.exp(eta * xs) / (2.0 * np.pi))[:, None, None]
+        assert np.abs(s.values[1:] - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_eta_must_be_positive(self):
         with pytest.raises(wk.DomainError):
@@ -186,6 +247,36 @@ class TestSampler:
         vals = np.array([[[0.0 + 1j]], [[2.0 + 1j]]])
         samp = WeylSampler.from_table(zetas, vals, eta=0.5)
         np.testing.assert_allclose(samp(0.25 + 0.5j), [[0.5 + 1j]])
+
+    def test_array_queries_checked_point_by_point(self):
+        zetas = np.linspace(-5, 5, 11)
+        vals = np.tile(1j * np.eye(1)[None], (11, 1, 1))
+        samp = WeylSampler.from_table(zetas, vals, eta=1.0)
+        assert samp(np.array([0.3 + 1j, -5 + 1j, 5 + 1j])).shape == (3, 1, 1)
+        with pytest.raises(wk.DomainError, match=re.escape("z = (0.4+2j)")):
+            samp(np.array([0.3 + 1j, 0.4 + 2j]))
+        with pytest.raises(wk.DomainError, match=re.escape("z = (7+1j)")):
+            samp(np.array([0.3 + 1j, 7.0 + 1j, 8.0 + 1j]))
+        with pytest.raises(wk.DomainError):
+            WeylSampler.from_constant(1j * np.eye(1))(np.array([1j, 2.0]))
+
+    def test_table_batch_matches_scalar_calls_and_interp(self):
+        rng = np.random.default_rng(3)
+        zetas = np.sort(rng.uniform(-3, 3, 30))
+        vals = rng.normal(size=(30, 2, 2)) + 1j * rng.normal(size=(30, 2, 2))
+        samp = WeylSampler.from_table(zetas, vals, eta=0.7)
+        q = np.concatenate([rng.uniform(zetas[0], zetas[-1], 50), zetas]) + 0.7j
+        batch = samp(q)
+        np.testing.assert_array_equal(batch, np.array([samp(z) for z in q]))
+        ref = np.array([[[np.interp(z.real, zetas, vals[:, i, j].real)
+                          + 1j * np.interp(z.real, zetas, vals[:, i, j].imag)
+                          for j in range(2)] for i in range(2)] for z in q])
+        np.testing.assert_allclose(batch, ref, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(batch[50:], vals)
+
+    def test_table_needs_two_samples(self):
+        with pytest.raises(wk.StructuralError):
+            WeylSampler.from_table([0.0], [[[1j]]], eta=1.0)
 
     def test_requires_upper_half_plane(self):
         samp = WeylSampler.from_constant(1j * np.eye(1))

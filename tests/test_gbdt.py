@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, quad_vec, solve_ivp
@@ -203,6 +205,18 @@ class TestHamiltonian:
         J = anti_diag_j(1)
         np.testing.assert_allclose(v0.conj().T @ J @ v0, J, atol=1e-7)
 
+    def test_singular_alpha_grid_matches_pointwise(self):
+        # one gauge-ODE pass through all positions against one integration
+        # from 0 per position
+        prm = make_params(3, 2, seed=19, singular_alpha=True)
+        xs = np.linspace(0.0, 1.5, 7)
+        grid = hamiltonian_grid(prm, xs)
+        direct = np.array([hamiltonian_direct(prm, x) for x in xs])
+        assert np.abs(grid - direct).max() <= 1e-8 * np.abs(direct).max()
+        for h in grid:
+            assert np.linalg.eigvalsh(h).min() >= -1e-10
+            assert np.sum(np.linalg.svd(h, compute_uv=False) > 1e-8) <= prm.p
+
     def test_grid_matches_pointwise(self):
         prm = make_params(2, 1, seed=30)
         xs = np.linspace(0.0, 2.0, 9)
@@ -308,6 +322,20 @@ class TestWeylPair:
         pair = wk.weyl_pair(scalar_params())
         with pytest.raises(wk.SingularityError):
             pair.phi(-1j)   # gamma = -i exactly
+
+    def test_batch_equals_stacked_scalar_calls(self):
+        for negative in (True, False):
+            pair = wk.weyl_pair(make_params(3, 2, seed=45, negative=negative))
+            zs = np.array([1j, 0.5 + 2j, -1.5 + 0.3j, 3 + 1e-3j])
+            np.testing.assert_array_equal(pair.phi(zs),
+                                          np.array([pair.phi(z) for z in zs]))
+            np.testing.assert_array_equal(pair.phi_hat(zs),
+                                          np.array([pair.phi_hat(z) for z in zs]))
+
+    def test_pole_in_batch_is_named(self):
+        pair = wk.weyl_pair(scalar_params())
+        with pytest.raises(wk.SingularityError, match=re.escape("z = (-0-1j)")):
+            pair.phi(np.array([1j, 2 + 1j, -1j, 0.5j]))
 
     def test_matrix_exponential_on_normal_matrices(self):
         # scaling-and-squaring vs eigendecomposition

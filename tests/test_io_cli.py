@@ -165,6 +165,15 @@ class TestCli:
         rows = (out / "w.csv").read_text().strip().split("\n")
         assert len(rows) == 2
 
+    def test_fundamental_default_length_rounds_down(self, tmp_path):
+        # 1 / 1.5 is not a whole number of steps 1/128: the default length
+        # is the longest whole-step length the kernel reaches, 85/128
+        out = tmp_path / "fun"
+        assert main(["fundamental", "--kernel", os.path.join(FIXTURES, "kernel.csv"),
+                     "--d=-1.5", "--out", str(out)]) == 0
+        manifest = json.loads((out / "run-manifest.json").read_text())
+        assert manifest["parameters"]["l"] == 85 / 128
+
     def test_interpolate_subcommand(self, tmp_path):
         qs = np.arange(61, dtype=float)
         wio.write_weyl_samples_csv(tmp_path / "s.csv", qs,

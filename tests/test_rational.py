@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,22 @@ class TestValidate:
     def test_nonnegative_d_rejected(self):
         with pytest.raises(wk.DomainError):
             wk.Realization(d=[1.0], gamma=[[0.0]], psi1_0=[[0.0]], psi2=[[0.0]])
+
+
+class TestRealizationPhi:
+    def test_batch_equals_stacked_scalar_calls(self):
+        r = realization_from_params(make_params(3, 2, seed=52))
+        zs = np.array(GRID + [2 - 0.01j])
+        np.testing.assert_array_equal(r.phi(zs), np.array([r.phi(z) for z in zs]))
+
+    def test_empty_realization_batch(self):
+        r = realization_from_pole_data([], [], d=[-2.0])
+        np.testing.assert_array_equal(r.phi(np.array(GRID)),
+                                      np.tile(1j * np.eye(1), (len(GRID), 1, 1)))
+
+    def test_pole_in_batch_is_named(self):
+        with pytest.raises(wk.SingularityError, match=re.escape("z = (-0-1j)")):
+            scalar_realization().phi(np.array([1j, 2j, -1j, 0.5j]))
 
 
 class TestParamsFromRealization:
