@@ -115,6 +115,16 @@ class GbdtParams:
     def psi2(self):
         return self.lambda1 - 0.5 * self.lambda2 * self.d
 
+    @cached_property
+    def alpha_spectrum(self):
+        """(eigenvalues, norm) of alpha for the pole guard, computed once."""
+        return spectrum(self.alpha)
+
+    @cached_property
+    def initial_state(self):
+        """The state at x = 0, evolved once."""
+        return evolve_state(self, 0.0)
+
 
 @dataclass(frozen=True)
 class GbdtState:
@@ -249,7 +259,7 @@ def transfer_matrix(params, x, z, state=None):
         state = evolve_state(params, x)
     p = params.p
     J = anti_diag_j(p)
-    res = resolvent_apply(params.alpha, z, state.lam, spectrum(params.alpha),
+    res = resolvent_apply(params.alpha, z, state.lam, params.alpha_spectrum,
                           what="alpha matrix")
     core = np.linalg.solve(state.sigma, res)
     return np.eye(2 * p, dtype=complex) - 1j * J @ state.lam.conj().T @ core
@@ -298,7 +308,7 @@ def _gauge_factor_ode(params, xs):
 
 def _alpha_singular(params):
     """Whether 0 is within the pole guard of the spectrum of alpha."""
-    eigs, scale = spectrum(params.alpha)
+    eigs, scale = params.alpha_spectrum
     return np.abs(eigs).min() <= defaults.POLE_CUTOFF * (1.0 + scale)
 
 
@@ -310,7 +320,7 @@ def gauge_factor(params, x, state=None):
     """
     if not _alpha_singular(params):
         w_x = transfer_matrix(params, x, 0.0, state=state)
-        w_0 = transfer_matrix(params, 0.0, 0.0)
+        w_0 = transfer_matrix(params, 0.0, 0.0, state=params.initial_state)
         # renormalize so that v0(0) = I; J-unitarity of the transfer matrix
         # at real z makes the result J-unitary as well
         return np.linalg.solve(w_0.T, w_x.T).T
@@ -385,7 +395,7 @@ def hamiltonian_grid(params, xs):
         w0x = np.eye(2 * p, dtype=complex)[None] - 1j * np.einsum(
             "ij,kjl,klm->kim", J, np.conj(np.transpose(lam, (0, 2, 1))), core
         )
-        w00 = transfer_matrix(params, 0.0, 0.0)
+        w00 = transfer_matrix(params, 0.0, 0.0, state=params.initial_state)
         v0 = w0x @ np.linalg.inv(w00)
     row = np.hstack([np.diag(params.d) / 2.0, np.eye(p)]).astype(complex)
     beta = row[None] @ v0
@@ -403,7 +413,7 @@ def fundamental_direct(params, x, z, state=None):
     state = evolve_state(params, x) if state is None else state
     v0 = gauge_factor(params, x, state=state)
     w_x = transfer_matrix(params, x, z, state=state)
-    w_0 = transfer_matrix(params, 0.0, z)
+    w_0 = transfer_matrix(params, 0.0, z, state=params.initial_state)
     # Seed solution Z exp(i z x diag(D, 0)) Z^-1.
     phases = np.concatenate([np.exp(1j * z * x * params.d), np.ones(p)])
     w_seed = _z_matrix(params.d) @ np.diag(phases) @ _z_inverse(params.d)

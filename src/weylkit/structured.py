@@ -5,16 +5,18 @@ is k(x - t) (plain case) or, entrywise, k_ij(d_j t - d_i x) for a negative
 diagonal weight D.  A midpoint Nystroem rule on a uniform grid turns S into
 a dense Hermitian matrix; positivity is probed by Cholesky, whose inverse
 factor is the discrete analog of the lower-triangular factorization
-S^-1 = E* E.  Everything else in this module -- potential recovery, the
-theta functions, Hamiltonian assembly, fundamental solutions and the
-Weyl-disk oracle -- is built from that factor.
+S^-1 = E* E.  Without a weight, or with equal weights, S is block Toeplitz
+and the factor comes from a block Schur recursion on its first block
+column.  Everything else in this module -- potential recovery, the theta
+functions, Hamiltonian assembly, fundamental solutions and the Weyl-disk
+oracle -- is built from that factor.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm, lapack, solve_triangular
+from scipy.linalg import expm, lapack, solve_banded
 
 from . import defaults
 from ._linalg import anti_diag_j, hermitize
@@ -49,32 +51,20 @@ __all__ = [
 # operator assembly
 
 
-def _interp_entry(kernel, a, b, y):
-    """Entry (a, b) of k at nonnegative arguments, linearly interpolated."""
-    vals = kernel.samples[:, a, b]
-    xs = kernel.xs
-    return np.interp(y, xs, vals.real) + 1j * np.interp(y, xs, vals.imag)
-
-
-def _entry_eval(kernel, a, b, y):
-    """Entry (a, b) of k at arbitrary arguments using k(-x) = k(x)*."""
-    y = np.asarray(y, dtype=float)
-    out = np.empty(y.shape, dtype=complex)
-    pos = y >= 0.0
-    out[pos] = _interp_entry(kernel, a, b, y[pos])
-    if np.any(~pos):
-        out[~pos] = np.conj(_interp_entry(kernel, b, a, -y[~pos]))
-    return out
-
-
 @dataclass(frozen=True)
 class StructuredOperator:
-    """Dense Nystroem discretization of S = I + integral operator."""
+    """Dense Nystroem discretization of S = I + integral operator.
+
+    ``column`` is the first block column of S when S is exactly Hermitian
+    block Toeplitz (no weight, or all weights equal), else None; it routes
+    :func:`factorize_triangular` to the block Schur recursion.
+    """
 
     s: np.ndarray          # (p M, p M) Hermitian
     h: float
     p: int
     d: np.ndarray = None   # weight diagonal, all < 0, or None for the plain case
+    column: np.ndarray = None   # (M, p, p) blocks S_{n0}, or None
 
     @property
     def m(self):
@@ -96,13 +86,41 @@ def default_operator_length(kernel, d=None):
     return kernel.h * int(np.floor(kernel.l / (scale * kernel.h) + 1e-9))
 
 
+# complex entries of k evaluated per call while assembling distinct weights
+_ASSEMBLY_CHUNK = 1 << 16
+
+
+def _toeplitz_column(kernel, m, scale):
+    """First block column h k(scale h n), n < m, of a Toeplitz operator; block
+    0 carries the identity and is Hermitian-averaged (k(0) is one-sided)."""
+    h, p = kernel.h, kernel.p
+    col = h * kernel.at(scale * h * np.arange(m))
+    col[0] = hermitize(np.eye(p) + col[0])
+    return col
+
+
+def _fill_toeplitz(out, col):
+    """Write the Hermitian block Toeplitz matrix with first block column
+    ``col`` (m, q, q) into ``out``: block row i is a window of one wide row."""
+    m, q, _ = col.shape
+    # blocks S_{i-j} for i - j = m-1, ..., 1-m; adding +0.0 clears the
+    # negative zeros that conjugation leaves, as a Hermitian average would
+    blocks = np.concatenate([col[::-1], np.conj(col[1:]).transpose(0, 2, 1)]) + 0.0
+    wide = blocks.transpose(1, 0, 2).reshape(q, (2 * m - 1) * q)
+    for i in range(m):
+        out[i * q:(i + 1) * q] = wide[:, (m - 1 - i) * q:(2 * m - 1 - i) * q]
+
+
 def build_structured_operator(kernel, d=None, l=None):
     """Assemble S = I + h [kernel matrix] on the midpoint grid of [0, l].
 
     Plain case (``d is None``): matrix block (i, j) is k(x_i - x_j).
     Weighted case: entry (a, b) of block (i, j) is k_ab(d_b x_j - d_a x_i);
     all weights must be negative, and the kernel must be stored out to
-    max|d| * l.  The result is Hermitian-symmetrized.
+    max|d| * l.  Entries at argument 0, where k is one-sided, take the
+    Hermitian average, so S is exactly Hermitian.  With no weight or equal
+    weights S is block Toeplitz and is filled from its first block column,
+    which the result keeps.
     """
     p, h = kernel.p, kernel.h
     if d is not None:
@@ -123,23 +141,29 @@ def build_structured_operator(kernel, d=None, l=None):
         raise StructuralError(
             f"kernel stored on [0, {kernel.l:.6g}] but arguments reach {scale * l:.6g}"
         )
+    s = np.empty((m * p, m * p), dtype=complex)
+    if d is None or np.all(d == d[0]):
+        col = _toeplitz_column(kernel, m, scale)
+        _fill_toeplitz(s, col)
+        return StructuredOperator(s=s, h=h, p=p, d=d, column=col)
+    # distinct weights: entries (a, a) are Toeplitz in i - j; each pair
+    # a < b is evaluated once and mirrored into (b, a) by conjugation
+    for a in range(p):
+        _fill_toeplitz(s[a::p, a::p], _toeplitz_column(kernel, m, -d[a])[:, a:a + 1, a:a + 1])
     xs = h * (np.arange(m) + 0.5)
-    blocks = np.empty((m, m, p, p), dtype=complex)
-    if d is None:
-        # difference kernel: blocks depend on i - j only
-        diffs = h * np.arange(-(m - 1), m)
-        table = kernel.at(diffs)                      # (2m-1, p, p)
-        idx = np.arange(m)[:, None] - np.arange(m)[None, :] + (m - 1)
-        blocks = table[idx]
-    else:
-        for a in range(p):
-            for b in range(p):
-                args = d[b] * xs[None, :] - d[a] * xs[:, None]
-                blocks[:, :, a, b] = _entry_eval(kernel, a, b, args)
-    full = np.transpose(blocks, (0, 2, 1, 3)).reshape(m * p, m * p)
-    s = np.eye(m * p, dtype=complex) + h * full
-    s = 0.5 * (s + s.conj().T)
-    return StructuredOperator(s=s, h=h, p=p, d=None if d is None else d)
+    k0 = hermitize(kernel.at(0.0))
+    rows = max(1, _ASSEMBLY_CHUNK // (m * p * p))
+    for a in range(p):
+        for b in range(a + 1, p):
+            for i0 in range(0, m, rows):
+                i1 = min(m, i0 + rows)
+                args = d[b] * xs - d[a] * xs[i0:i1, None]
+                vals = kernel.at(args)[..., a, b]
+                vals[args == 0.0] = k0[a, b]
+                vals *= h
+                s[i0 * p + a:i1 * p:p, b::p] = vals
+                s[b::p, i0 * p + a:i1 * p:p] = vals.conj().T
+    return StructuredOperator(s=s, h=h, p=p, d=d)
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +175,15 @@ class TriangularFactor:
 
     ``w`` is the inverse Cholesky factor of S; its strictly lower blocks
     estimate the kernel E(x_i, x_j) as W_ij / h (an O(h)-accurate kernel
-    read-off).  The inverse factor I + Gamma is computed on demand.
+    read-off).  The inverse factor I + Gamma (the Cholesky factor of S) is
+    given by the block Schur route and computed on demand otherwise.
     """
 
-    def __init__(self, w, h, p):
+    def __init__(self, w, h, p, winv=None):
         self.w = w
         self.h = float(h)
         self.p = int(p)
-        self._winv = None
+        self._winv = winv
 
     @property
     def m(self):
@@ -173,16 +198,6 @@ class TriangularFactor:
             self._winv = inv
         return self._winv
 
-    def e_kernel(self, i, j):
-        """O(h) estimate of E(x_i, x_j) for i > j."""
-        p = self.p
-        return self.w[i * p:(i + 1) * p, j * p:(j + 1) * p] / self.h
-
-    def gamma_kernel(self, i, j):
-        """O(h) estimate of the inverse-factor kernel Gamma(x_i, x_j), i > j."""
-        p = self.p
-        return self.winv[i * p:(i + 1) * p, j * p:(j + 1) * p] / self.h
-
     def apply(self, grid_values):
         """Apply the factor to stacked block samples (m, p, cols)."""
         m, p = self.m, self.p
@@ -195,18 +210,79 @@ class TriangularFactor:
         return (self.winv @ grid_values.reshape(m * p, cols)).reshape(m, p, cols)
 
 
-def factorize_triangular(op):
-    """Cholesky-based triangular factorization of a positive operator.
+def _not_positive(minor):
+    return PositivityError(
+        f"operator not positive definite (leading minor of order {minor})",
+        minor=int(minor),
+    )
 
+
+def _schur_factor(col, h):
+    """W and W^-1 of a Hermitian block Toeplitz S from its first block column.
+
+    Block Schur-Levinson recursion.  At step n the forward predictor a_n
+    (a_n(0) = I) and the backward predictor b_n (b_n(n) = I) satisfy
+    a_n S = [P_f 0 ... 0 f_n(n+1) ...] and b_n S = [0 ... 0 P_b g_n(n+1) ...].
+    With P_b = C C* (lower Cholesky), row block n of W is C^-1 b_n and column
+    block n of W^-1 is g_n(j)* C^-*, j >= n.  The coefficients
+    K_f = Delta P_b^-1 and K_b = Delta* P_f^-1, Delta = f_n(n+1), advance all
+    four sequences with one 2p x 2p transform of a wide generator whose top
+    rows hold a_n(k) at block k and f_n(j) at block j + 1 (j > n), and whose
+    bottom rows hold b_n(k) at block k + 1 and g_n(j) at block j + 2 (j >= n):
+    the top stays in place and the bottom moves one block right.  Each of the
+    M steps costs O(M p^2) work.
+    """
+    m, p, _ = col.shape
+    size = m * p
+    row0 = np.conj(col).transpose(2, 0, 1).reshape(p, size)   # block j is S_{0j}
+    gen = np.zeros((2 * p, size + 2 * p), dtype=complex)
+    gen[:p, :p] = gen[p:, p:2 * p] = np.eye(p)
+    gen[:p, 2 * p:size + p] = row0[:, p:]
+    gen[p:, 2 * p:] = row0
+    p_f = row0[:, :p].copy()
+    theta = np.eye(2 * p, dtype=complex)
+    w = np.zeros((size, size), dtype=complex)
+    winv = np.zeros((size, size), dtype=complex, order="F")
+    for n in range(m):
+        lo, hi = n * p, (n + 1) * p
+        pivot = slice(hi + p, hi + 2 * p)                      # block n + 2
+        c, info = lapack.zpotrf(gen[p:, pivot], lower=1, clean=1)
+        if info > 0:
+            # a pivot that fails at its column info is the leading minor
+            # n p + info of S, the order zpotrf reports on the whole of S
+            raise _not_positive(lo + info)
+        cinv, _ = lapack.ztrtri(c, lower=1)
+        rows = cinv @ gen[p:, p:]
+        w[lo:hi, :hi] = rows[:, :hi]
+        winv[lo:hi, lo:hi] = c
+        winv[hi:, lo:hi] = rows[:, hi + p:].conj().T
+        if n == m - 1:
+            break
+        delta = gen[:p, pivot]
+        k_f_h, _ = lapack.zpotrs(c, delta.conj().T, lower=1)    # K_f* = P_b^-1 Delta*
+        _, k_b_h, _ = lapack.zposv(p_f, delta, lower=1)         # K_b* = P_f^-1 Delta
+        p_f -= k_f_h.conj().T @ delta.conj().T
+        theta[:p, p:], theta[p:, :p] = -k_f_h.conj().T, -k_b_h.conj().T
+        step = theta @ gen[:, :size + p]
+        gen[:p, :size + p] = step[:p]
+        gen[p:, p:] = step[p:]
+        gen[:p, pivot] = 0.0    # a_{n+1}(n+2) = 0 replaces f_{n+1}(n+1) ~ 0
+    return TriangularFactor(w=w, h=h, p=p, winv=winv)
+
+
+def factorize_triangular(op):
+    """Triangular factorization W S W* = I of a positive operator.
+
+    Block Toeplitz operators (``op.column`` set) take the block Schur
+    recursion, which also gives W^-1; others take LAPACK's Cholesky.
     Raises PositivityError naming the offending leading minor size when S
     is not positive definite; this doubles as the positivity test.
     """
+    if op.column is not None:
+        return _schur_factor(op.column, op.h)
     c, info = lapack.zpotrf(op.s, lower=1, clean=1)
     if info > 0:
-        raise PositivityError(
-            f"operator not positive definite (leading minor of order {info})",
-            minor=int(info),
-        )
+        raise _not_positive(info)
     if info < 0:  # pragma: no cover
         raise StructuralError(f"illegal value in Cholesky argument {-info}")
     w, info = lapack.ztrtri(c, lower=1)
@@ -377,28 +453,40 @@ def hamiltonian_difference_quotient(kernel, d, indices, l=None):
     return out
 
 
-def _integration_matrix(d, m, h):
-    """Discrete A = i D int_0^x: block lower triangular with half diagonal."""
-    p = d.size
-    low = np.tril(np.ones((m, m)), -1) * h + np.eye(m) * (h / 2.0)
-    return np.kron(low, 1j * np.diag(d)).astype(complex)
-
-
 def fundamental_from_kernel(kernel, d, l, z, op=None, factor=None):
-    """Fundamental solution w(l, z) = I + i z J Pi* S^-1 (I - z A)^-1 Pi."""
+    """Fundamental solution w(l, z) = I + i z J Pi* S^-1 (I - z A)^-1 Pi.
+
+    ``z`` is a scalar (a 2p x 2p result) or an array (a z.shape + (2p, 2p)
+    stack).  A = i D int_0^x on the midpoint grid is block lower triangular
+    with half weight on the diagonal; differencing its rows turns
+    (I - z A) u = Pi into one bidiagonal system per z and component a, with
+    diagonal 1 - c/2 and subdiagonal -(1 + c/2), c = i z d_a h.
+    """
     d = np.asarray(d, dtype=float).reshape(-1)
     if op is None:
         op = build_structured_operator(kernel, d=d, l=l)
     if factor is None:
         factor = factorize_triangular(op)
     m, p, h = op.m, op.p, op.h
+    zs = np.asarray(z, dtype=complex)
+    zf = zs.reshape(-1)
     xs = h * (np.arange(m) + 0.5)
-    pi = _pi_samples(kernel, d, xs).reshape(m * p, 2 * p)
-    amat = _integration_matrix(d, m, h)
-    rhs = solve_triangular(np.eye(m * p) - z * amat, pi, lower=True)
+    pi = _pi_samples(kernel, d, xs)                      # (m, p, 2p)
+    dpi = np.diff(pi, axis=0, prepend=0.0)
+    rhs = np.empty((m, p, zf.size, 2 * p), dtype=complex)
+    band = np.empty((2, m), dtype=complex)
+    for k, zk in enumerate(zf):
+        for a in range(p):
+            c = 1j * zk * d[a] * h
+            band[0], band[1] = 1.0 - 0.5 * c, -(1.0 + 0.5 * c)
+            rhs[:, a, k] = solve_banded((1, 0), band, dpi[:, a])
+    rhs = rhs.reshape(m * p, zf.size * 2 * p)
     u = factor.w.conj().T @ (factor.w @ rhs)
+    proj = h * pi.reshape(m * p, 2 * p).conj().T @ u     # (2p, K 2p)
+    proj = proj.reshape(2 * p, zf.size, 2 * p).transpose(1, 0, 2)
     J = anti_diag_j(p)
-    return np.eye(2 * p, dtype=complex) + 1j * z * J @ (h * pi.conj().T @ u)
+    w = np.eye(2 * p, dtype=complex) + 1j * zf[:, None, None] * (J @ proj)
+    return w.reshape(zs.shape + (2 * p, 2 * p))
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,27 @@ class TestFundamental:
             @ wk.fundamental_direct(prm, x, z)
         np.testing.assert_allclose(lhs, J, atol=1e-9)
 
+    def test_alpha_decomposed_and_origin_evolved_once(self, monkeypatch):
+        import weylkit.gbdt as gbdt
+
+        calls = {"spectrum": 0, "origin": 0}
+        spectrum, evolve = gbdt.spectrum, gbdt.evolve_state
+
+        def counted_spectrum(a):
+            calls["spectrum"] += 1
+            return spectrum(a)
+
+        def counted_evolve(params, x):
+            calls["origin"] += x == 0.0
+            return evolve(params, x)
+
+        monkeypatch.setattr(gbdt, "spectrum", counted_spectrum)
+        monkeypatch.setattr(gbdt, "evolve_state", counted_evolve)
+        prm = make_params(3, 2, seed=2)
+        for x, z in [(0.5, 0.4 + 1.1j), (1.2, -0.3 + 0.2j), (0.7, 2.0)]:
+            wk.fundamental_direct(prm, x, z)
+        assert calls == {"spectrum": 1, "origin": 1}
+
 
 class TestWeylPair:
     def test_zero_data_constant(self):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, lapack, solve_triangular
 
 import weylkit as wk
 from weylkit._linalg import anti_diag_j
@@ -9,6 +9,7 @@ from weylkit.gbdt import hamiltonian_grid
 from weylkit.grids import DifferenceKernel, GridFunction
 from weylkit.structured import (
     TriangularFactor,
+    _pi_samples,
     accelerant_from_potential,
     build_structured_operator,
     canonical_from_kernel,
@@ -485,3 +486,139 @@ class TestExplicitVsKernelRoute:
         # second-order truncation ripple of the sampling window
         assert np.abs(kern.samples - k_true).max() < 2e-3
         assert np.abs(kern.samples - k_true)[8:].max() < 5e-4
+
+
+# ---------------------------------------------------------------------------
+# block Schur route, strip assembly and batched fundamentals
+
+
+def scalar_test_kernel(x):
+    """Scalar accelerant with a complex, non-Hermitian value at 0+."""
+    return (0.2 * np.exp(-x) + 0.1j * x * np.exp(-2 * x)) * np.ones((1, 1))
+
+
+def toy_kernel(p, c=1.0, l=2.5, h=1 / 128):
+    fn = scalar_test_kernel if p == 1 else gauss_kernel
+    return DifferenceKernel.from_function(lambda x: c * fn(x), p=p, l=l, h=h)
+
+
+def lapack_factor(s):
+    c, info = lapack.zpotrf(s, lower=1, clean=1)
+    assert info == 0
+    w, info = lapack.ztrtri(c, lower=1)
+    assert info == 0
+    return w, c
+
+
+def dense_plain_reference(kernel, m):
+    """The plain-case builder before strip assembly: the whole (m, m, p, p)
+    block table, then S = I + h K and its Hermitian average."""
+    p, h = kernel.p, kernel.h
+    table = kernel.at(h * np.arange(-(m - 1), m))
+    idx = np.arange(m)[:, None] - np.arange(m)[None, :] + (m - 1)
+    full = np.transpose(table[idx], (0, 2, 1, 3)).reshape(m * p, m * p)
+    s = np.eye(m * p, dtype=complex) + h * full
+    return 0.5 * (s + s.conj().T)
+
+
+def entrywise_reference(kernel, d, m):
+    """S entry by entry: k_ab(d_b x_j - d_a x_i) from kernel.at, then the
+    Hermitian average of I + h K."""
+    p, h = kernel.p, kernel.h
+    xs = h * (np.arange(m) + 0.5)
+    s = np.empty((m * p, m * p), dtype=complex)
+    for i in range(m):
+        for j in range(m):
+            for a in range(p):
+                for b in range(p):
+                    s[i * p + a, j * p + b] = kernel.at(d[b] * xs[j] - d[a] * xs[i])[a, b]
+    s = np.eye(m * p) + h * s
+    return 0.5 * (s + s.conj().T)
+
+
+class TestStripAssembly:
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_plain_case_bitwise_equal_to_dense_builder(self, p):
+        kern = toy_kernel(p, l=1.0, h=1 / 64)
+        op = build_structured_operator(kern)
+        assert op.s.tobytes() == dense_plain_reference(kern, kern.m).tobytes()
+        assert op.column.shape == (kern.m, p, p)
+
+    @pytest.mark.parametrize("d", [[-1.5], [-1.5, -1.5], [-1.0, -2.0], [-1.0, -3.0]])
+    def test_weighted_entries_match_kernel_at(self, d):
+        # d = (-1, -3) puts arguments exactly at 0 off the block diagonal,
+        # where k is one-sided and S takes the Hermitian average
+        p = len(d)
+        kern = toy_kernel(p, l=2.0, h=1 / 32)
+        m = 20
+        op = build_structured_operator(kern, d=d, l=m * kern.h)
+        ref = entrywise_reference(kern, d, m)
+        assert np.abs(op.s - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.abs(op.s - op.s.conj().T).max() == 0.0
+        assert (op.column is not None) == (len(set(d)) == 1)
+
+
+class TestSchurFactor:
+    @pytest.mark.parametrize("m", [1, 2, 200])
+    @pytest.mark.parametrize("p,d", [(1, None), (1, [-1.5]), (2, None), (2, [-1.5, -1.5])])
+    def test_matches_lapack(self, p, d, m):
+        kern = toy_kernel(p)
+        op = build_structured_operator(kern, d=d, l=m * kern.h)
+        assert op.column is not None
+        fac = factorize_triangular(op)
+        w, c = lapack_factor(op.s)
+        assert np.abs(fac.w - w).max() <= 1e-12 * np.abs(w).max()
+        assert np.abs(fac.winv - c).max() <= 1e-12 * np.abs(c).max()
+        assert np.abs(np.triu(fac.w, 1)).max(initial=0.0) == 0.0
+        assert np.abs(np.triu(fac.winv, 1)).max(initial=0.0) == 0.0
+
+    def test_distinct_weights_keep_lapack(self):
+        kern = toy_kernel(2)
+        op = build_structured_operator(kern, d=GAUSS_D, l=0.5)
+        assert op.column is None
+        fac = factorize_triangular(op)
+        w, _ = lapack_factor(op.s)
+        np.testing.assert_array_equal(fac.w, w)
+
+    @pytest.mark.parametrize("p,c", [(1, -8.0), (2, -6.0)])
+    def test_failed_pivot_names_lapack_minor(self, p, c):
+        kern = toy_kernel(p, c=c, l=1.0, h=1 / 64)
+        op = build_structured_operator(kern)
+        _, info = lapack.zpotrf(op.s, lower=1)
+        assert info > p      # fails past the first block
+        with pytest.raises(wk.PositivityError) as err:
+            factorize_triangular(op)
+        assert err.value.minor == info
+
+
+def kron_reference(kernel, d, z, op, fac):
+    """w(l, z) through the dense integration matrix and a triangular solve."""
+    m, p, h = op.m, op.p, op.h
+    pi = _pi_samples(kernel, d, h * (np.arange(m) + 0.5)).reshape(m * p, 2 * p)
+    low = np.tril(np.ones((m, m)), -1) * h + np.eye(m) * (h / 2.0)
+    amat = np.kron(low, 1j * np.diag(d))
+    rhs = solve_triangular(np.eye(m * p) - z * amat, pi, lower=True)
+    u = fac.w.conj().T @ (fac.w @ rhs)
+    return np.eye(2 * p) + 1j * z * anti_diag_j(p) @ (h * pi.conj().T @ u)
+
+
+class TestBatchedFundamental:
+    @pytest.mark.parametrize("d", [[-1.0], [-1.25, -1.25], GAUSS_D])
+    def test_batch_equals_scalar_calls_and_dense_formula(self, d):
+        d = np.asarray(d, dtype=float)
+        kern = toy_kernel(d.size, l=2.0, h=1 / 64)
+        l = 0.75
+        op = build_structured_operator(kern, d=d, l=l)
+        fac = factorize_triangular(op)
+        zs = np.array([0.0, 0.7 + 0.5j, -1.0 + 2.0j, 3.0, 2.0 - 0.3j])
+        batch = fundamental_from_kernel(kern, d, l, zs, op=op, factor=fac)
+        assert batch.shape == (zs.size, 2 * d.size, 2 * d.size)
+        for z, val in zip(zs, batch):
+            one = fundamental_from_kernel(kern, d, l, z, op=op, factor=fac)
+            assert one.shape == (2 * d.size, 2 * d.size)
+            assert np.abs(val - one).max() <= 1e-12 * np.abs(one).max()
+            ref = kron_reference(kern, d, z, op, fac)
+            assert np.abs(val - ref).max() <= 1e-12 * np.abs(ref).max()
+        flat = fundamental_from_kernel(kern, d, l, zs[1:], op=op, factor=fac)
+        grid = fundamental_from_kernel(kern, d, l, zs[1:].reshape(2, 2), op=op, factor=fac)
+        np.testing.assert_array_equal(grid.reshape(flat.shape), flat)
