@@ -15,6 +15,8 @@ Subpackages cover four routes between a system and its Weyl function:
   from samples on the lattice i(q + epsilon).
 """
 
+__version__ = "0.1.0"
+
 from . import defaults
 from .exceptions import (
     DomainError,
@@ -69,5 +71,3 @@ from .interpolation import (
     decay_estimate,
     interpolate_series,
 )
-
-__version__ = "0.1.0"

@@ -22,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import defaults, io
+from . import __version__, defaults, io
 from .exceptions import (
     DomainError,
     PositivityError,
@@ -98,44 +98,32 @@ def _manifest(outdir, command, params, outputs):
         "command": command,
         "parameters": params,
         "outputs": sorted(outputs),
-        "version": "0.1.0",
+        "version": __version__,
     }
     with open(os.path.join(outdir, "run-manifest.json"), "w", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _write_z_rows(path, zs, values):
-    values = np.asarray(values)
-    header = ["Re_z", "Im_z"] + [
-        name for i in range(values.shape[1]) for j in range(values.shape[2])
-        for name in (f"Re_{i}_{j}", f"Im_{i}_{j}")
-    ]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for z, val in zip(zs, values):
-            cells = [io.fmt(z.real), io.fmt(z.imag)]
-            for i in range(values.shape[1]):
-                for j in range(values.shape[2]):
-                    cells.append(io.fmt(val[i, j].real))
-                    cells.append(io.fmt(val[i, j].imag))
-            fh.write(",".join(cells) + "\n")
+_Z_LABELS = ["Re_z", "Im_z"]
 
 
-def _write_xz_rows(path, rows, shape):
-    header = ["x", "Re_z", "Im_z"] + [
-        name for i in range(shape[0]) for j in range(shape[1])
-        for name in (f"Re_{i}_{j}", f"Im_{i}_{j}")
-    ]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for x, z, val in rows:
-            cells = [io.fmt(x), io.fmt(z.real), io.fmt(z.imag)]
-            for i in range(shape[0]):
-                for j in range(shape[1]):
-                    cells.append(io.fmt(val[i, j].real))
-                    cells.append(io.fmt(val[i, j].imag))
-            fh.write(",".join(cells) + "\n")
+def _z_columns(zs):
+    """The (Re z, Im z) abscissa columns of a CSV over complex points."""
+    zs = np.asarray(zs, dtype=complex)
+    return np.column_stack([zs.real, zs.imag])
+
+
+def _x_grid(args):
+    if args.nx < 1:
+        raise StructuralError(f"--nx must be at least 1, got {args.nx}")
+    return np.linspace(0.0, args.xmax, args.nx)
+
+
+def _write_hamiltonian(outdir, params, xs):
+    hgrid = GridFunction(h=xs[1] - xs[0] if len(xs) > 1 else 1.0,
+                         values=hamiltonian_grid(params, xs), x0=0.0)
+    io.write_grid_csv(os.path.join(outdir, "H.csv"), hgrid)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +131,7 @@ def _write_xz_rows(path, rows, shape):
 
 
 def _cmd_direct(args):
+    xs = _x_grid(args)
     params = io.load_params(args.params)
     report = validate_params(params)
     if not report["passed"]:
@@ -151,16 +140,16 @@ def _cmd_direct(args):
             report,
         )
     outdir = _outdir(args)
-    xs = np.linspace(0.0, args.xmax, args.nx)
-    zs = _parse_zgrid(args.z)
-    hvals = hamiltonian_grid(params, xs)
-    hgrid = GridFunction(h=xs[1] - xs[0] if len(xs) > 1 else 1.0, values=hvals, x0=0.0)
-    io.write_grid_csv(os.path.join(outdir, "H.csv"), hgrid)
+    zs = np.array(_parse_zgrid(args.z))
+    _write_hamiltonian(outdir, params, xs)
     pair = weyl_pair(params, validate=False)
-    _write_z_rows(os.path.join(outdir, "phi.csv"), zs, pair.phi(np.array(zs)))
-    _write_z_rows(os.path.join(outdir, "phi_hat.csv"), zs, pair.phi_hat(np.array(zs)))
-    wrows = [(x, z, fundamental_direct(params, x, z)) for z in zs for x in xs]
-    _write_xz_rows(os.path.join(outdir, "w.csv"), wrows, (2 * params.p, 2 * params.p))
+    zcols = _z_columns(zs)
+    io.write_rows(os.path.join(outdir, "phi.csv"), _Z_LABELS, zcols, pair.phi(zs))
+    io.write_rows(os.path.join(outdir, "phi_hat.csv"), _Z_LABELS, zcols, pair.phi_hat(zs))
+    w = fundamental_direct(params, xs, zs)     # (len zs, len xs) stack, rows z-major
+    xz = np.column_stack([np.tile(xs, zs.size), np.repeat(zcols, xs.size, axis=0)])
+    io.write_rows(os.path.join(outdir, "w.csv"), ["x"] + _Z_LABELS, xz,
+                  w.reshape((-1,) + w.shape[2:]))
     _manifest(outdir, "direct", {
         "params": os.path.basename(args.params), "xmax": args.xmax,
         "nx": args.nx, "z": args.z,
@@ -169,6 +158,7 @@ def _cmd_direct(args):
 
 
 def _cmd_inverse(args):
+    xs = _x_grid(args)
     real = io.load_realization(args.realization)
     zs = _parse_zgrid(args.z)
     report = validate_realization(real, [z for z in zs if z.imag > 0] or [1j])
@@ -177,12 +167,10 @@ def _cmd_inverse(args):
     params = params_from_realization(real)
     outdir = _outdir(args)
     io.save_params(os.path.join(outdir, "params.json"), params)
-    xs = np.linspace(0.0, args.xmax, args.nx)
-    hvals = hamiltonian_grid(params, xs)
-    hgrid = GridFunction(h=xs[1] - xs[0] if len(xs) > 1 else 1.0, values=hvals, x0=0.0)
-    io.write_grid_csv(os.path.join(outdir, "H.csv"), hgrid)
+    _write_hamiltonian(outdir, params, xs)
     pair = weyl_pair(params, validate=False)
-    _write_z_rows(os.path.join(outdir, "phi.csv"), zs, pair.phi(np.array(zs)))
+    io.write_rows(os.path.join(outdir, "phi.csv"), _Z_LABELS, _z_columns(zs),
+                  pair.phi(np.array(zs)))
     _manifest(outdir, "inverse", {
         "realization": os.path.basename(args.realization), "xmax": args.xmax,
         "nx": args.nx, "z": args.z,
@@ -236,7 +224,7 @@ def _cmd_fundamental(args):
     fac = factorize_triangular(op)
     outdir = _outdir(args)
     vals = fundamental_from_kernel(kernel, d, l, np.array(zs), op=op, factor=fac)
-    _write_z_rows(os.path.join(outdir, "w.csv"), zs, vals)
+    io.write_rows(os.path.join(outdir, "w.csv"), _Z_LABELS, _z_columns(zs), vals)
     _manifest(outdir, "fundamental", {
         "kernel": os.path.basename(args.kernel), "d": [float(v) for v in d],
         "l": l, "z": args.z,
@@ -254,7 +242,8 @@ def _cmd_interpolate(args):
         return_partials=True,
     )
     outdir = _outdir(args)
-    _write_z_rows(os.path.join(outdir, "value.csv"), [z], [np.atleast_2d(value)])
+    io.write_rows(os.path.join(outdir, "value.csv"), _Z_LABELS, _z_columns([z]),
+                  np.atleast_2d(value)[None])
     final = partials[-1]
     with open(os.path.join(outdir, "convergence.csv"), "w", newline="\n") as fh:
         fh.write("N,residual\n")
@@ -474,10 +463,6 @@ def main(argv=None):
     except WeylkitError as exc:  # pragma: no cover
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-# alias matching the documented operation name
-dispatch = main
 
 
 if __name__ == "__main__":

@@ -34,6 +34,3 @@ SCHUR_ODE_TOL = 1e-8         # adaptive tolerance for Schur-coefficient recovery
 EPSILON = 0.1                # default offset of the sample lattice i(q + epsilon)
 SERIES_ORDER = 60            # default truncation order N
 COEFF_TOL = 1e-12            # coefficient recurrence vs closed form
-
-# Quadrature fallback
-QUAD_ABS_TOL = 1e-12         # adaptive quadrature absolute tolerance

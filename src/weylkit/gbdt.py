@@ -22,7 +22,6 @@ from . import defaults
 from ._linalg import (
     anti_diag_j,
     eigmin_hermitian,
-    exp_pair_integral,
     hermitize,
     rel_residual,
     resolvent_apply,
@@ -30,7 +29,6 @@ from ._linalg import (
 )
 from .exceptions import (
     DomainError,
-    SingularityError,
     StructuralError,
     ValidationError,
     WeylkitError,
@@ -44,7 +42,6 @@ __all__ = [
     "evolve_state",
     "transfer_matrix",
     "hamiltonian_direct",
-    "hamiltonian_factor",
     "fundamental_direct",
     "weyl_pair",
     "initial_hamiltonian",
@@ -91,6 +88,9 @@ class GbdtParams:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "lambda1", _as_complex(self.lambda1, (n, p), "lambda1"))
         object.__setattr__(self, "lambda2", _as_complex(self.lambda2, (n, p), "lambda2"))
+        for name in ("d", "alpha", "lambda1", "lambda2"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise StructuralError(f"{name} must be finite")
 
     @property
     def n(self):
@@ -220,136 +220,18 @@ def _check_state_conditioning(sigma, x):
         )
 
 
-def evolve_state(params, x):
-    """Evolve the parameter matrices to position ``x`` in closed form.
+def evolve_grid(params, xs):
+    """Evolve the parameter matrices to every position in ``xs`` in closed form.
 
     psi1 columns evolve by exp(-i d_k x alpha); sigma accumulates the
-    integral of psi1 psi1* and is Hermitized before return.
-    """
-    if x < 0:
-        raise DomainError(f"position must be nonnegative, got {x}")
-    n, p = params.n, params.p
-    psi1_0 = params.psi1_0()
-    psi2 = params.psi2()
-    cols = []
-    sigma = np.eye(n, dtype=complex)
-    for k in range(p):
-        dk = params.d[k]
-        cols.append(expm(-1j * dk * x * params.alpha) @ psi1_0[:, k])
-        sigma = sigma + exp_pair_integral(params.alpha, psi1_0[:, k], dk, x)
-    psi1 = np.column_stack(cols)
-    sigma = hermitize(sigma)
-    _check_state_conditioning(sigma, x)
-    lam = np.hstack([psi1, psi2]) @ _z_inverse(params.d)
-    return GbdtState(x=float(x), psi1=psi1, psi2=psi2, lam=lam, sigma=sigma)
-
-
-def state_identity_residual(params, state):
-    """Relative residual of alpha sigma - sigma alpha* = i Lambda J Lambda* at x."""
-    J = anti_diag_j(params.p)
-    lhs = params.alpha @ state.sigma - state.sigma @ params.alpha.conj().T
-    rhs = 1j * state.lam @ J @ state.lam.conj().T
-    scale = np.linalg.norm(params.alpha, 2) * np.linalg.norm(state.sigma, 2) + 1.0
-    return rel_residual(lhs - rhs, scale)
-
-
-def transfer_matrix(params, x, z, state=None):
-    """Transfer matrix w(x, z) = I - i J Lambda(x)* Sigma(x)^-1 (alpha - z)^-1 Lambda(x)."""
-    if state is None:
-        state = evolve_state(params, x)
-    p = params.p
-    J = anti_diag_j(p)
-    res = resolvent_apply(params.alpha, z, state.lam, params.alpha_spectrum,
-                          what="alpha matrix")
-    core = np.linalg.solve(state.sigma, res)
-    return np.eye(2 * p, dtype=complex) - 1j * J @ state.lam.conj().T @ core
-
-
-def _q0(params, lam, sigma):
-    J = anti_diag_j(params.p)
-    H0 = initial_hamiltonian(params.d)
-    core = lam.conj().T @ np.linalg.solve(sigma, lam)
-    return J @ core @ J @ H0 - J @ H0 @ J @ core
-
-
-def _gauge_factor_ode(params, xs):
-    """Integrate v0' = -q0 v0, v0(0) = I with an adaptive RK scheme.
-
-    One pass through the sorted positions: each leg starts where the last
-    one ended, and returns its end value from the integrator, so a single
-    position gets exactly the integration from 0 it would get alone.
-    """
-    n, p = params.n, params.p
-    m = 2 * p
-    if min(xs, default=0.0) < 0:
-        raise DomainError("positions must be nonnegative")
-
-    def rhs(x, y):
-        state = evolve_state(params, x)
-        q0 = _q0(params, state.lam, state.sigma)
-        v = y.reshape(m, m)
-        return (-q0 @ v).ravel()
-
-    y = np.eye(m, dtype=complex).ravel()
-    x0 = 0.0
-    table = {}
-    for x in sorted(set(xs)):
-        if x > x0:
-            sol = solve_ivp(
-                rhs, (x0, x), y, t_eval=[x],
-                rtol=defaults.ODE_TOL, atol=defaults.ODE_TOL, method="RK45",
-            )
-            if not sol.success:
-                raise WeylkitError(sol.message)  # pragma: no cover
-            y, x0 = sol.y[:, 0], x
-        table[x] = y.reshape(m, m)
-    return [table[x] for x in xs]
-
-
-def _alpha_singular(params):
-    """Whether 0 is within the pole guard of the spectrum of alpha."""
-    eigs, scale = params.alpha_spectrum
-    return np.abs(eigs).min() <= defaults.POLE_CUTOFF * (1.0 + scale)
-
-
-def gauge_factor(params, x, state=None):
-    """J-unitary gauge v0(x) normalized to v0(0) = I.
-
-    Uses the closed form v0 = w(x, 0) when alpha is invertible; falls back
-    to integrating v0' = -q0 v0 otherwise.
-    """
-    if not _alpha_singular(params):
-        w_x = transfer_matrix(params, x, 0.0, state=state)
-        w_0 = transfer_matrix(params, 0.0, 0.0, state=params.initial_state)
-        # renormalize so that v0(0) = I; J-unitarity of the transfer matrix
-        # at real z makes the result J-unitary as well
-        return np.linalg.solve(w_0.T, w_x.T).T
-    return _gauge_factor_ode(params, [x])[0]
-
-
-def hamiltonian_factor(params, x, state=None):
-    """p x 2p factor beta(x) = [D/2  I] v0(x), so that H = beta* beta."""
-    v0 = gauge_factor(params, x, state=state)
-    p = params.p
-    row = np.hstack([np.diag(params.d) / 2.0, np.eye(p)]).astype(complex)
-    return row @ v0
-
-
-def hamiltonian_direct(params, x, state=None):
-    """Hamiltonian H(x) = v0(x)* H0 v0(x): Hermitian, PSD, rank <= p."""
-    beta = hamiltonian_factor(params, x, state=state)
-    return hermitize(beta.conj().T @ beta)
-
-
-def evolve_grid(params, xs):
-    """Vectorized state evolution: (psi1, lam, sigma) stacked over ``xs``.
-
-    Uses batched matrix exponentials and the block-exponential form of the
-    state integral; equivalent to :func:`evolve_state` per point.
+    integral of psi1 psi1*, read off the block exponential of
+    [[-A, C], [0, A*]] x (A = -i d_k alpha, C = psi1_0 psi1_0*), which never
+    degenerates, and is Hermitized.  Returns (psi1, lam, sigma) stacked over
+    ``xs``.
     """
     xs = np.asarray(xs, dtype=float).reshape(-1)
     if np.any(xs < 0):
-        raise DomainError("positions must be nonnegative")
+        raise DomainError(f"positions must be nonnegative, got {xs.min()}")
     n, p = params.n, params.p
     k_x = xs.size
     psi1_0 = params.psi1_0()
@@ -369,7 +251,7 @@ def evolve_grid(params, xs):
         m[n:, n:] = a_c.conj().T
         blk = expm(m[None, :, :] * xs[:, None, None])
         sigma += g @ blk[:, :n, n:]
-    sigma = 0.5 * (sigma + np.conj(np.transpose(sigma, (0, 2, 1))))
+    sigma = hermitize(sigma)
     if k_x:
         far = int(np.argmax(xs))
         _check_state_conditioning(sigma[far], xs[far])
@@ -377,51 +259,167 @@ def evolve_grid(params, xs):
     return psi1, lam, sigma
 
 
-def hamiltonian_grid(params, xs):
-    """Hamiltonian samples H(x) for an array of positions, vectorized.
+def evolve_state(params, x):
+    """The state at one position ``x``: the one-point case of :func:`evolve_grid`."""
+    psi1, lam, sigma = evolve_grid(params, [x])
+    return GbdtState(x=float(x), psi1=psi1[0], psi2=params.psi2(), lam=lam[0],
+                     sigma=sigma[0])
 
-    Uses the closed gauge-factor form when alpha is invertible; otherwise
-    integrates the gauge ODE once through all of ``xs``.
+
+def state_identity_residual(params, state):
+    """Relative residual of alpha sigma - sigma alpha* = i Lambda J Lambda* at x."""
+    J = anti_diag_j(params.p)
+    lhs = params.alpha @ state.sigma - state.sigma @ params.alpha.conj().T
+    rhs = 1j * state.lam @ J @ state.lam.conj().T
+    scale = np.linalg.norm(params.alpha, 2) * np.linalg.norm(state.sigma, 2) + 1.0
+    return rel_residual(lhs - rhs, scale)
+
+
+def _transfer(params, lam, sigma, zs):
+    """w(x, z) = I - i J Lambda(x)* Sigma(x)^-1 (alpha - z)^-1 Lambda(x) on a grid.
+
+    ``lam`` (..., n, 2p) and ``sigma`` (..., n, n) are one evolved state or a
+    stack of them, ``zs`` a 1-D array; the result is a (len zs, ..., 2p, 2p)
+    stack.  A z within the pole guard of the spectrum of alpha raises
+    SingularityError.
+    """
+    res = resolvent_apply(params.alpha, zs, lam, params.alpha_spectrum,
+                          what="alpha matrix")
+    core = np.linalg.solve(sigma, res)
+    lam_h = np.conj(np.swapaxes(lam, -1, -2))
+    J = anti_diag_j(params.p)
+    return np.eye(2 * params.p, dtype=complex) - 1j * J @ lam_h @ core
+
+
+def transfer_matrix(params, x, z, state=None):
+    """Transfer matrix w(x, z) at one position; ``z`` a scalar or a 1-D array."""
+    if state is None:
+        state = evolve_state(params, x)
+    w = _transfer(params, state.lam, state.sigma, np.reshape(z, -1))
+    return w.reshape(np.shape(z) + w.shape[1:])
+
+
+def _q0(params, lam, sigma):
+    J = anti_diag_j(params.p)
+    H0 = initial_hamiltonian(params.d)
+    core = lam.conj().T @ np.linalg.solve(sigma, lam)
+    return J @ core @ J @ H0 - J @ H0 @ J @ core
+
+
+def _gauge_factor_ode(params, xs):
+    """Integrate v0' = -q0 v0, v0(0) = I with an adaptive RK scheme.
+
+    One pass through the sorted positions: each leg starts where the last
+    one ended, and returns its end value from the integrator, so a single
+    position gets exactly the integration from 0 it would get alone.
+    Returns a (len xs, 2p, 2p) stack.
+    """
+    m = 2 * params.p
+    if min(xs, default=0.0) < 0:
+        raise DomainError("positions must be nonnegative")
+
+    def rhs(x, y):
+        _, lam, sigma = evolve_grid(params, [x])
+        return (-_q0(params, lam[0], sigma[0]) @ y.reshape(m, m)).ravel()
+
+    y = np.eye(m, dtype=complex).ravel()
+    x0 = 0.0
+    table = {}
+    for x in sorted(set(xs)):
+        if x > x0:
+            sol = solve_ivp(
+                rhs, (x0, x), y, t_eval=[x],
+                rtol=defaults.ODE_TOL, atol=defaults.ODE_TOL, method="RK45",
+            )
+            if not sol.success:
+                raise WeylkitError(sol.message)  # pragma: no cover
+            y, x0 = sol.y[:, 0], x
+        table[x] = y.reshape(m, m)
+    return np.array([table[x] for x in xs]).reshape(-1, m, m)
+
+
+def _gauge(params, xs, grid=None):
+    """J-unitary gauge v0 on the positions ``xs``, normalized to v0(0) = I.
+
+    The closed form w(x, 0) w(0, 0)^-1 when alpha is invertible (``grid`` is
+    ``evolve_grid(params, xs)`` when the caller has it already); otherwise
+    the gauge ODE v0' = -q0 v0, integrated once through all of ``xs``.
+    """
+    eigs, scale = params.alpha_spectrum
+    if np.abs(eigs).min() <= defaults.POLE_CUTOFF * (1.0 + scale):   # alpha singular
+        return _gauge_factor_ode(params, xs.tolist())
+    _, lam, sigma = evolve_grid(params, xs) if grid is None else grid
+    origin = params.initial_state
+    w00 = _transfer(params, origin.lam, origin.sigma, np.zeros(1))[0]
+    # J-unitarity of the transfer matrix at real z makes the result J-unitary
+    return _transfer(params, lam, sigma, np.zeros(1))[0] @ np.linalg.inv(w00)
+
+
+def gauge_factor(params, x):
+    """J-unitary gauge v0(x) at one position, normalized to v0(0) = I."""
+    return _gauge(params, np.array([x], dtype=float))[0]
+
+
+def hamiltonian_grid(params, xs):
+    """Hamiltonian H(x) = v0(x)* H0 v0(x) on an array of positions.
+
+    Hermitian, PSD, rank <= p: H = beta* beta with beta = [D/2  I] v0.
     """
     xs = np.asarray(xs, dtype=float).reshape(-1)
     p = params.p
-    if _alpha_singular(params):
-        v0 = np.array(_gauge_factor_ode(params, xs.tolist())).reshape(-1, 2 * p, 2 * p)
-    else:
-        _, lam, sigma = evolve_grid(params, xs)
-        J = anti_diag_j(p)
-        res = np.linalg.solve(params.alpha[None, :, :], lam)
-        core = np.linalg.solve(sigma, res)
-        w0x = np.eye(2 * p, dtype=complex)[None] - 1j * np.einsum(
-            "ij,kjl,klm->kim", J, np.conj(np.transpose(lam, (0, 2, 1))), core
-        )
-        w00 = transfer_matrix(params, 0.0, 0.0, state=params.initial_state)
-        v0 = w0x @ np.linalg.inv(w00)
     row = np.hstack([np.diag(params.d) / 2.0, np.eye(p)]).astype(complex)
-    beta = row[None] @ v0
-    h = np.conj(np.transpose(beta, (0, 2, 1))) @ beta
-    return 0.5 * (h + np.conj(np.transpose(h, (0, 2, 1))))
+    beta = row @ _gauge(params, xs)
+    return hermitize(np.conj(np.swapaxes(beta, -1, -2)) @ beta)
 
 
-def fundamental_direct(params, x, z, state=None):
+def hamiltonian_direct(params, x):
+    """Hamiltonian H(x) at one position: the one-point case of :func:`hamiltonian_grid`."""
+    return hamiltonian_grid(params, [x])[0]
+
+
+_CIRCLE = np.exp(2j * np.pi * np.arange(16) / 16)
+
+
+def fundamental_direct(params, x, z):
     """Fundamental solution w(x, z) of the canonical system, w(0, z) = I.
 
-    Assembled as v0(x)^-1 w_t(x, z) w_seed(x, z) w_t(0, z)^-1 from the
-    transfer matrix w_t and the free seed solution.
+    ``x`` and ``z`` are scalars or 1-D arrays; the result has shape
+    ``shape(z) + shape(x) + (2p, 2p)``, so two arrays give a (len z, len x)
+    stack from one batched evaluation.  It is assembled as
+    v0(x)^-1 w_t(x, z) w_seed(x, z) w_t(0, z)^-1 from the transfer matrix w_t
+    and the free seed solution.  w(x, .) is entire, but w_t has poles on the
+    spectrum of alpha and w_t(0, .)^-1 on its conjugate.  A z within the
+    pole guard of either gets the mean of w over 16 points on a circle around
+    it, of radius min(0.25, half the distance to the nearest other pole): the
+    trapezoid rule for the mean value of an entire function, which converges
+    exponentially in the number of points.
     """
-    p = params.p
-    state = evolve_state(params, x) if state is None else state
-    v0 = gauge_factor(params, x, state=state)
-    w_x = transfer_matrix(params, x, z, state=state)
-    w_0 = transfer_matrix(params, 0.0, z, state=params.initial_state)
+    xs = np.asarray(x, dtype=float).reshape(-1)
+    zs = np.asarray(z, dtype=complex).reshape(-1)
+    m = 2 * params.p
+    eigs, scale = params.alpha_spectrum
+    gaps = np.abs(zs[:, None] - np.concatenate([eigs, eigs.conj()]))
+    near = gaps < defaults.POLE_CUTOFF * (1.0 + scale)
+    bad = near.any(axis=1)
+    others = np.where(near, np.inf, gaps)[bad].min(axis=1, initial=np.inf)
+    nodes = zs[bad, None] + np.minimum(0.25, 0.5 * others)[:, None] * _CIRCLE
+    good = zs[~bad]
+    ze = np.concatenate([good, nodes.ravel()])
+
+    grid = evolve_grid(params, xs)
+    origin = params.initial_state
+    w_0 = _transfer(params, origin.lam, origin.sigma, ze)[:, None]
+    w_x = _transfer(params, grid[1], grid[2], ze)
     # Seed solution Z exp(i z x diag(D, 0)) Z^-1.
-    phases = np.concatenate([np.exp(1j * z * x * params.d), np.ones(p)])
-    w_seed = _z_matrix(params.d) @ np.diag(phases) @ _z_inverse(params.d)
-    cond = np.linalg.cond(w_0)
-    if not np.isfinite(cond) or cond > 1.0 / defaults.POLE_CUTOFF:
-        raise SingularityError(f"transfer matrix at x=0 is singular for z = {z}")
-    right = np.linalg.solve(w_0.T, (w_seed).T).T  # w_seed @ w_0^-1
-    return np.linalg.solve(v0, w_x @ right)
+    phases = np.exp(1j * ze[:, None, None] * xs[None, :, None] * params.d)
+    phases = np.concatenate([phases, np.ones(phases.shape)], axis=-1)
+    w_seed = (_z_matrix(params.d) * phases[..., None, :]) @ _z_inverse(params.d)
+    vals = np.linalg.solve(_gauge(params, xs, grid), w_x @ w_seed @ np.linalg.inv(w_0))
+
+    w = np.empty((zs.size, xs.size, m, m), dtype=complex)
+    w[~bad] = vals[:good.size]
+    w[bad] = vals[good.size:].reshape(-1, _CIRCLE.size, xs.size, m, m).mean(axis=1)
+    return w.reshape(np.shape(z) + np.shape(x) + (m, m))
 
 
 @dataclass(frozen=True)

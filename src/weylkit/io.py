@@ -42,6 +42,7 @@ __all__ = [
     "load_kernel_json",
     "read_lattice_samples",
     "write_lattice_samples_json",
+    "write_rows",
     "fmt",
 ]
 
@@ -161,10 +162,13 @@ def _entry_header(rows, cols):
     return names
 
 
-def _write_rows(path, header, xs, values):
+def write_rows(path, labels, xs, values):
+    """CSV of a (k, rows, cols) stack: the abscissa columns named by ``labels``
+    (one value or one sequence of values per row in ``xs``), then the entries."""
+    values = np.asarray(values)
     rows, cols = values.shape[1], values.shape[2]
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(list(labels) + _entry_header(rows, cols)) + "\n")
         for x, val in zip(xs, values):
             cells = [fmt(x)] if np.isscalar(x) or np.ndim(x) == 0 else [fmt(v) for v in x]
             for i in range(rows):
@@ -203,7 +207,7 @@ def _read_rows(path, n_abscissa=1):
 
 
 def write_grid_csv(path, grid, xlabel="x"):
-    _write_rows(path, [xlabel] + _entry_header(grid.rows, grid.cols), grid.xs, grid.values)
+    write_rows(path, [xlabel], grid.xs, grid.values)
 
 
 def read_grid_csv(path):
@@ -218,7 +222,7 @@ def read_grid_csv(path):
 
 
 def write_kernel_csv(path, kernel):
-    _write_rows(path, ["x"] + _entry_header(kernel.p, kernel.p), kernel.xs, kernel.samples)
+    write_rows(path, ["x"], kernel.xs, kernel.samples)
 
 
 def read_kernel_csv(path):
@@ -234,8 +238,7 @@ def write_weyl_samples_csv(path, zetas, values):
     values = np.asarray(values, dtype=complex)
     if values.ndim == 1:
         values = values[:, None, None]
-    _write_rows(path, ["zeta"] + _entry_header(values.shape[1], values.shape[2]),
-                np.asarray(zetas, dtype=float), values)
+    write_rows(path, ["zeta"], np.asarray(zetas, dtype=float), values)
 
 
 def read_weyl_samples_csv(path):

@@ -507,18 +507,22 @@ def _check_pair(p1, p2):
 
 
 def _sample_hamiltonian(h_at, nodes):
-    """Evaluate a Hamiltonian callable at many nodes, batched when supported."""
-    try:
-        vals = np.asarray(h_at(nodes), dtype=complex)
-        if vals.ndim == 3 and vals.shape[0] == nodes.size and vals.shape[1] == vals.shape[2]:
-            return vals
-    except Exception:
-        pass
-    out = []
-    for x in nodes:
-        v = np.asarray(h_at(float(x)), dtype=complex)
-        out.append(v.reshape(v.shape[-2], v.shape[-1]))
-    return np.array(out)
+    """Samples of a Hamiltonian callable at all ``nodes`` in one call.
+
+    The callable takes the 1-D array of positions and returns the
+    (len nodes, 2p, 2p) stack of values, or one (2p, 2p) matrix for a
+    constant Hamiltonian, which is broadcast.
+    """
+    vals = np.asarray(h_at(nodes), dtype=complex)
+    if vals.ndim == 2:
+        vals = np.broadcast_to(vals, (nodes.size,) + vals.shape)
+    size = vals.shape[-1] if vals.ndim else 0
+    if vals.shape != (nodes.size, size, size) or size % 2 or size == 0:
+        raise StructuralError(
+            f"Hamiltonian callable returned shape {vals.shape} for {nodes.size} "
+            f"positions; expected ({nodes.size}, 2p, 2p) or (2p, 2p)"
+        )
+    return vals
 
 
 def _propagate(h_at, z, l, nsteps, order4):
@@ -553,26 +557,25 @@ def propagate_fundamental(hamiltonian, z, l, steps_per_unit=None):
 
     Callables get a fourth-order two-point Magnus stepper; grid samples get
     midpoint exponential stepping (O(h^2), matching the grid resolution).
+    A callable is evaluated once, on the array of all stepper nodes, and
+    returns their (k, 2p, 2p) stack or one (2p, 2p) matrix for a constant
+    Hamiltonian; any other shape raises StructuralError.
     """
     if steps_per_unit is None:
         steps_per_unit = defaults.DISK_STEPS_PER_UNIT
     nsteps = max(8, int(np.ceil(l * steps_per_unit)))
     if isinstance(hamiltonian, GridFunction):
-        vals = hamiltonian
-
-        def h_at(x):
-            return vals.at(x)
-
-        return _propagate(h_at, z, l, nsteps, order4=False)
+        return _propagate(hamiltonian.at, z, l, nsteps, order4=False)
     return _propagate(hamiltonian, z, l, nsteps, order4=True)
 
 
 def weyl_disk_approx(hamiltonian, z, l, pair=None, steps_per_unit=None):
     """Moebius-transform value phi(z, l) approximating the Weyl function.
 
-    ``hamiltonian`` is a callable x -> (2p, 2p) PSD matrix or a
-    GridFunction.  The transform uses W(l, z) = w(l, conj z)* and the pair
-    (P1, P2), defaulting to (I, iI).  As l grows with z fixed in the upper
+    ``hamiltonian`` is a GridFunction or a callable that takes a 1-D array
+    of positions and returns the (k, 2p, 2p) stack of PSD values (one
+    (2p, 2p) matrix for a constant Hamiltonian).  The transform uses
+    W(l, z) = w(l, conj z)* and the pair (P1, P2), defaulting to (I, iI).  As l grows with z fixed in the upper
     half-plane the value converges to the Weyl function.
     """
     if z.imag <= 0:
@@ -605,12 +608,11 @@ def disk_radius_estimate(hamiltonian, z, l, steps_per_unit=None):
         det = calw[0, 0] * calw[1, 1] - calw[0, 1] * calw[1, 0]
         denom = 2.0 * abs((calw[1, 0] * np.conj(calw[1, 1])).real)
         return float(abs(det) / denom)
-    eye = np.eye(p, dtype=complex)
     ts = [0.0, 1.0, 1j, -1j, 10.0, 0.5 + 3j, 1e6]
     vals = []
     for t in ts:
-        num = calw[:p, :p] * t + calw[:p, p:] if p == 1 else calw[:p, :p] @ (t * eye) + calw[:p, p:]
-        den = calw[p:, :p] @ (t * eye) + calw[p:, p:]
+        num = t * calw[:p, :p] + calw[:p, p:]
+        den = t * calw[p:, :p] + calw[p:, p:]
         vals.append(1j * num @ np.linalg.inv(den))
     diam = max(np.linalg.norm(a - b, 2) for a in vals for b in vals)
     return float(diam)

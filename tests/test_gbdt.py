@@ -52,6 +52,14 @@ class TestValidate:
         with pytest.raises(wk.StructuralError):
             wk.GbdtParams(d=[0.0], alpha=[[0.0]], lambda1=[[0.0]], lambda2=[[0.0]])
 
+    @pytest.mark.parametrize("field", ["d", "alpha", "lambda1", "lambda2"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, field, bad):
+        fields = {"d": [-2.0], "alpha": [[1j]], "lambda1": [[1.0]], "lambda2": [[1.0]]}
+        fields[field] = np.full(np.shape(fields[field]), bad)
+        with pytest.raises(wk.StructuralError, match=f"{field} must be finite"):
+            wk.GbdtParams(**fields)
+
 
 class TestEvolve:
     def test_zero_data(self):
@@ -282,6 +290,79 @@ class TestFundamental:
         for x, z in [(0.5, 0.4 + 1.1j), (1.2, -0.3 + 0.2j), (0.7, 2.0)]:
             wk.fundamental_direct(prm, x, z)
         assert calls == {"spectrum": 1, "origin": 1}
+
+    @pytest.mark.parametrize("n,p,negative,seed", [
+        (1, 1, True, 50), (2, 1, False, 51), (3, 2, True, 52), (3, 2, False, 53),
+    ])
+    def test_batch_equals_stacked_scalar_calls(self, n, p, negative, seed):
+        prm = make_params(n, p, seed=seed, negative=negative)
+        xs = np.linspace(0.0, 2.0, 5)
+        zs = np.array([0.4 + 1.1j, -1.3, 2.0 + 0.2j])
+        w = wk.fundamental_direct(prm, xs, zs)
+        assert w.shape == (3, 5, 2 * p, 2 * p)
+        stacked = np.array([[wk.fundamental_direct(prm, x, z) for x in xs] for z in zs])
+        np.testing.assert_allclose(w, stacked, rtol=0, atol=1e-12 * np.abs(stacked).max())
+        assert wk.fundamental_direct(prm, xs, zs[0]).shape == (5, 2 * p, 2 * p)
+        assert wk.fundamental_direct(prm, xs[1], zs).shape == (3, 2 * p, 2 * p)
+
+    @pytest.mark.parametrize("n,p,negative,seed", [
+        (1, 1, True, 60), (2, 1, False, 61), (3, 2, True, 62), (3, 2, False, 63),
+    ])
+    def test_batch_matches_magnus_propagation(self, n, p, negative, seed):
+        # an independent route: the fourth-order Magnus stepper of the disk
+        # oracle, integrating w' = i z J H w from the gbdt Hamiltonian
+        from weylkit.structured import propagate_fundamental
+
+        prm = make_params(n, p, seed=seed, negative=negative)
+        zs = np.array([0.7 + 0.5j, -1.1 + 0.0j])
+        l = 1.5
+        w = wk.fundamental_direct(prm, l, zs)
+        for z, wz in zip(zs, w):
+            ref = propagate_fundamental(lambda x: hamiltonian_grid(prm, x), z, l,
+                                        steps_per_unit=128)
+            assert np.abs(wz - ref).max() <= 1e-8 * np.abs(ref).max()
+
+
+class TestRemovableSingularity:
+    def test_alpha_eigenvalue_matches_propagation(self):
+        # z = i is the eigenvalue of alpha: w(x, .) is entire there, though
+        # the transfer matrix has a pole
+        from weylkit.structured import propagate_fundamental
+
+        prm = scalar_params()
+        xs = np.array([0.0, 0.5, 1.5])
+        w = wk.fundamental_direct(prm, xs, 1j)
+        assert np.all(np.isfinite(w))
+        np.testing.assert_allclose(w[0], np.eye(2), atol=1e-13)
+        for x, wx in zip(xs[1:], w[1:]):
+            ref = propagate_fundamental(lambda t: hamiltonian_grid(prm, t), 1j, x,
+                                        steps_per_unit=512)
+            assert np.abs(wx - ref).max() <= 1e-11 * np.abs(ref).max()
+        with pytest.raises(wk.SingularityError):
+            transfer_matrix(prm, 1.0, 1j)
+
+    def test_circle_mean_of_neighbouring_values(self):
+        # at a pole z0 of the closed form the value is the mean over 16 points
+        # on a circle of radius min(0.25, half the gap to the next pole)
+        prm = make_params(3, 2, seed=64, negative=False)
+        eigs = np.linalg.eigvals(prm.alpha)
+        z0 = eigs[0]
+        poles = np.concatenate([eigs, eigs.conj()])
+        gap = np.sort(np.abs(poles - z0))[1]
+        radius = min(0.25, 0.5 * gap)
+        circle = z0 + radius * np.exp(2j * np.pi * np.arange(16) / 16)
+        xs = np.array([0.6, 1.2])
+        w = wk.fundamental_direct(prm, xs, np.array([z0, np.conj(z0)]))
+        mean = wk.fundamental_direct(prm, xs, circle).mean(axis=0)
+        np.testing.assert_allclose(w[0], mean, rtol=0, atol=1e-14 * np.abs(mean).max())
+        # the conjugate point is a pole of w(0, .)^-1 and gets the same rule;
+        # nearby the value is continuous
+        near = wk.fundamental_direct(prm, xs, np.conj(z0) + 1e-4)
+        assert np.abs(w[1] - near).max() <= 1e-3 * np.abs(near).max()
+        J = anti_diag_j(2)
+        for k in range(xs.size):
+            lhs = w[1, k].conj().T @ J @ w[0, k]   # w(x, conj z)* J w(x, z) = J
+            np.testing.assert_allclose(lhs, J, atol=1e-9)
 
 
 class TestWeylPair:

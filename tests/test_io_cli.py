@@ -208,6 +208,58 @@ class TestCli:
         assert main(["direct", "--params", str(path), "--out",
                      str(tmp_path / "o")]) == 1
 
+    def test_non_finite_params_exit_2(self, tmp_path, capsys):
+        bad = wio.params_to_json(make_params(2, 1, seed=97))
+        bad["alpha"][0][0] = [float("nan"), 0.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(bad))
+        assert main(["direct", "--params", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: alpha must be finite\n"
+
+    @pytest.mark.parametrize("command", ["direct", "inverse"])
+    def test_empty_x_grid_exits_2(self, command, tmp_path, capsys):
+        if command == "direct":
+            source = ["--params", os.path.join(FIXTURES, "scalar_params.json")]
+        else:
+            source = ["--realization", os.path.join(FIXTURES, "realization.json")]
+        out = tmp_path / "o"
+        assert main([command, *source, "--nx", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --nx must be at least 1, got 0\n"
+        assert not out.exists()
+
+    def test_direct_at_alpha_eigenvalue(self, tmp_path):
+        # the default z = i is the eigenvalue of the fixture's alpha; the
+        # singularity of the closed form is removable
+        out = tmp_path / "o"
+        path = os.path.join(FIXTURES, "scalar_params.json")
+        assert main(["direct", "--params", path, "--out", str(out)]) == 0
+        rows = np.loadtxt(out / "w.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (41, 11) and np.all(np.isfinite(rows))
+
+    def test_direct_w_csv_is_the_batched_fundamental(self, tmp_path):
+        prm = make_params(3, 2, seed=98, negative=False)
+        path = tmp_path / "p.json"
+        wio.save_params(path, prm)
+        out = tmp_path / "o"
+        assert main(["direct", "--params", str(path), "--xmax", "2", "--nx", "11",
+                     "--z=-1.7:1.3:3x0:1.2:2", "--out", str(out)]) == 0
+        rows = np.loadtxt(out / "w.csv", delimiter=",", skiprows=1)
+        xs = np.linspace(0.0, 2.0, 11)
+        zs = np.array([complex(r, i) for i in np.linspace(0, 1.2, 2)
+                       for r in np.linspace(-1.7, 1.3, 3)])
+        w = wk.fundamental_direct(prm, xs, zs).reshape(-1, 4, 4)
+        np.testing.assert_array_equal(rows[:, 0], np.tile(xs, zs.size))
+        np.testing.assert_array_equal(rows[:, 1] + 1j * rows[:, 2], np.repeat(zs, xs.size))
+        np.testing.assert_array_equal(rows[:, 3::2] + 1j * rows[:, 4::2], w.reshape(-1, 16))
+
+    def test_manifest_version_is_the_package_version(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["direct", "--params", os.path.join(FIXTURES, "free_params.json"),
+                     "--nx", "3", "--out", str(out)]) == 0
+        manifest = json.loads((out / "run-manifest.json").read_text())
+        assert manifest["version"] == wk.__version__
+
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         target = tmp_path / "env_out"
         monkeypatch.setenv("WEYLKIT_OUTDIR", str(target))

@@ -352,6 +352,27 @@ class TestWeylDisk:
         with pytest.raises(wk.DomainError):
             weyl_disk_approx(lambda x: free_hamiltonian, -1j, l=2.0)
 
+    def test_callable_contract(self, free_hamiltonian):
+        # a callable gets the array of all nodes and returns their stack, or
+        # one matrix for a constant H; any other shape is a structural error
+        seen = []
+
+        def stack(x):
+            seen.append(np.shape(x))
+            return np.broadcast_to(free_hamiltonian, np.shape(x) + (2, 2))
+
+        w_stack = wk.structured.propagate_fundamental(stack, 1j, 2.0, steps_per_unit=16)
+        w_const = wk.structured.propagate_fundamental(lambda x: free_hamiltonian, 1j, 2.0,
+                                                      steps_per_unit=16)
+        assert seen == [(64,)]
+        np.testing.assert_array_equal(w_stack, w_const)
+        for bad in (lambda x: np.zeros((np.size(x) + 1, 2, 2)),
+                    lambda x: np.zeros((np.size(x), 2, 3)),
+                    lambda x: np.zeros((np.size(x), 3, 3)),
+                    lambda x: np.zeros(np.size(x))):
+            with pytest.raises(wk.StructuralError, match="Hamiltonian callable"):
+                weyl_disk_approx(bad, 1j, l=2.0, steps_per_unit=16)
+
 
 class TestSchur:
     def test_constant_coefficient_trivial(self):
