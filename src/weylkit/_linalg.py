@@ -11,6 +11,7 @@ __all__ = [
     "rel_residual",
     "eigmin_hermitian",
     "spectrum",
+    "pole_gaps",
     "resolvent_apply",
 ]
 
@@ -48,6 +49,15 @@ def spectrum(a):
     return np.linalg.eigvals(a), float(np.linalg.norm(a, 2))
 
 
+def pole_gaps(spec, z, rel=defaults.POLE_CUTOFF):
+    """Distances from ``z`` (a scalar or an array) to each eigenvalue of
+    ``spec = (eigenvalues, norm)``, shape ``shape(z) + (len eigenvalues,)``,
+    and the mask of those within the guard ``rel * (1 + norm)``."""
+    eigs, scale = spec
+    gaps = np.abs(np.asarray(z)[..., None] - eigs)
+    return gaps, gaps < rel * (1.0 + scale)
+
+
 def resolvent_apply(a, z, rhs, spec, what="matrix"):
     """Solve (a - z I) x = rhs, guarding against z near the spectrum.
 
@@ -57,29 +67,27 @@ def resolvent_apply(a, z, rhs, spec, what="matrix"):
     |z - eigenvalue| < POLE_CUTOFF * (1 + ||a||); the first offending z is
     named in the SingularityError.
     """
-    eigs, scale = spec
-    cutoff = defaults.POLE_CUTOFF * (1.0 + scale)
     n = a.shape[0]
     if np.ndim(z) == 0:
         # scalar z skips the array wrapping of the batched path, which
         # would add about half the cost of the solve to every scalar call
         if n == 0:
             return np.zeros_like(rhs)
-        gap = np.abs(eigs - z).min()
-        if gap < cutoff:
+        gaps, near = pole_gaps(spec, z)
+        if near.any():
             raise SingularityError(
-                f"z = {z} is within {gap:.3e} of the spectrum of the {what}"
+                f"z = {z} is within {gaps.min():.3e} of the spectrum of the {what}"
             )
         return np.linalg.solve(a - z * np.eye(n), rhs)
     zs = np.asarray(z, dtype=complex).reshape(-1)
     if n == 0:
         return np.zeros(zs.shape + rhs.shape, dtype=complex)
-    gaps = np.abs(eigs - zs[:, None]).min(axis=1)
-    bad = np.flatnonzero(gaps < cutoff)
+    gaps, near = pole_gaps(spec, zs)
+    bad = np.flatnonzero(near.any(axis=1))
     if bad.size:
         i = bad[0]
         raise SingularityError(
-            f"z = {zs[i]} is within {gaps[i]:.3e} of the spectrum of the {what}"
+            f"z = {zs[i]} is within {gaps[i].min():.3e} of the spectrum of the {what}"
         )
     mats = a - zs[:, None, None] * np.eye(n)
     mats = mats.reshape(zs.shape + (1,) * (rhs.ndim - 2) + (n, n))

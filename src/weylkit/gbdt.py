@@ -23,12 +23,14 @@ from ._linalg import (
     anti_diag_j,
     eigmin_hermitian,
     hermitize,
+    pole_gaps,
     rel_residual,
     resolvent_apply,
     spectrum,
 )
 from .exceptions import (
     DomainError,
+    SingularityError,
     StructuralError,
     ValidationError,
     WeylkitError,
@@ -259,10 +261,22 @@ def evolve_grid(params, xs):
     return psi1, lam, sigma
 
 
+def _one_point(x):
+    """A scalar position for a one-point view; an array is refused, since
+    silently taking its first entry would hide a call meant for the grid."""
+    if np.ndim(x) != 0:
+        raise StructuralError(
+            f"x must be a scalar, got shape {np.shape(x)}; "
+            f"evolve_grid and hamiltonian_grid take arrays"
+        )
+    return float(x)
+
+
 def evolve_state(params, x):
     """The state at one position ``x``: the one-point case of :func:`evolve_grid`."""
+    x = _one_point(x)
     psi1, lam, sigma = evolve_grid(params, [x])
-    return GbdtState(x=float(x), psi1=psi1[0], psi2=params.psi2(), lam=lam[0],
+    return GbdtState(x=x, psi1=psi1[0], psi2=params.psi2(), lam=lam[0],
                      sigma=sigma[0])
 
 
@@ -345,8 +359,7 @@ def _gauge(params, xs, grid=None):
     ``evolve_grid(params, xs)`` when the caller has it already); otherwise
     the gauge ODE v0' = -q0 v0, integrated once through all of ``xs``.
     """
-    eigs, scale = params.alpha_spectrum
-    if np.abs(eigs).min() <= defaults.POLE_CUTOFF * (1.0 + scale):   # alpha singular
+    if pole_gaps(params.alpha_spectrum, 0.0)[1].any():   # alpha singular
         return _gauge_factor_ode(params, xs.tolist())
     _, lam, sigma = evolve_grid(params, xs) if grid is None else grid
     origin = params.initial_state
@@ -357,7 +370,7 @@ def _gauge(params, xs, grid=None):
 
 def gauge_factor(params, x):
     """J-unitary gauge v0(x) at one position, normalized to v0(0) = I."""
-    return _gauge(params, np.array([x], dtype=float))[0]
+    return _gauge(params, np.array([_one_point(x)]))[0]
 
 
 def hamiltonian_grid(params, xs):
@@ -374,10 +387,11 @@ def hamiltonian_grid(params, xs):
 
 def hamiltonian_direct(params, x):
     """Hamiltonian H(x) at one position: the one-point case of :func:`hamiltonian_grid`."""
-    return hamiltonian_grid(params, [x])[0]
+    return hamiltonian_grid(params, [_one_point(x)])[0]
 
 
 _CIRCLE = np.exp(2j * np.pi * np.arange(16) / 16)
+_CIRCLE_BAND = 1e-3   # z within _CIRCLE_BAND * (1 + ||alpha||) of a pole gets the circle rule
 
 
 def fundamental_direct(params, x, z):
@@ -388,21 +402,37 @@ def fundamental_direct(params, x, z):
     stack from one batched evaluation.  It is assembled as
     v0(x)^-1 w_t(x, z) w_seed(x, z) w_t(0, z)^-1 from the transfer matrix w_t
     and the free seed solution.  w(x, .) is entire, but w_t has poles on the
-    spectrum of alpha and w_t(0, .)^-1 on its conjugate.  A z within the
-    pole guard of either gets the mean of w over 16 points on a circle around
-    it, of radius min(0.25, half the distance to the nearest other pole): the
-    trapezoid rule for the mean value of an entire function, which converges
-    exponentially in the number of points.
+    spectrum of alpha and w_t(0, .)^-1 on its conjugate, and the product loses
+    about eps / gap of its relative accuracy to their cancellation.  A z within
+    ``_CIRCLE_BAND * (1 + ||alpha||)`` of a pole therefore gets the mean of w
+    over 16 points on a circle around it: the trapezoid rule for the mean
+    value of an entire function.  w has exponential type tau = max x * max|d|
+    in z, so the rule's error is about (r tau)^16 / 16! for radius r; r is
+    min(0.25, 1 / tau, half the distance to the nearest pole outside the
+    band), which keeps it near 1e-13.  Its points must stay out of the band
+    of every pole, or the rule would lose what it is meant to save, so a z
+    whose circle cannot do so (poles closer than about four band widths, or
+    tau above about 1 / (2 band)) raises SingularityError.
     """
     xs = np.asarray(x, dtype=float).reshape(-1)
     zs = np.asarray(z, dtype=complex).reshape(-1)
     m = 2 * params.p
     eigs, scale = params.alpha_spectrum
-    gaps = np.abs(zs[:, None] - np.concatenate([eigs, eigs.conj()]))
-    near = gaps < defaults.POLE_CUTOFF * (1.0 + scale)
+    poles = (np.concatenate([eigs, eigs.conj()]), scale)
+    gaps, near = pole_gaps(poles, zs, rel=_CIRCLE_BAND)
     bad = near.any(axis=1)
     others = np.where(near, np.inf, gaps)[bad].min(axis=1, initial=np.inf)
-    nodes = zs[bad, None] + np.minimum(0.25, 0.5 * others)[:, None] * _CIRCLE
+    tau = xs.max(initial=0.0) * np.abs(params.d).max()
+    radius = np.minimum(1.0 / max(4.0, tau), 0.5 * others)
+    nodes = zs[bad, None] + radius[:, None] * _CIRCLE
+    crowded = pole_gaps(poles, nodes, rel=_CIRCLE_BAND)[1].any(axis=(1, 2))
+    if crowded.any():
+        i = np.flatnonzero(bad)[np.argmax(crowded)]
+        raise SingularityError(
+            f"z = {zs[i]} is within {gaps[i].min():.3e} of a pole of the closed form, "
+            f"and no circle of radius <= {1.0 / max(4.0, tau):.3e} around it keeps "
+            f"clear of the spectrum of alpha and its conjugate"
+        )
     good = zs[~bad]
     ze = np.concatenate([good, nodes.ravel()])
 

@@ -291,6 +291,18 @@ class TestFundamental:
             wk.fundamental_direct(prm, x, z)
         assert calls == {"spectrum": 1, "origin": 1}
 
+    def test_one_point_views_refuse_arrays(self):
+        # an array x would otherwise come back as the value at its first entry
+        prm = scalar_params()
+        for view in (evolve_state, gauge_factor, hamiltonian_direct,
+                     lambda prm, x: transfer_matrix(prm, x, 0.5j)):
+            with pytest.raises(wk.StructuralError, match="x must be a scalar"):
+                view(prm, np.array([0.0, 1.0]))
+            with pytest.raises(wk.StructuralError, match="x must be a scalar"):
+                view(prm, [0.5])
+        np.testing.assert_array_equal(hamiltonian_direct(prm, np.float64(0.5)),
+                                      hamiltonian_grid(prm, [0.5])[0])
+
     @pytest.mark.parametrize("n,p,negative,seed", [
         (1, 1, True, 50), (2, 1, False, 51), (3, 2, True, 52), (3, 2, False, 53),
     ])
@@ -343,15 +355,16 @@ class TestRemovableSingularity:
 
     def test_circle_mean_of_neighbouring_values(self):
         # at a pole z0 of the closed form the value is the mean over 16 points
-        # on a circle of radius min(0.25, half the gap to the next pole)
+        # on a circle of radius min(0.25, 1 / (max x max|d|), half the gap to
+        # the next pole)
         prm = make_params(3, 2, seed=64, negative=False)
         eigs = np.linalg.eigvals(prm.alpha)
         z0 = eigs[0]
         poles = np.concatenate([eigs, eigs.conj()])
         gap = np.sort(np.abs(poles - z0))[1]
-        radius = min(0.25, 0.5 * gap)
-        circle = z0 + radius * np.exp(2j * np.pi * np.arange(16) / 16)
         xs = np.array([0.6, 1.2])
+        radius = min(0.25, 1.0 / (xs.max() * np.abs(prm.d).max()), 0.5 * gap)
+        circle = z0 + radius * np.exp(2j * np.pi * np.arange(16) / 16)
         w = wk.fundamental_direct(prm, xs, np.array([z0, np.conj(z0)]))
         mean = wk.fundamental_direct(prm, xs, circle).mean(axis=0)
         np.testing.assert_allclose(w[0], mean, rtol=0, atol=1e-14 * np.abs(mean).max())
@@ -363,6 +376,58 @@ class TestRemovableSingularity:
         for k in range(xs.size):
             lhs = w[1, k].conj().T @ J @ w[0, k]   # w(x, conj z)* J w(x, z) = J
             np.testing.assert_allclose(lhs, J, atol=1e-9)
+
+
+    @staticmethod
+    def _seed_solution(d, x, z):
+        # with zero data w_t = I and v0 = I, so w is the seed Z exp(izx diag(D, 0)) Z^-1
+        Z = np.array([[1.0, 1.0], [d / 2.0, -d / 2.0]])
+        return Z @ np.diag([np.exp(1j * z * x * d), 1.0]) @ np.linalg.inv(Z)
+
+    def test_zero_data_at_eigenvalue_for_long_x(self):
+        # x |d| up to 20: w has exponential type 20 in z, which a fixed radius
+        # of 0.25 would turn into a 1e2 relative error of the 16-point mean
+        prm = wk.GbdtParams(d=[-2.0], alpha=np.eye(2), lambda1=np.zeros((2, 1)),
+                            lambda2=np.zeros((2, 1)))
+        xs = np.linspace(0.0, 10.0, 11)
+        w = wk.fundamental_direct(prm, xs, 1.0)
+        for x, wx in zip(xs, w):
+            ref = self._seed_solution(-2.0, x, 1.0)
+            assert np.abs(wx - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("make", [
+        scalar_params, lambda: make_params(3, 2, seed=9, negative=True),
+    ], ids=["scalar", "n3p2"])
+    def test_accuracy_across_distance_to_pole(self, make):
+        # at z0 + delta, from far inside the band of the circle rule to far
+        # outside it, w agrees with a 96-point mean over a wide circle, whose
+        # points all stay 0.3 away from the poles
+        prm = make()
+        eigs = np.linalg.eigvals(prm.alpha)
+        wide = 0.3 * np.exp(2j * np.pi * np.arange(96) / 96)
+        for z0 in (eigs[0], np.conj(eigs[0])):
+            for delta in 10.0 ** np.arange(-13, 0):
+                z = z0 + delta * np.exp(0.3j)
+                w = wk.fundamental_direct(prm, [0.7, 1.5], z)
+                ref = wk.fundamental_direct(prm, [0.7, 1.5], z + wide).mean(axis=0)
+                assert np.abs(w - ref).max() <= 2e-12 * np.abs(ref).max(), delta
+
+    def test_crowded_circle_raises(self):
+        # poles 0.003 apart, or tau = 600, leave the 16 points no room outside
+        # the band of every pole; 0.01 apart they fit
+        def zero_data(eigs):
+            n = len(eigs)
+            return wk.GbdtParams(d=[-2.0], alpha=np.diag(eigs), lambda1=np.zeros((n, 1)),
+                                 lambda2=np.zeros((n, 1)))
+
+        w = wk.fundamental_direct(zero_data([1.0, 1.01]), 10.0, 1.0)
+        ref = self._seed_solution(-2.0, 10.0, 1.0)
+        assert np.abs(w - ref).max() <= 1e-12 * np.abs(ref).max()
+        with pytest.raises(wk.SingularityError, match="no circle"):
+            wk.fundamental_direct(zero_data([1.0, 1.003]), 1.0, 1.0)
+        with pytest.raises(wk.SingularityError, match="no circle"):
+            wk.fundamental_direct(zero_data([1.0]), 300.0, 1.0)
+        assert np.all(np.isfinite(wk.fundamental_direct(zero_data([1.0]), 300.0, 0.5)))
 
 
 class TestWeylPair:

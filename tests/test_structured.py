@@ -374,6 +374,15 @@ class TestWeylDisk:
                 weyl_disk_approx(bad, 1j, l=2.0, steps_per_unit=16)
 
 
+    def test_one_point_callable_refused(self):
+        # a callable that can only take one position raises on the array of
+        # nodes instead of being broadcast as the constant H(0)
+        prm = wk.GbdtParams(d=[-2.0], alpha=[[1j]], lambda1=[[1.0]], lambda2=[[1.0]])
+        with pytest.raises(wk.StructuralError, match="x must be a scalar"):
+            weyl_disk_approx(lambda x: wk.hamiltonian_direct(prm, x), 1j, l=2.0,
+                             steps_per_unit=16)
+
+
 class TestSchur:
     def test_constant_coefficient_trivial(self):
         rho = GridFunction.from_function(lambda x: np.eye(1), h=1 / 64, m=64,
