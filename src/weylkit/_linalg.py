@@ -3,7 +3,7 @@
 import numpy as np
 
 from . import defaults
-from .exceptions import SingularityError
+from .exceptions import DomainError, SingularityError
 
 __all__ = [
     "anti_diag_j",
@@ -13,6 +13,7 @@ __all__ = [
     "spectrum",
     "pole_gaps",
     "resolvent_apply",
+    "expm_stack",
 ]
 
 
@@ -92,3 +93,72 @@ def resolvent_apply(a, z, rhs, spec, what="matrix"):
     mats = a - zs[:, None, None] * np.eye(n)
     mats = mats.reshape(zs.shape + (1,) * (rhs.ndim - 2) + (n, n))
     return np.linalg.solve(mats, np.broadcast_to(rhs, zs.shape + rhs.shape))
+
+
+# 1-norm bound theta_q up to which the degree-q Pade approximant meets unit
+# roundoff, and its numerator coefficients b_0..b_q (Higham, "The scaling and
+# squaring method for the matrix exponential revisited", SIAM J. Matrix Anal.
+# Appl. 26, 2005)
+_PADE = (
+    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
+                            1512.0, 56.0, 1.0)),
+    (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
+                           30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+    (5.371920351148152e0, (64764752532480000.0, 32382376266240000.0,
+                           7771770303897600.0, 1187353796428800.0, 129060195264000.0,
+                           10559470521600.0, 670442572800.0, 33522128640.0,
+                           1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
+)
+
+
+def _pade(a, b):
+    """The Pade approximant (V - U)^-1 (V + U) of exp(a) with numerator
+    coefficients ``b``: U holds the odd powers of a, V the even ones."""
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    u, v, power = b[1] * eye, b[0] * eye, a2
+    for k in range(2, len(b), 2):
+        if k > 2:
+            power = power @ a2
+        u = u + b[k + 1] * power
+        v = v + b[k] * power
+    u = a @ u
+    return np.linalg.solve(v - u, v + u)
+
+
+def expm_stack(a):
+    """Matrix exponential of every matrix in a ``(..., m, m)`` stack.
+
+    Pade scaling and squaring (Higham 2005) in numpy over the whole stack.
+    The degree (3, 5, 7, 9 or 13) is the lowest whose bound covers the
+    stack's largest 1-norm; at degree 13 each matrix is scaled by its own
+    power 2^-s, and only the matrices that still need squaring are squared.
+    A non-finite entry raises DomainError.
+    """
+    a = np.asarray(a, dtype=complex)
+    if not np.all(np.isfinite(a)):
+        raise DomainError("matrix exponential of a matrix with non-finite entries")
+    if a.size == 0:
+        return np.empty(a.shape, dtype=complex)
+    shape, m = a.shape, a.shape[-1]
+    a = a.reshape(-1, m, m)
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    top = norms.max()
+    for theta, b in _PADE[:-1]:
+        if top <= theta:
+            return _pade(a, b).reshape(shape)
+    theta, b = _PADE[-1]
+    with np.errstate(divide="ignore"):
+        s = np.maximum(0, np.ceil(np.log2(norms / theta))).astype(int)
+    # sorted by s, the matrices left to square at each pass are a prefix
+    order = np.argsort(-s, kind="stable")
+    s = s[order]
+    r = _pade(a[order] * np.exp2(-s)[:, None, None], b)
+    for j in range(s[0]):
+        k = np.searchsorted(-s, -j, side="left")
+        r[:k] = r[:k] @ r[:k]
+    out = np.empty_like(r)
+    out[order] = r
+    return out.reshape(shape)

@@ -23,6 +23,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__, defaults, io
+from ._linalg import expm_stack
 from .exceptions import (
     DomainError,
     PositivityError,
@@ -331,6 +332,17 @@ def _run_checks():
     dense = factorize_triangular(dataclasses.replace(op, column=None))
     sdiff = float(np.abs(fac.w - dense.w).max())
     yield "Schur factor vs LAPACK", sdiff < 1e-10, f"max diff {sdiff:.2e}"
+
+    # scipy's exponential is the reference here only; weylkit computes with its own
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(0)
+    stack = rng.normal(size=(8, 4, 4)) + 1j * rng.normal(size=(8, 4, 4))
+    norms = np.array([0.0, 1e-10, 1e-3, 0.1, 1.0, 5.0, 20.0, 40.0])
+    stack *= (norms / np.abs(stack).sum(axis=-2).max(axis=-1))[:, None, None]
+    ediff = max(float(np.abs(e - r).max() / np.abs(r).max())
+                for e, r in zip(expm_stack(stack), expm(stack)))
+    yield "stacked exponential vs scipy", ediff < 1e-12, f"max rel diff {ediff:.2e}"
 
     kz = DifferenceKernel(p=1, h=1.0 / 64, samples=np.zeros((64, 1, 1)))
     vz = recover_potential(kz)

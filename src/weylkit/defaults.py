@@ -26,8 +26,7 @@ GL_ORDER = 6                 # Gauss-Legendre nodes per panel in amplitude trans
 DISK_LENGTH_FACTOR = 40.0    # default l = 40 / Im z
 DISK_STEPS_PER_UNIT = 256    # propagation steps per unit length
 
-# ODE fallbacks
-ODE_TOL = 1e-10              # adaptive tolerance for the gauge-factor ODE
+# Schur-coefficient recovery
 SCHUR_ODE_TOL = 1e-8         # adaptive tolerance for Schur-coefficient recovery
 
 # Interpolation

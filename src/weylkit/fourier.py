@@ -81,18 +81,20 @@ class WeylSampler:
 
     @classmethod
     def from_disk_oracle(cls, hamiltonian, p, length_factor=None, steps_per_unit=None):
-        """Brute-force sampler: truncated-interval Moebius value at each z."""
-        from . import defaults as _d
+        """Brute-force sampler: truncated-interval Moebius value at each z,
+        with one batched oracle call per distinct Im z (length factor / Im z)."""
         from .structured import weyl_disk_approx
 
-        factor = _d.DISK_LENGTH_FACTOR if length_factor is None else length_factor
+        factor = defaults.DISK_LENGTH_FACTOR if length_factor is None else length_factor
 
         def fn(zs):
-            return np.array([
-                weyl_disk_approx(hamiltonian, complex(z), l=factor / z.imag,
-                                 steps_per_unit=steps_per_unit)
-                for z in zs
-            ])
+            out = np.empty((zs.size, p, p), dtype=complex)
+            etas, line = np.unique(zs.imag, return_inverse=True)
+            for k, eta in enumerate(etas):
+                on = line == k
+                out[on] = weyl_disk_approx(hamiltonian, zs[on], factor / eta,
+                                           steps_per_unit=steps_per_unit)
+            return out
 
         return cls(fn=fn, p=p, source="disk-oracle")
 
@@ -380,6 +382,12 @@ def amplitude_from_weyl(
     if p is None:
         p = samples.shape[-1]
     samples = samples.reshape(zetas.size, p, p)
+    bad = ~np.isfinite(samples).all(axis=(1, 2))
+    if bad.any():
+        raise StructuralError(
+            f"Weyl samples must be finite; the sample at zeta = {zetas[bad][0]:.6g} "
+            f"(z = {zw[bad][0]}) is not"
+        )
 
     if mode == "canonical":
         base = np.einsum("ab,kbc->kac", np.diag(1.0 / np.abs(d)), samples)

@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from . import defaults
 from ._linalg import (
     anti_diag_j,
     eigmin_hermitian,
+    expm_stack,
     hermitize,
     pole_gaps,
     rel_residual,
@@ -33,7 +32,6 @@ from .exceptions import (
     SingularityError,
     StructuralError,
     ValidationError,
-    WeylkitError,
 )
 
 __all__ = [
@@ -226,14 +224,15 @@ def evolve_grid(params, xs):
     """Evolve the parameter matrices to every position in ``xs`` in closed form.
 
     psi1 columns evolve by exp(-i d_k x alpha); sigma accumulates the
-    integral of psi1 psi1*, read off the block exponential of
-    [[-A, C], [0, A*]] x (A = -i d_k alpha, C = psi1_0 psi1_0*), which never
-    degenerates, and is Hermitized.  Returns (psi1, lam, sigma) stacked over
-    ``xs``.
+    integral of psi1 psi1*.  Both come from one stacked exponential per
+    column: the block exponential of [[-A, C], [0, A*]] x (A = -i d_k alpha,
+    C = psi1_0 psi1_0*) holds exp(A* x) = exp(A x)* in its lower right block
+    and the integral in its upper right one, which never degenerates.  sigma
+    is Hermitized.  Returns (psi1, lam, sigma) stacked over ``xs``.
     """
     xs = np.asarray(xs, dtype=float).reshape(-1)
-    if np.any(xs < 0):
-        raise DomainError(f"positions must be nonnegative, got {xs.min()}")
+    if not np.all(xs >= 0):
+        raise DomainError(f"positions must be finite and nonnegative, got {xs.min()}")
     n, p = params.n, params.p
     k_x = xs.size
     psi1_0 = params.psi1_0()
@@ -241,17 +240,15 @@ def evolve_grid(params, xs):
     psi1 = np.empty((k_x, n, p), dtype=complex)
     sigma = np.tile(np.eye(n, dtype=complex), (k_x, 1, 1))
     for c in range(p):
+        col = psi1_0[:, c]
         a_c = -1j * params.d[c] * params.alpha
-        g = expm(a_c[None, :, :] * xs[:, None, None])
-        psi1[:, :, c] = np.einsum("kij,j->ki", g, psi1_0[:, c])
-        cmat = np.outer(psi1_0[:, c], psi1_0[:, c].conj())
-        if not np.any(cmat):
-            continue
         m = np.zeros((2 * n, 2 * n), dtype=complex)
         m[:n, :n] = -a_c
-        m[:n, n:] = cmat
+        m[:n, n:] = np.outer(col, col.conj())
         m[n:, n:] = a_c.conj().T
-        blk = expm(m[None, :, :] * xs[:, None, None])
+        blk = expm_stack(m[None, :, :] * xs[:, None, None])
+        g = np.conj(np.swapaxes(blk[:, n:, n:], -1, -2))
+        psi1[:, :, c] = g @ col
         sigma += g @ blk[:, :n, n:]
     sigma = hermitize(sigma)
     if k_x:
@@ -313,59 +310,79 @@ def transfer_matrix(params, x, z, state=None):
     return w.reshape(np.shape(z) + w.shape[1:])
 
 
-def _q0(params, lam, sigma):
-    J = anti_diag_j(params.p)
-    H0 = initial_hamiltonian(params.d)
-    core = lam.conj().T @ np.linalg.solve(sigma, lam)
-    return J @ core @ J @ H0 - J @ H0 @ J @ core
+_CIRCLE = np.exp(2j * np.pi * np.arange(16) / 16)
+_CIRCLE_BAND = 1e-3   # z within _CIRCLE_BAND * (1 + ||alpha||) of a pole gets the circle rule
 
 
-def _gauge_factor_ode(params, xs):
-    """Integrate v0' = -q0 v0, v0(0) = I with an adaptive RK scheme.
+def _closed_form(params, xs, zs, band):
+    """v0(x) w(x, z) = w_t(x, z) w_seed(x, z) w_t(0, z)^-1 on the grid ``xs``
+    by ``zs`` (1-D arrays), a (len zs, len xs, 2p, 2p) stack.
 
-    One pass through the sorted positions: each leg starts where the last
-    one ended, and returns its end value from the integrator, so a single
-    position gets exactly the integration from 0 it would get alone.
-    Returns a (len xs, 2p, 2p) stack.
+    The product of the transfer matrix w_t and the free seed solution is
+    entire in z, but w_t has poles on the spectrum of alpha and w_t(0, .)^-1
+    on its conjugate, and the product loses about eps / gap of its relative
+    accuracy to their cancellation.  A z within ``band * (1 + ||alpha||)`` of
+    a pole (``band`` holds one relative width per z) therefore gets the mean
+    of the product over 16 points on a circle around it: the trapezoid rule
+    for the mean value of an entire function.  The product has exponential
+    type tau = max x * max|d| in z, so the rule's error is about
+    (r tau)^16 / 16! for radius r; r is min((1 + ||alpha||) / 4, 1 / tau,
+    half the distance to the nearest pole outside the band), which keeps it
+    near 1e-13.  Its points must stay out of the band of every pole, or the
+    rule would lose what it is meant to save, so a z whose circle cannot do
+    so (poles closer than about four band widths, or tau above about
+    1 / (band (1 + ||alpha||))) raises SingularityError.
     """
     m = 2 * params.p
-    if min(xs, default=0.0) < 0:
-        raise DomainError("positions must be nonnegative")
+    eigs, scale = params.alpha_spectrum
+    poles = (np.concatenate([eigs, eigs.conj()]), scale)
+    band = np.asarray(band, dtype=float)[:, None]
+    gaps, near = pole_gaps(poles, zs, rel=band)
+    bad = near.any(axis=1)
+    others = np.where(near, np.inf, gaps)[bad].min(axis=1, initial=np.inf)
+    tau = xs.max(initial=0.0) * np.abs(params.d).max()
+    cap = 1.0 / max(4.0 / (1.0 + scale), tau)
+    radius = np.minimum(cap, 0.5 * others)
+    nodes = zs[bad, None] + radius[:, None] * _CIRCLE
+    crowded = pole_gaps(poles, nodes, rel=band[bad, None])[1].any(axis=(1, 2))
+    if crowded.any():
+        i = np.flatnonzero(bad)[np.argmax(crowded)]
+        raise SingularityError(
+            f"z = {zs[i]} is within {gaps[i].min():.3e} of a pole of the closed form, "
+            f"and no circle of radius <= {cap:.3e} around it keeps "
+            f"clear of the spectrum of alpha and its conjugate"
+        )
+    good = zs[~bad]
+    ze = np.concatenate([good, nodes.ravel()])
 
-    def rhs(x, y):
-        _, lam, sigma = evolve_grid(params, [x])
-        return (-_q0(params, lam[0], sigma[0]) @ y.reshape(m, m)).ravel()
+    _, lam, sigma = evolve_grid(params, xs)
+    origin = params.initial_state
+    w_0 = _transfer(params, origin.lam, origin.sigma, ze)[:, None]
+    w_x = _transfer(params, lam, sigma, ze)
+    # Seed solution Z exp(i z x diag(D, 0)) Z^-1.
+    phases = np.exp(1j * ze[:, None, None] * xs[None, :, None] * params.d)
+    phases = np.concatenate([phases, np.ones(phases.shape)], axis=-1)
+    w_seed = (_z_matrix(params.d) * phases[..., None, :]) @ _z_inverse(params.d)
+    vals = w_x @ w_seed @ np.linalg.inv(w_0)
 
-    y = np.eye(m, dtype=complex).ravel()
-    x0 = 0.0
-    table = {}
-    for x in sorted(set(xs)):
-        if x > x0:
-            sol = solve_ivp(
-                rhs, (x0, x), y, t_eval=[x],
-                rtol=defaults.ODE_TOL, atol=defaults.ODE_TOL, method="RK45",
-            )
-            if not sol.success:
-                raise WeylkitError(sol.message)  # pragma: no cover
-            y, x0 = sol.y[:, 0], x
-        table[x] = y.reshape(m, m)
-    return np.array([table[x] for x in xs]).reshape(-1, m, m)
+    out = np.empty((zs.size, xs.size, m, m), dtype=complex)
+    out[~bad] = vals[:good.size]
+    out[bad] = vals[good.size:].reshape(-1, _CIRCLE.size, xs.size, m, m).mean(axis=1)
+    return out
 
 
-def _gauge(params, xs, grid=None):
+def _gauge(params, xs):
     """J-unitary gauge v0 on the positions ``xs``, normalized to v0(0) = I.
 
-    The closed form w(x, 0) w(0, 0)^-1 when alpha is invertible (``grid`` is
-    ``evolve_grid(params, xs)`` when the caller has it already); otherwise
-    the gauge ODE v0' = -q0 v0, integrated once through all of ``xs``.
+    w(x, 0) = I and w_seed(x, 0) = I, so v0(x) is :func:`_closed_form` at
+    z = 0, for singular and invertible alpha alike.  Its band there is the
+    resolvent's guard: an invertible alpha takes the plain product
+    w_t(x, 0) w_t(0, 0)^-1, and only a singular one, for which 0 is a pole of
+    both transfer factors, takes the circle rule.  Its points need only keep
+    clear of that guard, so the circle shrinks with 1 / tau and loses about
+    eps (1 + ||alpha||) tau instead of raising.
     """
-    if pole_gaps(params.alpha_spectrum, 0.0)[1].any():   # alpha singular
-        return _gauge_factor_ode(params, xs.tolist())
-    _, lam, sigma = evolve_grid(params, xs) if grid is None else grid
-    origin = params.initial_state
-    w00 = _transfer(params, origin.lam, origin.sigma, np.zeros(1))[0]
-    # J-unitarity of the transfer matrix at real z makes the result J-unitary
-    return _transfer(params, lam, sigma, np.zeros(1))[0] @ np.linalg.inv(w00)
+    return _closed_form(params, xs, np.zeros(1), [defaults.POLE_CUTOFF])[0]
 
 
 def gauge_factor(params, x):
@@ -390,65 +407,23 @@ def hamiltonian_direct(params, x):
     return hamiltonian_grid(params, [_one_point(x)])[0]
 
 
-_CIRCLE = np.exp(2j * np.pi * np.arange(16) / 16)
-_CIRCLE_BAND = 1e-3   # z within _CIRCLE_BAND * (1 + ||alpha||) of a pole gets the circle rule
-
-
 def fundamental_direct(params, x, z):
     """Fundamental solution w(x, z) of the canonical system, w(0, z) = I.
 
     ``x`` and ``z`` are scalars or 1-D arrays; the result has shape
     ``shape(z) + shape(x) + (2p, 2p)``, so two arrays give a (len z, len x)
-    stack from one batched evaluation.  It is assembled as
-    v0(x)^-1 w_t(x, z) w_seed(x, z) w_t(0, z)^-1 from the transfer matrix w_t
-    and the free seed solution.  w(x, .) is entire, but w_t has poles on the
-    spectrum of alpha and w_t(0, .)^-1 on its conjugate, and the product loses
-    about eps / gap of its relative accuracy to their cancellation.  A z within
-    ``_CIRCLE_BAND * (1 + ||alpha||)`` of a pole therefore gets the mean of w
-    over 16 points on a circle around it: the trapezoid rule for the mean
-    value of an entire function.  w has exponential type tau = max x * max|d|
-    in z, so the rule's error is about (r tau)^16 / 16! for radius r; r is
-    min(0.25, 1 / tau, half the distance to the nearest pole outside the
-    band), which keeps it near 1e-13.  Its points must stay out of the band
-    of every pole, or the rule would lose what it is meant to save, so a z
-    whose circle cannot do so (poles closer than about four band widths, or
-    tau above about 1 / (2 band)) raises SingularityError.
+    stack from one batched evaluation.  It is v0(x)^-1 times
+    :func:`_closed_form`, whose value at z = 0 is the gauge v0(x) itself
+    (:func:`_gauge`, with its band); both come from one evaluation.  Within
+    ``_CIRCLE_BAND * (1 + ||alpha||)`` of a pole of the transfer matrix, or
+    of its inverse at x = 0, the value is the circle mean described there.
     """
     xs = np.asarray(x, dtype=float).reshape(-1)
     zs = np.asarray(z, dtype=complex).reshape(-1)
     m = 2 * params.p
-    eigs, scale = params.alpha_spectrum
-    poles = (np.concatenate([eigs, eigs.conj()]), scale)
-    gaps, near = pole_gaps(poles, zs, rel=_CIRCLE_BAND)
-    bad = near.any(axis=1)
-    others = np.where(near, np.inf, gaps)[bad].min(axis=1, initial=np.inf)
-    tau = xs.max(initial=0.0) * np.abs(params.d).max()
-    radius = np.minimum(1.0 / max(4.0, tau), 0.5 * others)
-    nodes = zs[bad, None] + radius[:, None] * _CIRCLE
-    crowded = pole_gaps(poles, nodes, rel=_CIRCLE_BAND)[1].any(axis=(1, 2))
-    if crowded.any():
-        i = np.flatnonzero(bad)[np.argmax(crowded)]
-        raise SingularityError(
-            f"z = {zs[i]} is within {gaps[i].min():.3e} of a pole of the closed form, "
-            f"and no circle of radius <= {1.0 / max(4.0, tau):.3e} around it keeps "
-            f"clear of the spectrum of alpha and its conjugate"
-        )
-    good = zs[~bad]
-    ze = np.concatenate([good, nodes.ravel()])
-
-    grid = evolve_grid(params, xs)
-    origin = params.initial_state
-    w_0 = _transfer(params, origin.lam, origin.sigma, ze)[:, None]
-    w_x = _transfer(params, grid[1], grid[2], ze)
-    # Seed solution Z exp(i z x diag(D, 0)) Z^-1.
-    phases = np.exp(1j * ze[:, None, None] * xs[None, :, None] * params.d)
-    phases = np.concatenate([phases, np.ones(phases.shape)], axis=-1)
-    w_seed = (_z_matrix(params.d) * phases[..., None, :]) @ _z_inverse(params.d)
-    vals = np.linalg.solve(_gauge(params, xs, grid), w_x @ w_seed @ np.linalg.inv(w_0))
-
-    w = np.empty((zs.size, xs.size, m, m), dtype=complex)
-    w[~bad] = vals[:good.size]
-    w[bad] = vals[good.size:].reshape(-1, _CIRCLE.size, xs.size, m, m).mean(axis=1)
+    band = np.append(np.full(zs.size, _CIRCLE_BAND), defaults.POLE_CUTOFF)
+    vals = _closed_form(params, xs, np.append(zs, 0.0), band)
+    w = np.linalg.solve(vals[-1], vals[:-1])
     return w.reshape(np.shape(z) + np.shape(x) + (m, m))
 
 

@@ -48,6 +48,11 @@ class GridFunction:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "h", float(self.h))
         object.__setattr__(self, "x0", float(self.x0))
+        bad = ~np.isfinite(v).all(axis=(1, 2))
+        if bad.any():
+            raise StructuralError(
+                f"grid values must be finite; the sample at x = {self.xs[bad][0]:.6g} is not"
+            )
 
     @property
     def m(self):

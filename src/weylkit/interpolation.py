@@ -167,6 +167,9 @@ def interpolate_series(
         arr = arr[:, None, None]
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise StructuralError("samples must be scalars or square matrices")
+    bad = ~np.isfinite(arr).all(axis=(1, 2))
+    if bad.any():
+        raise StructuralError(f"samples must be finite; sample q = {np.argmax(bad)} is not")
     if arr.shape[0] < n_terms + 1:
         raise StructuralError(
             f"need {n_terms + 1} samples for order {n_terms}, got {arr.shape[0]}"

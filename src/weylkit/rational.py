@@ -58,6 +58,9 @@ class Realization:
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "psi1_0", psi1_0)
         object.__setattr__(self, "psi2", psi2)
+        for name in ("d", "gamma", "psi1_0", "psi2"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise StructuralError(f"{name} must be finite")
 
     @property
     def n(self):

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm, lapack, solve_banded
+from scipy.linalg import lapack, solve_banded
 
 from . import defaults
-from ._linalg import anti_diag_j, hermitize
+from ._linalg import anti_diag_j, expm_stack, hermitize
 from .exceptions import (
     DomainError,
     PositivityError,
@@ -511,7 +511,8 @@ def _sample_hamiltonian(h_at, nodes):
 
     The callable takes the 1-D array of positions and returns the
     (len nodes, 2p, 2p) stack of values, or one (2p, 2p) matrix for a
-    constant Hamiltonian, which is broadcast.
+    constant Hamiltonian, which is broadcast.  Another shape or a
+    non-finite value raises StructuralError.
     """
     vals = np.asarray(h_at(nodes), dtype=complex)
     if vals.ndim == 2:
@@ -522,51 +523,95 @@ def _sample_hamiltonian(h_at, nodes):
             f"Hamiltonian callable returned shape {vals.shape} for {nodes.size} "
             f"positions; expected ({nodes.size}, 2p, 2p) or (2p, 2p)"
         )
+    bad = ~np.isfinite(vals).all(axis=(1, 2))
+    if bad.any():
+        raise StructuralError(
+            f"Hamiltonian value at x = {nodes[bad][0]:.6g} is not finite"
+        )
     return vals
 
 
-def _propagate(h_at, z, l, nsteps, order4):
-    """Transfer matrix of w' = i z J H(x) w over [0, l], w(0) = I."""
+# step matrix entries exponentiated at once by the disk oracle; bounds its memory
+_DISK_CHUNK = 1 << 18
+_GAUSS = (0.5 - np.sqrt(3) / 6.0, 0.5 + np.sqrt(3) / 6.0)
+
+
+def _ordered_product(steps):
+    """steps[n-1] @ ... @ steps[0] along axis -3, by log-depth pairwise products."""
+    while steps.shape[-3] > 1:
+        k = steps.shape[-3] // 2
+        pairs = steps[..., 1:2 * k:2, :, :] @ steps[..., 0:2 * k:2, :, :]
+        steps = np.concatenate([pairs, steps[..., 2 * k:, :, :]], axis=-3)
+    return steps[..., 0, :, :]
+
+
+def _propagate(h_at, zs, l, nsteps, order4):
+    """Transfer matrices of w' = i z J H(x) w over [0, l], w(0) = I, for the
+    1-D array ``zs``: a (len zs, 2p, 2p) stack.
+
+    H is sampled once.  The step exponent is z B + z^2 C with B and C built
+    from H alone: the fourth-order two-point Magnus exponent, or the midpoint
+    exponent (C = 0).  The steps are exponentiated over (z, step) in chunks
+    of at most ``_DISK_CHUNK`` entries and multiplied pairwise.
+    """
     h = l / nsteps
     if order4:
-        c1, c2 = 0.5 - np.sqrt(3) / 6.0, 0.5 + np.sqrt(3) / 6.0
         base = h * np.arange(nsteps)
-        nodes = np.concatenate([base + c1 * h, base + c2 * h])
-        vals = _sample_hamiltonian(h_at, nodes)
-        h1, h2 = vals[:nsteps], vals[nsteps:]
-        size = h1.shape[1]
-        J = anti_diag_j(size // 2)
-        a1 = 1j * z * J[None] @ h1
-        a2 = 1j * z * J[None] @ h2
-        omega = 0.5 * h * (a1 + a2) + (np.sqrt(3) / 12.0) * h * h * (a2 @ a1 - a1 @ a2)
-        steps = expm(omega)
+        vals = _sample_hamiltonian(h_at, np.concatenate([base + _GAUSS[0] * h,
+                                                         base + _GAUSS[1] * h]))
+        J = anti_diag_j(vals.shape[-1] // 2)
+        a1, a2 = 1j * J @ vals[:nsteps], 1j * J @ vals[nsteps:]
+        b = 0.5 * h * (a1 + a2)
+        c = (np.sqrt(3) / 12.0) * h * h * (a2 @ a1 - a1 @ a2)
     else:
-        nodes = h * (np.arange(nsteps) + 0.5)
-        vals = _sample_hamiltonian(h_at, nodes)
-        size = vals.shape[1]
-        J = anti_diag_j(size // 2)
-        steps = expm(1j * z * h * J[None] @ vals)
-    w = np.eye(size, dtype=complex)
-    for k in range(nsteps):
-        w = steps[k] @ w
+        vals = _sample_hamiltonian(h_at, h * (np.arange(nsteps) + 0.5))
+        J = anti_diag_j(vals.shape[-1] // 2)
+        b, c = 1j * h * J @ vals, None
+    size = b.shape[-1]
+    per = max(1, _DISK_CHUNK // (size * size))
+    span, zper = min(nsteps, per), max(1, per // nsteps)
+    w = np.tile(np.eye(size, dtype=complex), (zs.size, 1, 1))
+    for i in range(0, zs.size, zper):
+        z = zs[i:i + zper, None, None, None]
+        for j in range(0, nsteps, span):
+            omega = z * b[j:j + span]
+            if c is not None:
+                omega += z * z * c[j:j + span]
+            w[i:i + zper] = _ordered_product(expm_stack(omega)) @ w[i:i + zper]
     return w
 
 
 def propagate_fundamental(hamiltonian, z, l, steps_per_unit=None):
     """Integrate the canonical system for a callable or gridded Hamiltonian.
 
-    Callables get a fourth-order two-point Magnus stepper; grid samples get
-    midpoint exponential stepping (O(h^2), matching the grid resolution).
-    A callable is evaluated once, on the array of all stepper nodes, and
-    returns their (k, 2p, 2p) stack or one (2p, 2p) matrix for a constant
-    Hamiltonian; any other shape raises StructuralError.
+    ``z`` is a scalar (a 2p x 2p result) or a 1-D array (a (k, 2p, 2p)
+    stack); H is sampled once for all of them.  Callables get a
+    fourth-order two-point Magnus stepper; grid samples get midpoint
+    exponential stepping (O(h^2), matching the grid resolution).  A callable
+    is evaluated once, on the array of all stepper nodes, and returns their
+    (k, 2p, 2p) stack or one (2p, 2p) matrix for a constant Hamiltonian; any
+    other shape raises StructuralError.
     """
     if steps_per_unit is None:
         steps_per_unit = defaults.DISK_STEPS_PER_UNIT
     nsteps = max(8, int(np.ceil(l * steps_per_unit)))
+    zs = np.asarray(z, dtype=complex).reshape(-1)
     if isinstance(hamiltonian, GridFunction):
-        return _propagate(hamiltonian.at, z, l, nsteps, order4=False)
-    return _propagate(hamiltonian, z, l, nsteps, order4=True)
+        w = _propagate(hamiltonian.at, zs, l, nsteps, order4=False)
+    else:
+        w = _propagate(hamiltonian, zs, l, nsteps, order4=True)
+    return w.reshape(np.shape(z) + w.shape[1:])
+
+
+def _disk_frames(hamiltonian, z, l, steps_per_unit):
+    """W(l, z) = w(l, conj z)* for a scalar or 1-D array ``z`` in the upper
+    half-plane, as a (k, 2p, 2p) stack."""
+    zs = np.asarray(z, dtype=complex).reshape(-1)
+    bad = ~(zs.imag > 0) | ~np.isfinite(zs)
+    if bad.any():
+        raise DomainError(f"the Weyl disk needs finite z with Im z > 0, got z = {zs[bad][0]}")
+    w = propagate_fundamental(hamiltonian, np.conj(zs), l, steps_per_unit)
+    return np.conj(np.swapaxes(w, -1, -2))
 
 
 def weyl_disk_approx(hamiltonian, z, l, pair=None, steps_per_unit=None):
@@ -574,48 +619,48 @@ def weyl_disk_approx(hamiltonian, z, l, pair=None, steps_per_unit=None):
 
     ``hamiltonian`` is a GridFunction or a callable that takes a 1-D array
     of positions and returns the (k, 2p, 2p) stack of PSD values (one
-    (2p, 2p) matrix for a constant Hamiltonian).  The transform uses
-    W(l, z) = w(l, conj z)* and the pair (P1, P2), defaulting to (I, iI).  As l grows with z fixed in the upper
-    half-plane the value converges to the Weyl function.
+    (2p, 2p) matrix for a constant Hamiltonian).  ``z`` is a scalar (a p x p
+    value) or a 1-D array (a (k, p, p) stack) sharing the length ``l``.  The
+    transform uses W(l, z) = w(l, conj z)* and the pair (P1, P2), defaulting
+    to (I, iI).  As l grows with z fixed in the upper half-plane the value
+    converges to the Weyl function.
     """
-    if z.imag <= 0:
-        raise DomainError("weyl_disk_approx requires Im z > 0")
-    w = propagate_fundamental(hamiltonian, np.conj(z), l, steps_per_unit)
-    calw = w.conj().T
-    p = calw.shape[0] // 2
+    calw = _disk_frames(hamiltonian, z, l, steps_per_unit)
+    p = calw.shape[-1] // 2
     p1, p2 = _default_pair(p) if pair is None else pair
     _check_pair(p1, p2)
-    num = calw[:p, :p] @ p1 + calw[:p, p:] @ p2
-    den = calw[p:, :p] @ p1 + calw[p:, p:] @ p2
-    cond = np.linalg.cond(den)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise SingularityError("pair denominator is singular at this z")
-    return 1j * num @ np.linalg.inv(den)
+    num = calw[:, :p, :p] @ p1 + calw[:, :p, p:] @ p2
+    den = calw[:, p:, :p] @ p1 + calw[:, p:, p:] @ p2
+    bad = ~(np.linalg.cond(den) <= 1e14)
+    if bad.any():
+        raise SingularityError(
+            f"pair denominator is singular at z = {np.reshape(z, -1)[bad][0]}"
+        )
+    return (1j * num @ np.linalg.inv(den)).reshape(np.shape(z) + (p, p))
 
 
 def disk_radius_estimate(hamiltonian, z, l, steps_per_unit=None):
-    """Radius of the Weyl disk at (l, z).
+    """Radius of the Weyl disk at (l, z); ``z`` a scalar (a float) or a 1-D
+    array (an array of radii).
 
     For p = 1 this is the exact radius of the Moebius image of the
     admissible half-plane: |det W| / (2 |Re(W_21 conj(W_22))|) with
     W = w(l, conj z)*.  For block sizes p > 1 the value is a sampled
     diameter estimate over a fixed family of admissible pairs.
     """
-    w = propagate_fundamental(hamiltonian, np.conj(z), l, steps_per_unit)
-    calw = w.conj().T
-    p = calw.shape[0] // 2
+    calw = _disk_frames(hamiltonian, z, l, steps_per_unit)
+    p = calw.shape[-1] // 2
     if p == 1:
-        det = calw[0, 0] * calw[1, 1] - calw[0, 1] * calw[1, 0]
-        denom = 2.0 * abs((calw[1, 0] * np.conj(calw[1, 1])).real)
-        return float(abs(det) / denom)
-    ts = [0.0, 1.0, 1j, -1j, 10.0, 0.5 + 3j, 1e6]
-    vals = []
-    for t in ts:
-        num = t * calw[:p, :p] + calw[:p, p:]
-        den = t * calw[p:, :p] + calw[p:, p:]
-        vals.append(1j * num @ np.linalg.inv(den))
-    diam = max(np.linalg.norm(a - b, 2) for a in vals for b in vals)
-    return float(diam)
+        det = calw[:, 0, 0] * calw[:, 1, 1] - calw[:, 0, 1] * calw[:, 1, 0]
+        radius = np.abs(det) / (2.0 * np.abs((calw[:, 1, 0] * np.conj(calw[:, 1, 1])).real))
+    else:
+        ts = np.array([0.0, 1.0, 1j, -1j, 10.0, 0.5 + 3j, 1e6])[:, None, None, None]
+        num = ts * calw[:, :p, :p] + calw[:, :p, p:]
+        den = ts * calw[:, p:, :p] + calw[:, p:, p:]
+        vals = 1j * num @ np.linalg.inv(den)
+        diffs = vals[:, None] - vals[None, :]
+        radius = np.linalg.norm(diffs, 2, axis=(-2, -1)).max(axis=(0, 1))
+    return float(radius[0]) if np.ndim(z) == 0 else radius.reshape(np.shape(z))
 
 
 # ---------------------------------------------------------------------------

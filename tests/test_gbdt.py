@@ -26,6 +26,40 @@ def scalar_params():
     return wk.GbdtParams(d=[-2.0], alpha=[[1j]], lambda1=[[1.0]], lambda2=[[1.0]])
 
 
+def _q0(prm, lam, sigma):
+    """Coefficient of the gauge ODE v0' = -q0 v0, v0(0) = I, from the state
+    at x: an oracle for the gauge independent of its closed form."""
+    J = anti_diag_j(prm.p)
+    H0 = initial_hamiltonian(prm.d)
+    core = lam.conj().T @ np.linalg.solve(sigma, lam)
+    return J @ core @ J @ H0 - J @ H0 @ J @ core
+
+
+def _ode_gauge(prm, xs, tol=1e-12, start=(0.0, None)):
+    """The gauge v0 at the increasing positions ``xs`` by integrating its ODE
+    from ``start = (x0, v0(x0))``; v0(0) = I when no value is given."""
+    m = 2 * prm.p
+    x0, v0 = start
+    v0 = np.eye(m, dtype=complex) if v0 is None else v0
+
+    def rhs(x, y):
+        st = evolve_state(prm, x)
+        return (-_q0(prm, st.lam, st.sigma) @ y.reshape(m, m)).ravel()
+
+    sol = solve_ivp(rhs, (x0, xs[-1]), v0.ravel(), t_eval=xs, rtol=tol, atol=tol)
+    assert sol.success
+    return sol.y.T.reshape(-1, m, m)
+
+
+def _scaled(prm, c, shift=0.0):
+    """(c (alpha + shift I), sqrt(c) Lambda) keeps the input identity for real
+    c > 0 and shift; the scaled system at x is the unscaled one at c x, with
+    z scaled by c: w_c(x, z) = w(c x, z / c)."""
+    return wk.GbdtParams(d=prm.d, alpha=c * (prm.alpha + shift * np.eye(prm.n)),
+                         lambda1=np.sqrt(c) * prm.lambda1,
+                         lambda2=np.sqrt(c) * prm.lambda2)
+
+
 class TestValidate:
     def test_zero_data_identity_alpha(self):
         prm = wk.GbdtParams(d=[-2.0], alpha=np.eye(2), lambda1=np.zeros((2, 1)),
@@ -191,15 +225,7 @@ class TestHamiltonian:
 
     def test_scalar_matches_ode_integrated_gauge(self):
         prm = scalar_params()
-        from weylkit.gbdt import _q0
-
-        def rhs(x, y):
-            st = evolve_state(prm, x)
-            return (-_q0(prm, st.lam, st.sigma) @ y.reshape(2, 2)).ravel()
-
-        sol = solve_ivp(rhs, (0, 1.0), np.eye(2, dtype=complex).ravel(),
-                        rtol=1e-12, atol=1e-12)
-        v0 = sol.y[:, -1].reshape(2, 2)
+        v0 = _ode_gauge(prm, np.array([1.0]))[0]
         h_ode = v0.conj().T @ initial_hamiltonian(prm.d) @ v0
         np.testing.assert_allclose(hamiltonian_direct(prm, 1.0), h_ode, atol=1e-7)
 
@@ -213,9 +239,53 @@ class TestHamiltonian:
         J = anti_diag_j(1)
         np.testing.assert_allclose(v0.conj().T @ J @ v0, J, atol=1e-7)
 
+    @pytest.mark.parametrize("n,p,seed", [(2, 1, 3), (3, 2, 5), (5, 1, 7)])
+    def test_circle_gauge_matches_ode_oracle(self, n, p, seed):
+        # alpha singular: z = 0 is a pole of both transfer factors, and the
+        # gauge is the circle mean of their product around it
+        prm = make_params(n, p, seed=seed, singular_alpha=True)
+        xs = np.array([0.0, 0.5, 2.0, 6.0])
+        ref = _ode_gauge(prm, xs)
+        got = np.array([gauge_factor(prm, x) for x in xs])
+        for g, r in zip(got, ref):
+            assert np.abs(g - r).max() <= 1e-9 * np.abs(r).max()
+
+    def test_singular_gauge_far_out_solves_its_ode(self):
+        # the circle around z = 0 shrinks with 1 / tau and only has to keep
+        # clear of the resolvent's guard, so it still answers at tau = 590,
+        # where a circle kept 1e-3 (1 + ||alpha||) from the pole would not
+        # fit: there the gauge solves v0' = -q0 v0 over a short leg
+        prm = make_params(2, 1, seed=3, singular_alpha=True)
+        xs = np.array([400.0, 400.5, 401.0])
+        got = np.array([gauge_factor(prm, x) for x in xs])
+        ref = _ode_gauge(prm, xs, start=(xs[0], got[0]))
+        assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+        J = anti_diag_j(1)
+        for v0 in got:
+            assert np.abs(v0.conj().T @ J @ v0 - J).max() <= 1e-12 * np.abs(v0).max() ** 2
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-3], ids=["singular", "near-singular"])
+    @pytest.mark.parametrize("n,p,seed", [(2, 1, 3), (3, 2, 5)])
+    def test_gauge_at_large_alpha_norm(self, n, p, seed, shift):
+        # ||alpha|| about 300: the gauge of the scaled set at x is the gauge
+        # of the unscaled one at 300 x, from x = 0 on; an invertible alpha,
+        # however close to singular, takes the plain product
+        # w_t(x, 0) w_t(0, 0)^-1
+        base = _scaled(make_params(n, p, seed=seed, singular_alpha=True), 1.0, shift)
+        big = _scaled(base, 300.0)
+        assert np.linalg.norm(big.alpha, 2) > 250.0
+        for x in (0.0, 0.002, 0.2, 1.0):
+            got, ref = gauge_factor(big, x), gauge_factor(base, 300.0 * x)
+            assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max(), x
+            if shift:
+                plain = transfer_matrix(big, x, 0.0) @ np.linalg.inv(
+                    transfer_matrix(big, 0.0, 0.0))
+                np.testing.assert_allclose(got, plain, rtol=0,
+                                           atol=1e-14 * np.abs(plain).max())
+
     def test_singular_alpha_grid_matches_pointwise(self):
-        # one gauge-ODE pass through all positions against one integration
-        # from 0 per position
+        # the circle gauge on a grid (one radius, 1 / tau at the largest x)
+        # against the circle gauge point by point
         prm = make_params(3, 2, seed=19, singular_alpha=True)
         xs = np.linspace(0.0, 1.5, 7)
         grid = hamiltonian_grid(prm, xs)
@@ -355,15 +425,16 @@ class TestRemovableSingularity:
 
     def test_circle_mean_of_neighbouring_values(self):
         # at a pole z0 of the closed form the value is the mean over 16 points
-        # on a circle of radius min(0.25, 1 / (max x max|d|), half the gap to
-        # the next pole)
+        # on a circle of radius min((1 + ||alpha||) / 4, 1 / (max x max|d|),
+        # half the gap to the next pole)
         prm = make_params(3, 2, seed=64, negative=False)
         eigs = np.linalg.eigvals(prm.alpha)
         z0 = eigs[0]
         poles = np.concatenate([eigs, eigs.conj()])
         gap = np.sort(np.abs(poles - z0))[1]
         xs = np.array([0.6, 1.2])
-        radius = min(0.25, 1.0 / (xs.max() * np.abs(prm.d).max()), 0.5 * gap)
+        radius = min((1.0 + np.linalg.norm(prm.alpha, 2)) / 4.0,
+                     1.0 / (xs.max() * np.abs(prm.d).max()), 0.5 * gap)
         circle = z0 + radius * np.exp(2j * np.pi * np.arange(16) / 16)
         w = wk.fundamental_direct(prm, xs, np.array([z0, np.conj(z0)]))
         mean = wk.fundamental_direct(prm, xs, circle).mean(axis=0)
@@ -428,6 +499,18 @@ class TestRemovableSingularity:
         with pytest.raises(wk.SingularityError, match="no circle"):
             wk.fundamental_direct(zero_data([1.0]), 300.0, 1.0)
         assert np.all(np.isfinite(wk.fundamental_direct(zero_data([1.0]), 300.0, 0.5)))
+
+    def test_circle_at_large_alpha_norm(self):
+        # with ||alpha|| about 300 the band 1e-3 (1 + ||alpha||) is wider than
+        # 0.25; the radius cap (1 + ||alpha||) / 4 leaves the circle room, and
+        # w_c(x, z) = w(300 x, z / 300) holds at a pole of the scaled set
+        base = make_params(3, 2, seed=9, negative=True)
+        big = _scaled(base, 300.0)
+        z0 = np.linalg.eigvals(base.alpha)[0]
+        for x in (0.001, 0.005):
+            w = wk.fundamental_direct(big, x, 300.0 * z0 + 1e-3)
+            ref = wk.fundamental_direct(base, 300.0 * x, z0 + 1e-3 / 300.0)
+            assert np.abs(w - ref).max() <= 1e-12 * np.abs(ref).max(), x
 
 
 class TestWeylPair:

@@ -319,3 +319,80 @@ class TestJsonGrids:
         expect = np.eye(2).astype(complex)
         got = vals[::2] + 1j * vals[1::2]
         assert np.abs(got.reshape(2, 2) - expect).max() == 0.0
+
+
+class TestNonFiniteInput:
+    """A NaN in any input stops at the entry point with a typed error: input
+    data raise StructuralError (CLI exit 2), non-finite evaluation points and
+    exponents DomainError (exit 1)."""
+
+    def test_realization_with_nan_gamma(self, tmp_path, capsys):
+        r = wk.realization_from_params(make_params(2, 1, seed=98))
+        gamma = r.gamma.copy()
+        gamma[0, 1] = np.nan
+        with pytest.raises(wk.StructuralError, match="gamma must be finite"):
+            wk.Realization(d=r.d, gamma=gamma, psi1_0=r.psi1_0, psi2=r.psi2)
+        obj = wio.realization_to_json(r)
+        obj["gamma"][0][1] = [float("nan"), 0.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "o"
+        assert main(["inverse", "--realization", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: gamma must be finite\n"
+
+    def test_grid_function_with_nan_value(self):
+        vals = np.zeros((5, 1, 1))
+        vals[3] = np.nan
+        with pytest.raises(wk.StructuralError, match="the sample at x = 0.75 is not"):
+            GridFunction(h=0.25, values=vals)
+
+    def test_interpolation_of_nan_samples(self, tmp_path, capsys):
+        samples = np.full(61, 1j)
+        samples[7] = np.nan
+        with pytest.raises(wk.StructuralError, match="sample q = 7 is not"):
+            wk.interpolate_series(samples, 3j, n_terms=60, mode="weyl-dirac")
+        wio.write_weyl_samples_csv(tmp_path / "s.csv", np.arange(61.0), samples[:, None, None])
+        assert main(["interpolate", "--samples", str(tmp_path / "s.csv"), "--z", "3j",
+                     "--n", "60", "--out", str(tmp_path / "o")]) == 2
+        assert "sample q = 7 is not" in capsys.readouterr().err
+
+    def test_amplitude_from_nan_weyl_samples(self, tmp_path, capsys):
+        # named before the transform, not as non-finite kernel samples after it
+        zetas = np.linspace(-50, 50, 2001)
+        vals = np.tile(1j * np.eye(1)[None], (zetas.size, 1, 1))
+        vals[1500] = np.nan
+        sampler = wk.WeylSampler.from_table(zetas, vals, eta=1.0)
+        with pytest.raises(wk.StructuralError,
+                           match=r"Weyl samples must be finite; the sample at zeta = 24\.95"):
+            wk.amplitude_from_weyl(sampler, eta=1.0, a=50.0, h=1 / 64, xmax=1.0,
+                                   mode="dirac")
+        wio.write_weyl_samples_csv(tmp_path / "s.csv", zetas, vals)
+        assert main(["recover", "--samples", str(tmp_path / "s.csv"), "--eta", "1.0",
+                     "--a", "50", "--step", "0.015625", "--xmax", "1.0", "--mode", "dirac",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "Weyl samples must be finite" in capsys.readouterr().err
+
+    def test_matrix_exponential_of_non_finite_entries(self):
+        from weylkit._linalg import expm_stack
+
+        stack = np.zeros((3, 2, 2), dtype=complex)
+        stack[1, 0, 1] = np.inf
+        with pytest.raises(wk.DomainError, match="non-finite"):
+            expm_stack(stack)
+        with pytest.raises(wk.DomainError, match="finite and nonnegative"):
+            wk.gbdt.hamiltonian_grid(make_params(2, 1, seed=99), [0.0, np.nan])
+
+    def test_direct_with_nan_length_exits_1(self, tmp_path, capsys):
+        path = os.path.join(FIXTURES, "scalar_params.json")
+        assert main(["direct", "--params", path, "--xmax", "nan",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "finite and nonnegative" in capsys.readouterr().err
+
+    def test_disk_oracle_hamiltonian_with_nan_value(self, free_hamiltonian):
+        def ham(x):
+            vals = np.tile(free_hamiltonian, (x.size, 1, 1))
+            vals[x > 1.0] = np.nan
+            return vals
+
+        with pytest.raises(wk.StructuralError, match=r"Hamiltonian value at x = 1\.0"):
+            wk.weyl_disk_approx(ham, 1j, l=2.0, steps_per_unit=16)

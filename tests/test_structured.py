@@ -383,6 +383,94 @@ class TestWeylDisk:
                              steps_per_unit=16)
 
 
+class TestBatchedDiskOracle:
+    """An array of z shares one sampling of H and one length l; every z must
+    get what a call of its own gives."""
+
+    ZS = np.array([0.3 + 1j, -1.0 + 1.5j, 2.0 + 0.8j, 1.2j, -0.4 + 0.9j])
+
+    @staticmethod
+    def _hamiltonian(p, kind):
+        prm = make_params(2 * p, p, seed=60 + p)
+        if kind == "callable":
+            return lambda x: hamiltonian_grid(prm, x)
+        xs = (np.arange(6 * 64) + 0.5) / 64
+        return GridFunction(h=1 / 64, values=hamiltonian_grid(prm, xs), x0=1 / 128)
+
+    @pytest.mark.parametrize("kind", ["callable", "grid"])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_batch_equals_per_z_calls(self, p, kind):
+        from weylkit.structured import propagate_fundamental
+
+        ham = self._hamiltonian(p, kind)
+        for fn in (weyl_disk_approx, disk_radius_estimate, propagate_fundamental):
+            batch = fn(ham, self.ZS, 6.0, steps_per_unit=64)
+            single = np.array([fn(ham, z, 6.0, steps_per_unit=64) for z in self.ZS])
+            assert batch.shape == single.shape
+            assert np.abs(batch - single).max() <= 1e-12 * np.abs(single).max(), fn
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_step_chunks_equal_one_chunk(self, p, monkeypatch):
+        # a z whose steps do not fit one chunk is propagated chunk by chunk
+        ham = self._hamiltonian(p, "callable")
+        whole = weyl_disk_approx(ham, self.ZS, 6.0, steps_per_unit=64)
+        monkeypatch.setattr(wk.structured, "_DISK_CHUNK", 50 * (2 * p) ** 2)
+        chunked = weyl_disk_approx(ham, self.ZS, 6.0, steps_per_unit=64)
+        assert np.abs(chunked - whole).max() <= 1e-12 * np.abs(whole).max()
+
+    def test_sampler_calls_the_oracle_once_per_line(self, monkeypatch):
+        ham = self._hamiltonian(1, "callable")
+        zs = np.array([0.5 + 2j, -1 + 4j, 1 + 2j, 4j, 2j])
+        calls = []
+        oracle = wk.structured.weyl_disk_approx
+
+        def counted(*args, **kwargs):
+            calls.append(np.size(args[1]))
+            return oracle(*args, **kwargs)
+
+        monkeypatch.setattr(wk.structured, "weyl_disk_approx", counted)
+        samp = WeylSampler.from_disk_oracle(ham, p=1, length_factor=12.0, steps_per_unit=64)
+        vals = samp(zs)
+        assert sorted(calls) == [2, 3]
+        for z, v in zip(zs, vals):
+            ref = oracle(ham, z, 12.0 / z.imag, steps_per_unit=64)
+            assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_point_below_the_axis_is_named(self, free_hamiltonian):
+        with pytest.raises(wk.DomainError, match=r"z = \(1-0\.5j\)"):
+            weyl_disk_approx(lambda x: free_hamiltonian, np.array([1j, 1 - 0.5j]), l=2.0)
+
+
+class TestDiskConvergenceOrder:
+    """Errors against the rational Weyl function of a generated n = 2, p = 1
+    set at l = 16, z = 1.5i, where the disk radius is far below them."""
+
+    PRM = make_params(2, 1, seed=3)
+    Z, L = 1.5j, 16.0
+
+    def _errors(self, hamiltonians, resolutions):
+        ref = wk.weyl_pair(self.PRM).phi(self.Z)
+        return [np.abs(weyl_disk_approx(ham, self.Z, self.L, steps_per_unit=res) - ref).max()
+                / np.abs(ref).max() for ham, res in zip(hamiltonians, resolutions)]
+
+    def test_magnus_stepper_is_fourth_order(self):
+        ham = lambda x: hamiltonian_grid(self.PRM, x)
+        errs = self._errors([ham] * 3, [8, 16, 32])
+        assert errs[-1] > 1e-9
+        for coarse, fine in zip(errs, errs[1:]):
+            assert coarse / fine >= 12.0, errs
+
+    def test_midpoint_stepping_on_a_grid_is_second_order(self):
+        grids = []
+        for res in (32, 64, 128):
+            xs = np.arange(int(self.L * res) + 1) / res
+            grids.append(GridFunction(h=1.0 / res, values=hamiltonian_grid(self.PRM, xs)))
+        errs = self._errors(grids, [32, 64, 128])
+        assert errs[-1] > 1e-9
+        for coarse, fine in zip(errs, errs[1:]):
+            assert coarse / fine >= 3.0, errs
+
+
 class TestSchur:
     def test_constant_coefficient_trivial(self):
         rho = GridFunction.from_function(lambda x: np.eye(1), h=1 / 64, m=64,
