@@ -59,12 +59,27 @@ def pole_gaps(spec, z, rel=defaults.POLE_CUTOFF):
     return gaps, gaps < rel * (1.0 + scale)
 
 
+def _solve_folded(mats, rhs):
+    """Solve mats x = rhs for one (n, n) matrix or a (k, n, n) stack and a
+    stack of right-hand sides ``rhs`` (..., n, m), a (k,) + rhs.shape result
+    for a stack.  The stack of rhs is folded into columns, so each matrix is
+    LU-factored once rather than once per position of the stack."""
+    if rhs.ndim == 2:
+        return np.linalg.solve(mats, rhs)
+    n = rhs.shape[-2]
+    cols = np.moveaxis(rhs, -2, 0)                    # (n, ..., m)
+    x = np.linalg.solve(mats, cols.reshape(n, -1))
+    x = x.reshape(mats.shape[:-2] + cols.shape)
+    return np.moveaxis(x, mats.ndim - 2, -2)
+
+
 def resolvent_apply(a, z, rhs, spec, what="matrix"):
     """Solve (a - z I) x = rhs, guarding against z near the spectrum.
 
     ``z`` is a scalar or a 1-D array; an array gives a (k,) + rhs.shape
-    result from one stacked solve, and ``rhs`` may itself be a stack of
-    (n, m) right-hand sides.  ``spec`` is ``spectrum(a)``.  The guard is
+    result, and ``rhs`` may itself be a stack of (n, m) right-hand sides.
+    Each a - z I is factored once, whatever the size of the stack.
+    ``spec`` is ``spectrum(a)``.  The guard is
     |z - eigenvalue| < POLE_CUTOFF * (1 + ||a||); the first offending z is
     named in the SingularityError.
     """
@@ -79,7 +94,7 @@ def resolvent_apply(a, z, rhs, spec, what="matrix"):
             raise SingularityError(
                 f"z = {z} is within {gaps.min():.3e} of the spectrum of the {what}"
             )
-        return np.linalg.solve(a - z * np.eye(n), rhs)
+        return _solve_folded(a - z * np.eye(n), rhs)
     zs = np.asarray(z, dtype=complex).reshape(-1)
     if n == 0:
         return np.zeros(zs.shape + rhs.shape, dtype=complex)
@@ -90,9 +105,7 @@ def resolvent_apply(a, z, rhs, spec, what="matrix"):
         raise SingularityError(
             f"z = {zs[i]} is within {gaps[i].min():.3e} of the spectrum of the {what}"
         )
-    mats = a - zs[:, None, None] * np.eye(n)
-    mats = mats.reshape(zs.shape + (1,) * (rhs.ndim - 2) + (n, n))
-    return np.linalg.solve(mats, np.broadcast_to(rhs, zs.shape + rhs.shape))
+    return _solve_folded(a - zs[:, None, None] * np.eye(n), rhs)
 
 
 # 1-norm bound theta_q up to which the degree-q Pade approximant meets unit

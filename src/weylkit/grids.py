@@ -145,15 +145,21 @@ class DifferenceKernel:
         vals = np.array([np.atleast_2d(np.asarray(fn(x), dtype=complex)) for x in xs])
         return cls(p=p, h=h, samples=vals)
 
-    def _eval_nonneg(self, y):
-        """Interpolated values at y >= 0 (flat array), shape (len(y), p, p)."""
+    def _stencil(self, y):
+        """Interpolation indices and weight at arguments y >= 0."""
         t = (y - 0.5 * self.h) / self.h
         lo = np.clip(np.floor(t).astype(int), 0, self.m - 1)
         hi = np.clip(lo + 1, 0, self.m - 1)
-        w = np.clip(t - lo, 0.0, 1.0)
-        flat = self.samples.reshape(self.m, -1)
-        out = (1.0 - w)[:, None] * flat[lo] + w[:, None] * flat[hi]
-        return out.reshape(len(y), self.p, self.p)
+        return lo, hi, np.clip(t - lo, 0.0, 1.0)
+
+    def _checked_abs(self, x):
+        """|x| as a float array; DomainError when it exceeds the stored domain."""
+        y = np.abs(np.asarray(x, dtype=float))
+        if y.size and y.max() > self.l + 1e-12 * max(1.0, self.l):
+            raise DomainError(
+                f"kernel argument {y.max():.6g} exceeds stored domain [0, {self.l:.6g}]"
+            )
+        return y
 
     def at(self, x):
         """Evaluate k at arbitrary arguments with Hermitian reflection.
@@ -161,17 +167,31 @@ class DifferenceKernel:
         Raises DomainError when |x| exceeds the stored domain.
         """
         x = np.asarray(x, dtype=float)
-        shape = x.shape
-        xf = np.abs(x.ravel())
-        if xf.size and xf.max() > self.l + 1e-12 * max(1.0, self.l):
-            raise DomainError(
-                f"kernel argument {xf.max():.6g} exceeds stored domain [0, {self.l:.6g}]"
-            )
-        vals = self._eval_nonneg(xf)
+        lo, hi, w = self._stencil(self._checked_abs(x).ravel())
+        flat = self.samples.reshape(self.m, -1)
+        vals = (1.0 - w)[:, None] * flat[lo] + w[:, None] * flat[hi]
+        vals = vals.reshape(-1, self.p, self.p)
         neg = x.ravel() < 0.0
         if np.any(neg):
             vals[neg] = np.conj(np.transpose(vals[neg], (0, 2, 1)))
-        return vals.reshape(shape + (self.p, self.p))
+        return vals.reshape(x.shape + (self.p, self.p))
+
+    def entry(self, x, a, b):
+        """Entry (a, b) of k at arbitrary arguments: ``at(x)[..., a, b]``,
+        bit for bit, without interpolating the other entries.
+
+        A negative argument reads k_ba through the reflection
+        k_ab(-x) = conj k_ba(x).  Raises DomainError when |x| exceeds the
+        stored domain.
+        """
+        x = np.asarray(x, dtype=float)
+        lo, hi, w = self._stencil(self._checked_abs(x))
+        neg = x < 0.0
+        # k_ab in the first m rows of the table, k_ba in the next m
+        table = np.concatenate([self.samples[:, a, b], self.samples[:, b, a]])
+        shift = self.m * neg
+        vals = (1.0 - w) * table[lo + shift] + w * table[hi + shift]
+        return np.where(neg, np.conj(vals), vals)
 
     def cumulative(self, y):
         """Antiderivative int_0^y k(t) dt by midpoint panels, vectorized."""

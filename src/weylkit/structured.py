@@ -3,20 +3,20 @@
 The continuous objects are operators S = I + integral operator whose kernel
 is k(x - t) (plain case) or, entrywise, k_ij(d_j t - d_i x) for a negative
 diagonal weight D.  A midpoint Nystroem rule on a uniform grid turns S into
-a dense Hermitian matrix; positivity is probed by Cholesky, whose inverse
-factor is the discrete analog of the lower-triangular factorization
-S^-1 = E* E.  Without a weight, or with equal weights, S is block Toeplitz
-and the factor comes from a block Schur recursion on its first block
-column.  Everything else in this module -- potential recovery, the theta
-functions, Hamiltonian assembly, fundamental solutions and the Weyl-disk
-oracle -- is built from that factor.
+a dense Hermitian matrix; positivity is probed by Cholesky.  The Cholesky
+factor C (S = C C*) is kept; its inverse W = C^-1 = I + E is the discrete
+analog of the lower-triangular factorization S^-1 = (I + E)* (I + E) and is
+applied by triangular solves on C.  Without a weight, or with equal
+weights, S is block Toeplitz and C comes from a block Schur recursion on
+its first block column.  Everything else in this module -- potential
+recovery, the theta functions, Hamiltonian assembly, fundamental solutions
+and the Weyl-disk oracle -- is built from that factor.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import lapack, solve_banded
+from scipy.linalg import lapack, solve_banded, solve_triangular
 
 from . import defaults
 from ._linalg import anti_diag_j, expm_stack, hermitize
@@ -158,7 +158,7 @@ def build_structured_operator(kernel, d=None, l=None):
             for i0 in range(0, m, rows):
                 i1 = min(m, i0 + rows)
                 args = d[b] * xs - d[a] * xs[i0:i1, None]
-                vals = kernel.at(args)[..., a, b]
+                vals = kernel.entry(args, a, b)
                 vals[args == 0.0] = k0[a, b]
                 vals *= h
                 s[i0 * p + a:i1 * p:p, b::p] = vals
@@ -171,43 +171,57 @@ def build_structured_operator(kernel, d=None, l=None):
 
 
 class TriangularFactor:
-    """Discrete lower-triangular factor W = I + E with W S W* = I.
+    """Lower Cholesky factor C of a positive operator, S = C C*.
 
-    ``w`` is the inverse Cholesky factor of S; its strictly lower blocks
-    estimate the kernel E(x_i, x_j) as W_ij / h (an O(h)-accurate kernel
-    read-off).  The inverse factor I + Gamma (the Cholesky factor of S) is
-    given by the block Schur route and computed on demand otherwise.
+    C is the only matrix stored.  Its inverse W = C^-1 = I + E satisfies
+    W S W* = I and is the discrete lower-triangular factor of
+    S^-1 = W* W; its strictly lower blocks estimate the kernel E(x_i, x_j)
+    as W_ij / h (an O(h)-accurate kernel read-off).  W is applied by
+    triangular solves on C and formed densely only on request (``w``).
+    ``winv`` is C itself, the discrete inverse factor I + Gamma.
     """
 
-    def __init__(self, w, h, p, winv=None):
-        self.w = w
+    def __init__(self, c, h, p):
+        self._winv = c
         self.h = float(h)
         self.p = int(p)
-        self._winv = winv
 
     @property
     def m(self):
-        return self.w.shape[0] // self.p
+        return self._winv.shape[0] // self.p
 
     @property
     def winv(self):
-        if self._winv is None:
-            inv, info = lapack.ztrtri(self.w, lower=1)
-            if info != 0:  # pragma: no cover
-                raise PositivityError("triangular factor is singular", minor=info)
-            self._winv = inv
+        """C = W^-1, the stored Cholesky factor."""
         return self._winv
 
+    @property
+    def w(self):
+        """Dense W = C^-1, inverted anew on each request and not kept; for
+        residual checks.  A singular C raises PositivityError."""
+        w, info = lapack.ztrtri(self._winv, lower=1)
+        if info != 0:  # pragma: no cover
+            raise PositivityError("triangular factor is singular", minor=int(info))
+        return w
+
+    def _flat(self, grid_values):
+        return grid_values.reshape(self.m * self.p, grid_values.shape[2])
+
     def apply(self, grid_values):
-        """Apply the factor to stacked block samples (m, p, cols)."""
-        m, p = self.m, self.p
-        cols = grid_values.shape[2]
-        return (self.w @ grid_values.reshape(m * p, cols)).reshape(m, p, cols)
+        """W times stacked block samples (m, p, cols): one triangular solve on C."""
+        out = solve_triangular(self._winv, self._flat(grid_values), lower=True,
+                               check_finite=False)
+        return out.reshape(grid_values.shape)
 
     def apply_inverse(self, grid_values):
-        m, p = self.m, self.p
-        cols = grid_values.shape[2]
-        return (self.winv @ grid_values.reshape(m * p, cols)).reshape(m, p, cols)
+        """C = W^-1 times stacked block samples (m, p, cols)."""
+        return (self._winv @ self._flat(grid_values)).reshape(grid_values.shape)
+
+    def solve(self, grid_values):
+        """S^-1 = W* W times stacked block samples (m, p, cols): one Cholesky
+        solve on C."""
+        out, _ = lapack.zpotrs(self._winv, self._flat(grid_values), lower=1)
+        return out.reshape(grid_values.shape)
 
 
 def _not_positive(minor):
@@ -218,13 +232,14 @@ def _not_positive(minor):
 
 
 def _schur_factor(col, h):
-    """W and W^-1 of a Hermitian block Toeplitz S from its first block column.
+    """Cholesky factor C = W^-1 of a Hermitian block Toeplitz S from its first
+    block column.
 
     Block Schur-Levinson recursion.  At step n the forward predictor a_n
     (a_n(0) = I) and the backward predictor b_n (b_n(n) = I) satisfy
     a_n S = [P_f 0 ... 0 f_n(n+1) ...] and b_n S = [0 ... 0 P_b g_n(n+1) ...].
-    With P_b = C C* (lower Cholesky), row block n of W is C^-1 b_n and column
-    block n of W^-1 is g_n(j)* C^-*, j >= n.  The coefficients
+    With P_b = c c* (lower Cholesky), row block n of W is c^-1 b_n and column
+    block n of C is g_n(j)* c^-*, j >= n; only C is written.  The coefficients
     K_f = Delta P_b^-1 and K_b = Delta* P_f^-1, Delta = f_n(n+1), advance all
     four sequences with one 2p x 2p transform of a wide generator whose top
     rows hold a_n(k) at block k and f_n(j) at block j + 1 (j > n), and whose
@@ -241,8 +256,7 @@ def _schur_factor(col, h):
     gen[p:, 2 * p:] = row0
     p_f = row0[:, :p].copy()
     theta = np.eye(2 * p, dtype=complex)
-    w = np.zeros((size, size), dtype=complex)
-    winv = np.zeros((size, size), dtype=complex, order="F")
+    chol = np.zeros((size, size), dtype=complex, order="F")
     for n in range(m):
         lo, hi = n * p, (n + 1) * p
         pivot = slice(hi + p, hi + 2 * p)                      # block n + 2
@@ -251,13 +265,11 @@ def _schur_factor(col, h):
             # a pivot that fails at its column info is the leading minor
             # n p + info of S, the order zpotrf reports on the whole of S
             raise _not_positive(lo + info)
-        cinv, _ = lapack.ztrtri(c, lower=1)
-        rows = cinv @ gen[p:, p:]
-        w[lo:hi, :hi] = rows[:, :hi]
-        winv[lo:hi, lo:hi] = c
-        winv[hi:, lo:hi] = rows[:, hi + p:].conj().T
+        chol[lo:hi, lo:hi] = c
         if n == m - 1:
             break
+        cinv, _ = lapack.ztrtri(c, lower=1)
+        chol[hi:, lo:hi] = (cinv @ gen[p:, hi + 2 * p:]).conj().T
         delta = gen[:p, pivot]
         k_f_h, _ = lapack.zpotrs(c, delta.conj().T, lower=1)    # K_f* = P_b^-1 Delta*
         _, k_b_h, _ = lapack.zposv(p_f, delta, lower=1)         # K_b* = P_f^-1 Delta
@@ -267,16 +279,17 @@ def _schur_factor(col, h):
         gen[:p, :size + p] = step[:p]
         gen[p:, p:] = step[p:]
         gen[:p, pivot] = 0.0    # a_{n+1}(n+2) = 0 replaces f_{n+1}(n+1) ~ 0
-    return TriangularFactor(w=w, h=h, p=p, winv=winv)
+    return TriangularFactor(chol, h=h, p=p)
 
 
 def factorize_triangular(op):
-    """Triangular factorization W S W* = I of a positive operator.
+    """Triangular factorization S = C C*, W S W* = I with W = C^-1, of a
+    positive operator; the factor keeps C only.
 
     Block Toeplitz operators (``op.column`` set) take the block Schur
-    recursion, which also gives W^-1; others take LAPACK's Cholesky.
-    Raises PositivityError naming the offending leading minor size when S
-    is not positive definite; this doubles as the positivity test.
+    recursion; others take LAPACK's Cholesky.  Raises PositivityError
+    naming the offending leading minor size when S is not positive
+    definite; this doubles as the positivity test.
     """
     if op.column is not None:
         return _schur_factor(op.column, op.h)
@@ -285,10 +298,7 @@ def factorize_triangular(op):
         raise _not_positive(info)
     if info < 0:  # pragma: no cover
         raise StructuralError(f"illegal value in Cholesky argument {-info}")
-    w, info = lapack.ztrtri(c, lower=1)
-    if info != 0:  # pragma: no cover
-        raise PositivityError("Cholesky factor is singular", minor=int(info))
-    return TriangularFactor(w=w, h=op.h, p=op.p)
+    return TriangularFactor(c, h=op.h, p=op.p)
 
 
 def _plain_factor(kernel, l, factor):
@@ -317,11 +327,9 @@ def recover_potential(kernel, l=None, mode="endpoint", factor=None):
         ek = fac.apply(kernel.samples[:m])
         vals = 2j * ek
     elif mode == "kernel-edge":
-        p_ = p
-        w = fac.w
-        vals = np.empty((m, p_, p_), dtype=complex)
-        for i in range(1, m):
-            vals[i] = -2j * w[i * p_:(i + 1) * p_, 0:p_] / h
+        unit = np.zeros((m, p, p), dtype=complex)
+        unit[0] = np.eye(p)
+        vals = (-2j / h) * fac.apply(unit)        # first block column of W
         vals[0] = vals[1] if m > 1 else 0.0
     else:
         raise StructuralError(f"unknown recovery mode {mode!r}")
@@ -480,8 +488,7 @@ def fundamental_from_kernel(kernel, d, l, z, op=None, factor=None):
             c = 1j * zk * d[a] * h
             band[0], band[1] = 1.0 - 0.5 * c, -(1.0 + 0.5 * c)
             rhs[:, a, k] = solve_banded((1, 0), band, dpi[:, a])
-    rhs = rhs.reshape(m * p, zf.size * 2 * p)
-    u = factor.w.conj().T @ (factor.w @ rhs)
+    u = factor.solve(rhs.reshape(m, p, zf.size * 2 * p)).reshape(m * p, -1)
     proj = h * pi.reshape(m * p, 2 * p).conj().T @ u     # (2p, K 2p)
     proj = proj.reshape(2 * p, zf.size, 2 * p).transpose(1, 0, 2)
     J = anti_diag_j(p)
@@ -674,6 +681,10 @@ def schur_recover(rho, ode_tol=None):
     returns (beta1, beta2) on the grid of rho, with beta1 = beta2 rho.
     Requires Re rho > 0 at every sample.
     """
+    # imported here: scipy.integrate costs about 0.27 s and 24 MB resident
+    # to import, and nothing else in weylkit needs it
+    from scipy.integrate import solve_ivp
+
     if ode_tol is None:
         ode_tol = defaults.SCHUR_ODE_TOL
     p = rho.rows

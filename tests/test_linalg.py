@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from weylkit._linalg import expm_stack
+from weylkit._linalg import expm_stack, resolvent_apply, spectrum
 
 EPS = np.finfo(float).eps
 NORMS = [0.0, 1e-10, 1e-3, 0.01, 0.2, 0.9, 2.0, 5.0, 10.0, 30.0, 60.0]
@@ -72,3 +72,24 @@ class TestExpmStack:
         assert np.abs(got[1] - ref).max() <= 4 * EPS * np.abs(ref).max()
         np.testing.assert_allclose(got[0], np.diag(np.exp([60j, -60j])), rtol=0,
                                    atol=1e-13)
+
+
+class TestResolventStack:
+    """A stack of right-hand sides is folded into columns of one solve per z;
+    the answer must be that of solving each position on its own."""
+
+    @pytest.mark.parametrize("z", [0.3 + 1.1j, np.array([0.0, -2.0 + 0.5j, 1.5])])
+    @pytest.mark.parametrize("shape", [(4, 3), (7, 4, 3), (2, 5, 4, 1)])
+    def test_matches_per_position_solves(self, z, shape):
+        rng = np.random.default_rng(len(shape))
+        n = shape[-2]
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        rhs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = resolvent_apply(a, z, rhs, spectrum(a))
+        zs = np.reshape(z, -1)
+        assert got.shape == np.shape(z) + rhs.shape
+        flat = got.reshape((zs.size, -1) + shape[-2:])
+        for zk, vals in zip(zs, flat):
+            for r, x in zip(rhs.reshape((-1,) + shape[-2:]), vals):
+                ref = np.linalg.solve(a - zk * np.eye(n), r)
+                assert np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm, lapack, solve_triangular
 
 import weylkit as wk
-from weylkit._linalg import anti_diag_j
+from weylkit._linalg import anti_diag_j, hermitize
 from weylkit.fourier import WeylSampler, amplitude_from_weyl
 from weylkit.gbdt import hamiltonian_grid
 from weylkit.grids import DifferenceKernel, GridFunction
@@ -103,6 +105,17 @@ class TestFactorize:
         eye = np.eye(op.s.shape[0])
         assert np.abs(fac.w @ fac.winv - eye).max() < 1e-10
 
+    @pytest.mark.parametrize("d", [None, GAUSS_D])
+    def test_keeps_cholesky_factor_only(self, d):
+        kern = DifferenceKernel.from_function(gauss_kernel, p=2, l=1.0, h=1 / 64)
+        op = build_structured_operator(kern, d=d, l=0.5)
+        fac = factorize_triangular(op)
+        dense = [v for v in vars(fac).values() if isinstance(v, np.ndarray)]
+        assert len(dense) == 1 and dense[0] is fac.winv
+        c, _ = lapack.zpotrf(op.s, lower=1, clean=1)
+        assert np.abs(fac.winv - c).max() <= 1e-12 * np.abs(c).max()
+        assert fac.w is not fac.w          # formed anew on each request
+
     def test_not_positive_names_minor(self):
         kern = DifferenceKernel.from_function(
             lambda x: -3.0 * np.exp(-x) * np.ones((1, 1)), p=1, l=1.0, h=1 / 64)
@@ -143,6 +156,15 @@ class TestRecoverPotential:
         v2 = recover_potential(kern, mode="kernel-edge")
         assert np.abs(v1.values - v2.values).max() < 5e-3
 
+    def test_kernel_edge_reads_first_block_column_of_w(self):
+        kern = DifferenceKernel.from_function(gauss_kernel, p=2, l=1.0, h=1 / 64)
+        fac = factorize_triangular(build_structured_operator(kern))
+        v = recover_potential(kern, mode="kernel-edge", factor=fac)
+        w0 = fac.w[:, :2].reshape(fac.m, 2, 2)
+        ref = -2j * w0 / kern.h
+        assert np.abs(v.values[1:] - ref[1:]).max() <= 1e-13 * np.abs(ref).max()
+        np.testing.assert_array_equal(v.values[0], v.values[1])
+
     def test_edge_formula_matches_endpoint_mode(self):
         kern = dirac_chain_kernel(h=1 / 256)
         edge = recover_potential_at_edge(kern)
@@ -158,6 +180,38 @@ class TestRecoverPotential:
             lambda x: -3.0 * np.exp(-x) * np.ones((1, 1)), p=1, l=1.0, h=1 / 64)
         with pytest.raises(wk.PositivityError):
             recover_potential(kern)
+
+
+class TestReadOffOrder:
+    """Both read-offs are O(h): grid refinement on the rank-p kernel
+    k(x) = e^{ibx} C, C Hermitian positive, whose potential is known.
+
+    k(x - t) = e^{ibx} C e^{-ibt}, so S_x^-1 k solves in closed form and
+    v(y) = 2i e^{2iby} C (I + 2y C)^-1.  Measured max errors on (0, 1/2)
+    at h = 1/64, 1/128, 1/256 fall by 1.975, 1.987 (endpoint) and 1.979,
+    1.990 (kernel-edge) per halving.
+    """
+
+    C = np.array([[0.8, 0.3 - 0.2j], [0.3 + 0.2j, 0.5]])
+    B = 1.5
+
+    def _error(self, h, mode):
+        m = int(round(1.0 / h))
+        xs = h * (np.arange(m) + 0.5)
+        samples = np.exp(1j * self.B * xs)[:, None, None] * self.C
+        kern = DifferenceKernel(p=2, h=h, samples=samples)
+        v = recover_potential(kern, mode=mode)
+        y = v.xs[:, None, None]
+        true = 2j * np.exp(2j * self.B * y) * np.linalg.solve(
+            np.eye(2) + 2.0 * y * self.C, np.broadcast_to(self.C, v.values.shape))
+        return np.abs(v.values - true).max()
+
+    @pytest.mark.parametrize("mode", ["endpoint", "kernel-edge"])
+    def test_first_order(self, mode):
+        errs = [self._error(h, mode) for h in (1 / 64, 1 / 128, 1 / 256)]
+        assert errs[-1] < 1e-2
+        for coarse, fine in zip(errs, errs[1:]):
+            assert coarse / fine >= 1.6, errs
 
 
 class TestTheta:
@@ -213,7 +267,7 @@ class TestAccelerantFromPotential:
 
     def test_leading_term_with_trivial_factor(self):
         m, h = 32, 1 / 32
-        fac = TriangularFactor(w=np.eye(m, dtype=complex), h=h, p=1)
+        fac = TriangularFactor(c=np.eye(m, dtype=complex), h=h, p=1)
         vals = np.linspace(0.1, 0.8, m).reshape(m, 1, 1).astype(complex)
         v = GridFunction(h=h / 2, values=vals, x0=h / 4)
         k = accelerant_from_potential(v, fac)
@@ -654,7 +708,42 @@ def entrywise_reference(kernel, d, m):
     return 0.5 * (s + s.conj().T)
 
 
+def at_fill_reference(kernel, d, m):
+    """The distinct-weight S with its off-diagonal component pairs filled
+    from ``kernel.at``, all p^2 entries evaluated and one kept."""
+    p, h = kernel.p, kernel.h
+    s = build_structured_operator(kernel, d=d, l=m * h).s.copy()
+    xs = h * (np.arange(m) + 0.5)
+    k0 = hermitize(kernel.at(0.0))
+    for a in range(p):
+        for b in range(a + 1, p):
+            s[a::p, b::p] = s[b::p, a::p] = np.nan
+            args = d[b] * xs - d[a] * xs[:, None]
+            vals = kernel.at(args)[..., a, b]
+            vals[args == 0.0] = k0[a, b]
+            vals *= h
+            s[a::p, b::p] = vals
+            s[b::p, a::p] = vals.conj().T
+    return s
+
+
 class TestStripAssembly:
+    def test_kernel_entry_is_at_entry(self):
+        kern = toy_kernel(2, l=2.0, h=1 / 32)
+        x = np.linspace(-2.0, 2.0, 97).reshape(1, 97) * np.array([[1.0], [-1.0]])
+        for a in range(2):
+            for b in range(2):
+                np.testing.assert_array_equal(kern.entry(x, a, b), kern.at(x)[..., a, b])
+        with pytest.raises(wk.DomainError):
+            kern.entry(-2.5, 0, 1)
+
+    @pytest.mark.parametrize("d", [[-1.0, -2.0], [-1.0, -3.0], [-2.0, -0.75]])
+    def test_distinct_weights_bitwise_equal_to_at_fill(self, d):
+        kern = toy_kernel(2, l=3.0, h=1 / 32)
+        m = 30
+        op = build_structured_operator(kern, d=d, l=m * kern.h)
+        np.testing.assert_array_equal(op.s, at_fill_reference(kern, np.array(d), m))
+
     @pytest.mark.parametrize("p", [1, 2])
     def test_plain_case_bitwise_equal_to_dense_builder(self, p):
         kern = toy_kernel(p, l=1.0, h=1 / 64)
@@ -740,3 +829,74 @@ class TestBatchedFundamental:
         flat = fundamental_from_kernel(kern, d, l, zs[1:], op=op, factor=fac)
         grid = fundamental_from_kernel(kern, d, l, zs[1:].reshape(2, 2), op=op, factor=fac)
         np.testing.assert_array_equal(grid.reshape(flat.shape), flat)
+
+
+# ---------------------------------------------------------------------------
+# property test of the factor on generated positive kernels
+
+
+@st.composite
+def positive_operators(draw):
+    """A kernel, weight and length whose operator S is positive by design.
+
+    k is a sum of J <= 3 terms c_j e^{i b_j x} P_j with c_j >= 0 and P_j
+    Hermitian positive: k_ab(d_b t - d_a x) = U(x) (sum c_j P_j) U(t)* with
+    U diagonal, so that part of S - I is positive for every weight.  A
+    Gaussian-damped Hermitian term of amplitude eps <= 0.1 is added; its
+    row sums stay below about 0.6 (Schur test), so S >= 0.4 I.  Weights are
+    none (plain), all equal, or distinct (p = 2 only).
+    """
+    p = draw(st.sampled_from([1, 2]))
+    m = draw(st.integers(1, 64))
+    l = draw(st.floats(0.25, 2.0))
+    kind = draw(st.sampled_from(["plain", "equal"] + (["distinct"] if p == 2 else [])))
+    u = draw(st.floats(0.5, 2.0))
+    d = {"plain": None, "equal": np.full(p, -u),
+         "distinct": np.array([-u, -u * draw(st.floats(1.25, 3.0))])}[kind]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_terms = draw(st.integers(1, 3))
+    c = rng.uniform(0.0, 2.0, size=n_terms)
+    b = rng.uniform(-3.0, 3.0, size=n_terms)
+    vecs = rng.normal(size=(n_terms, p, 1)) + 1j * rng.normal(size=(n_terms, p, 1))
+    proj = vecs @ vecs.conj().transpose(0, 2, 1)
+    proj /= np.linalg.norm(proj, 2, axis=(1, 2))[:, None, None]
+    m1, m2 = (hermitize(rng.normal(size=(p, p)) + 1j * rng.normal(size=(p, p)))
+              for _ in range(2))
+    m1, m2 = m1 / np.linalg.norm(m1, 2), m2 / np.linalg.norm(m2, 2)
+    eps = draw(st.floats(0.0, 0.1))
+    h = l / m
+    scale = 1.0 if d is None else float(np.abs(d).max())
+    xs = h * (np.arange(int(np.ceil(scale * m)) + 1) + 0.5)[:, None, None]
+    samples = (np.einsum("j,xj,jab->xab", c, np.exp(1j * b * xs[:, :, 0]), proj)
+               + eps * np.exp(-xs * xs) * (m1 + 1j * xs * m2))
+    kern = DifferenceKernel(p=p, h=h, samples=samples)
+    return kern, d, m * h
+
+
+class TestFactorProperties:
+    @seed(20261018)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(positive_operators())
+    def test_factor_invariants(self, case):
+        kern, d, l = case
+        op = build_structured_operator(kern, d=d, l=l)
+        fac = factorize_triangular(op)
+        n = op.s.shape[0]
+        w, c = fac.w, fac.winv
+        assert np.linalg.norm(w @ op.s @ w.conj().T - np.eye(n), 2) <= 1e-10
+
+        x = np.random.default_rng(n).normal(size=(op.m, op.p, 3)) + 0j
+        flat = x.reshape(n, 3)
+        for got, ref in ((fac.apply(x), w @ flat), (fac.apply_inverse(x), c @ flat)):
+            assert np.abs(got.reshape(n, 3) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+        if op.column is not None:
+            chol, _ = lapack.zpotrf(op.s, lower=1, clean=1)
+            assert np.abs(c - chol).max() <= 1e-12 * np.abs(chol).max()
+
+        if d is not None:
+            zs = np.array([0.7 + 0.5j, -1.0 + 2.0j])
+            vals = fundamental_from_kernel(kern, d, l, zs, op=op, factor=fac)
+            for z, val in zip(zs, vals):
+                ref = kron_reference(kern, d, z, op, fac)
+                assert np.abs(val - ref).max() <= 1e-12 * np.abs(ref).max()
