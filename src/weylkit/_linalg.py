@@ -76,36 +76,26 @@ def _solve_folded(mats, rhs):
 def resolvent_apply(a, z, rhs, spec, what="matrix"):
     """Solve (a - z I) x = rhs, guarding against z near the spectrum.
 
-    ``z`` is a scalar or a 1-D array; an array gives a (k,) + rhs.shape
-    result, and ``rhs`` may itself be a stack of (n, m) right-hand sides.
+    ``z`` is a scalar or a 1-D array, the result has shape
+    ``shape(z) + rhs.shape``, and ``rhs`` may itself be a stack of (n, m)
+    right-hand sides; a scalar z is the one-point case.
     Each a - z I is factored once, whatever the size of the stack.
     ``spec`` is ``spectrum(a)``.  The guard is
     |z - eigenvalue| < POLE_CUTOFF * (1 + ||a||); the first offending z is
     named in the SingularityError.
     """
     n = a.shape[0]
-    if np.ndim(z) == 0:
-        # scalar z skips the array wrapping of the batched path, which
-        # would add about half the cost of the solve to every scalar call
-        if n == 0:
-            return np.zeros_like(rhs)
-        gaps, near = pole_gaps(spec, z)
-        if near.any():
-            raise SingularityError(
-                f"z = {z} is within {gaps.min():.3e} of the spectrum of the {what}"
-            )
-        return _solve_folded(a - z * np.eye(n), rhs)
-    zs = np.asarray(z, dtype=complex).reshape(-1)
+    zs = np.asarray(z, dtype=complex)
     if n == 0:
         return np.zeros(zs.shape + rhs.shape, dtype=complex)
-    gaps, near = pole_gaps(spec, zs)
-    bad = np.flatnonzero(near.any(axis=1))
-    if bad.size:
-        i = bad[0]
+    gaps, near = pole_gaps(spec, zs.reshape(-1))
+    bad = near.any(axis=1)
+    if bad.any():
+        i = np.argmax(bad)
         raise SingularityError(
-            f"z = {zs[i]} is within {gaps[i].min():.3e} of the spectrum of the {what}"
+            f"z = {zs.reshape(-1)[i]} is within {gaps[i].min():.3e} of the spectrum of the {what}"
         )
-    return _solve_folded(a - zs[:, None, None] * np.eye(n), rhs)
+    return _solve_folded(a - zs[..., None, None] * np.eye(n), rhs)
 
 
 # 1-norm bound theta_q up to which the degree-q Pade approximant meets unit

@@ -15,15 +15,14 @@ parameters.  The output directory may be overridden with the
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from importlib import resources
 
 import numpy as np
 
-from . import __version__, defaults, io
-from ._linalg import expm_stack
+from . import __version__, defaults, io, rational
+from ._linalg import anti_diag_j, expm_stack
 from .exceptions import (
     DomainError,
     PositivityError,
@@ -37,6 +36,7 @@ from .gbdt import (
     evolve_state,
     fundamental_direct,
     hamiltonian_grid,
+    require_valid,
     state_identity_residual,
     transfer_matrix,
     validate_params,
@@ -95,15 +95,12 @@ def _outdir(args):
 
 
 def _manifest(outdir, command, params, outputs):
-    payload = {
+    io._dump_json(os.path.join(outdir, "run-manifest.json"), {
         "command": command,
         "parameters": params,
         "outputs": sorted(outputs),
         "version": __version__,
-    }
-    with open(os.path.join(outdir, "run-manifest.json"), "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 _Z_LABELS = ["Re_z", "Im_z"]
@@ -134,12 +131,7 @@ def _write_hamiltonian(outdir, params, xs):
 def _cmd_direct(args):
     xs = _x_grid(args)
     params = io.load_params(args.params)
-    report = validate_params(params)
-    if not report["passed"]:
-        raise ValidationError(
-            f"parameter identity violated (residual {report['identity_residual']:.3e})",
-            report,
-        )
+    require_valid(params)
     outdir = _outdir(args)
     zs = np.array(_parse_zgrid(args.z))
     _write_hamiltonian(outdir, params, xs)
@@ -162,10 +154,8 @@ def _cmd_inverse(args):
     xs = _x_grid(args)
     real = io.load_realization(args.realization)
     zs = _parse_zgrid(args.z)
-    report = validate_realization(real, [z for z in zs if z.imag > 0] or [1j])
-    if not report["passed"]:
-        raise ValidationError("realization failed validation", report)
-    params = params_from_realization(real)
+    params = params_from_realization(
+        real, [z for z in zs if z.imag > 0] + list(rational._VALIDATION_GRID))
     outdir = _outdir(args)
     io.save_params(os.path.join(outdir, "params.json"), params)
     _write_hamiltonian(outdir, params, xs)
@@ -285,8 +275,7 @@ def _run_checks():
     res = state_identity_residual(params, st)
     yield "state identity at x=1", res < tol, f"residual {res:.2e}"
 
-    J = np.zeros((2, 2), dtype=complex)
-    J[0, 1] = J[1, 0] = 1.0
+    J = anti_diag_j(1)
     z = 0.7 + 0.9j
     wplus = transfer_matrix(params, 1.0, np.conj(z)).conj().T
     jres = np.linalg.norm(wplus @ J @ transfer_matrix(params, 1.0, z) - J)
@@ -307,7 +296,7 @@ def _run_checks():
     fpair = weyl_pair(free, validate=False)
     yield "free system phi = i", bool(abs(fpair.phi(1.5j)[0, 0] - 1j) < 1e-12), ""
 
-    rrep = validate_realization(real, [1j, 2j, 1 + 1j])
+    rrep = validate_realization(real, rational._VALIDATION_GRID)
     yield "realization identity + Herglotz", rrep["passed"], (
         f"residual {rrep['identity_residual']:.2e}"
     )

@@ -29,7 +29,6 @@ from ._linalg import (
 )
 from .exceptions import (
     DomainError,
-    SingularityError,
     StructuralError,
     ValidationError,
 )
@@ -310,8 +309,53 @@ def transfer_matrix(params, x, z, state=None):
     return w.reshape(np.shape(z) + w.shape[1:])
 
 
-_CIRCLE = np.exp(2j * np.pi * np.arange(16) / 16)
-_CIRCLE_BAND = 1e-3   # z within _CIRCLE_BAND * (1 + ||alpha||) of a pole gets the circle rule
+_POLE_BAND = 1e-3   # z within _POLE_BAND * (1 + ||alpha||) of a pole takes the pole-free form
+
+
+def _seed_solution(params, xs, zs):
+    """Free seed solution Z exp(i z x diag(D, 0)) Z^-1, a (len zs, len xs, 2p, 2p) stack."""
+    phases = np.exp(1j * zs[:, None, None] * xs[None, :, None] * params.d)
+    phases = np.concatenate([phases, np.ones(phases.shape)], axis=-1)
+    return (_z_matrix(params.d) * phases[..., None, :]) @ _z_inverse(params.d)
+
+
+def _pole_free(params, xs, zs, lam, sigma):
+    """:func:`_closed_form` without its poles, from the states ``lam``,
+    ``sigma`` at ``xs``: a (len zs, len xs, 2p, 2p) stack.
+
+    For column c of D, with p_c column c of psi1(0), the exponential E of
+    x [[i d_c alpha, i d_c p_c, 0], [0, i d_c z, p_c*], [0, 0, i d_c alpha*]]
+    holds g_c* = exp(i d_c x alpha*) and, above its diagonal, the integrals
+    (Van Loan, IEEE TAC 23, 1978) that make these three entire in z:
+    Phi = [Phi_1  0] Z^-1 = (alpha - z)^-1 (Lambda(x) w_seed - Lambda(0)),
+    Psi = iJ Z^-* [Psi_1; 0] = (w_seed iJ Lambda(0)* - iJ Lambda(x)*) (alpha* - z)^-1,
+    K = -sum_c g_c E_13 = (alpha - z)^-1 (I - Sigma(x) + Lambda(x) Psi),
+    where Phi_1[:, c] = -g_c E_12 and Psi_1[c, :] = -i d_c E_23.  By the state
+    identity v0 w = w_seed + Psi Lambda(0) - iJ Lambda(x)* Sigma(x)^-1 (Phi + K Lambda(0)).
+    """
+    n, p = params.n, params.p
+    shape = (zs.size, xs.size)
+    phi1 = np.empty(shape + (n, p), dtype=complex)
+    psi1 = np.empty(shape + (p, n), dtype=complex)
+    k = np.zeros(shape + (n, n), dtype=complex)
+    for c, (col, dc) in enumerate(zip(params.psi1_0().T, params.d)):
+        m = np.zeros(shape + (2 * n + 1, 2 * n + 1), dtype=complex)
+        m[..., :n, :n] = 1j * dc * params.alpha
+        m[..., :n, n] = 1j * dc * col
+        m[..., n, n] = 1j * dc * zs[:, None]
+        m[..., n, n + 1:] = col.conj()
+        m[..., n + 1:, n + 1:] = 1j * dc * params.alpha.conj().T
+        e = expm_stack(m * xs[:, None, None])
+        g = np.conj(np.swapaxes(e[..., n + 1:, n + 1:], -1, -2))
+        phi1[..., c] = -(g @ e[..., :n, n:n + 1])[..., 0]
+        psi1[..., c, :] = -1j * dc * e[..., n, n + 1:]
+        k -= g @ e[..., :n, n + 1:]
+    z_inv, J = _z_inverse(params.d), anti_diag_j(p)
+    lam_0 = params.initial_state.lam
+    core = np.linalg.solve(sigma, phi1 @ z_inv[:p] + k @ lam_0)
+    psi = 1j * J @ z_inv.conj().T[:, :p] @ psi1
+    lam_h = np.conj(np.swapaxes(lam, -1, -2))
+    return _seed_solution(params, xs, zs) + psi @ lam_0 - 1j * J @ lam_h @ core
 
 
 def _closed_form(params, xs, zs, band):
@@ -322,52 +366,23 @@ def _closed_form(params, xs, zs, band):
     entire in z, but w_t has poles on the spectrum of alpha and w_t(0, .)^-1
     on its conjugate, and the product loses about eps / gap of its relative
     accuracy to their cancellation.  A z within ``band * (1 + ||alpha||)`` of
-    a pole (``band`` holds one relative width per z) therefore gets the mean
-    of the product over 16 points on a circle around it: the trapezoid rule
-    for the mean value of an entire function.  The product has exponential
-    type tau = max x * max|d| in z, so the rule's error is about
-    (r tau)^16 / 16! for radius r; r is min((1 + ||alpha||) / 4, 1 / tau,
-    half the distance to the nearest pole outside the band), which keeps it
-    near 1e-13.  Its points must stay out of the band of every pole, or the
-    rule would lose what it is meant to save, so a z whose circle cannot do
-    so (poles closer than about four band widths, or tau above about
-    1 / (band (1 + ||alpha||))) raises SingularityError.
+    a pole (``band`` holds one relative width per z) therefore takes the
+    pole-free form of :func:`_pole_free`, in which the cancellation is done
+    in exact arithmetic; every other z takes the plain product.
     """
-    m = 2 * params.p
     eigs, scale = params.alpha_spectrum
     poles = (np.concatenate([eigs, eigs.conj()]), scale)
-    band = np.asarray(band, dtype=float)[:, None]
-    gaps, near = pole_gaps(poles, zs, rel=band)
-    bad = near.any(axis=1)
-    others = np.where(near, np.inf, gaps)[bad].min(axis=1, initial=np.inf)
-    tau = xs.max(initial=0.0) * np.abs(params.d).max()
-    cap = 1.0 / max(4.0 / (1.0 + scale), tau)
-    radius = np.minimum(cap, 0.5 * others)
-    nodes = zs[bad, None] + radius[:, None] * _CIRCLE
-    crowded = pole_gaps(poles, nodes, rel=band[bad, None])[1].any(axis=(1, 2))
-    if crowded.any():
-        i = np.flatnonzero(bad)[np.argmax(crowded)]
-        raise SingularityError(
-            f"z = {zs[i]} is within {gaps[i].min():.3e} of a pole of the closed form, "
-            f"and no circle of radius <= {cap:.3e} around it keeps "
-            f"clear of the spectrum of alpha and its conjugate"
-        )
-    good = zs[~bad]
-    ze = np.concatenate([good, nodes.ravel()])
+    near = pole_gaps(poles, zs, rel=np.asarray(band, dtype=float)[:, None])[1].any(axis=1)
+    far = zs[~near]
 
     _, lam, sigma = evolve_grid(params, xs)
-    origin = params.initial_state
-    w_0 = _transfer(params, origin.lam, origin.sigma, ze)[:, None]
-    w_x = _transfer(params, lam, sigma, ze)
-    # Seed solution Z exp(i z x diag(D, 0)) Z^-1.
-    phases = np.exp(1j * ze[:, None, None] * xs[None, :, None] * params.d)
-    phases = np.concatenate([phases, np.ones(phases.shape)], axis=-1)
-    w_seed = (_z_matrix(params.d) * phases[..., None, :]) @ _z_inverse(params.d)
-    vals = w_x @ w_seed @ np.linalg.inv(w_0)
-
-    out = np.empty((zs.size, xs.size, m, m), dtype=complex)
-    out[~bad] = vals[:good.size]
-    out[bad] = vals[good.size:].reshape(-1, _CIRCLE.size, xs.size, m, m).mean(axis=1)
+    out = np.empty((zs.size, xs.size, 2 * params.p, 2 * params.p), dtype=complex)
+    if far.size:
+        w_0 = _transfer(params, params.initial_state.lam, params.initial_state.sigma, far)
+        w_x = _transfer(params, lam, sigma, far)
+        out[~near] = w_x @ _seed_solution(params, xs, far) @ np.linalg.inv(w_0)[:, None]
+    if near.any():
+        out[near] = _pole_free(params, xs, zs[near], lam, sigma)
     return out
 
 
@@ -378,9 +393,7 @@ def _gauge(params, xs):
     z = 0, for singular and invertible alpha alike.  Its band there is the
     resolvent's guard: an invertible alpha takes the plain product
     w_t(x, 0) w_t(0, 0)^-1, and only a singular one, for which 0 is a pole of
-    both transfer factors, takes the circle rule.  Its points need only keep
-    clear of that guard, so the circle shrinks with 1 / tau and loses about
-    eps (1 + ||alpha||) tau instead of raising.
+    both transfer factors, takes the pole-free form.
     """
     return _closed_form(params, xs, np.zeros(1), [defaults.POLE_CUTOFF])[0]
 
@@ -415,13 +428,15 @@ def fundamental_direct(params, x, z):
     stack from one batched evaluation.  It is v0(x)^-1 times
     :func:`_closed_form`, whose value at z = 0 is the gauge v0(x) itself
     (:func:`_gauge`, with its band); both come from one evaluation.  Within
-    ``_CIRCLE_BAND * (1 + ||alpha||)`` of a pole of the transfer matrix, or
-    of its inverse at x = 0, the value is the circle mean described there.
+    ``_POLE_BAND * (1 + ||alpha||)`` of a pole of the transfer matrix, or of
+    its inverse at x = 0, the value comes from the pole-free form, so every
+    z, the spectrum of alpha and its conjugate included, has a value and
+    none raises SingularityError.
     """
     xs = np.asarray(x, dtype=float).reshape(-1)
     zs = np.asarray(z, dtype=complex).reshape(-1)
     m = 2 * params.p
-    band = np.append(np.full(zs.size, _CIRCLE_BAND), defaults.POLE_CUTOFF)
+    band = np.append(np.full(zs.size, _POLE_BAND), defaults.POLE_CUTOFF)
     vals = _closed_form(params, xs, np.append(zs, 0.0), band)
     w = np.linalg.solve(vals[-1], vals[:-1])
     return w.reshape(np.shape(z) + np.shape(x) + (m, m))

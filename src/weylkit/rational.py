@@ -32,6 +32,8 @@ __all__ = [
     "realization_from_pole_data",
 ]
 
+_VALIDATION_GRID = (1j, 2j, 1 + 1j)   # Herglotz check points when no grid is given
+
 
 @dataclass(frozen=True)
 class Realization:
@@ -122,7 +124,7 @@ def params_from_realization(r, grid=None):
     identity whenever the input satisfies the gamma identity.
     """
     if grid is None:
-        grid = [1j, 2j, 1 + 1j]
+        grid = _VALIDATION_GRID
     report = validate_realization(r, grid)
     if not report["passed"]:
         raise ValidationError("realization failed validation", report)

@@ -426,7 +426,7 @@ def canonical_from_kernel(kernel, d, l=None, return_factor=False):
     pi = _pi_samples(kernel, d, xs)
     beta_vals = fac.apply(pi)
     h_vals = np.einsum("mji,mjk->mik", beta_vals.conj(), beta_vals)
-    h_vals = 0.5 * (h_vals + np.conj(np.transpose(h_vals, (0, 2, 1))))
+    h_vals = hermitize(h_vals)
     half = op.h
     beta = GridFunction(h=half, values=beta_vals, x0=half / 2.0)
     ham = GridFunction(h=half, values=h_vals, x0=half / 2.0)

@@ -1,5 +1,6 @@
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad, quad_vec, solve_ivp
@@ -58,6 +59,53 @@ def _scaled(prm, c, shift=0.0):
     return wk.GbdtParams(d=prm.d, alpha=c * (prm.alpha + shift * np.eye(prm.n)),
                          lambda1=np.sqrt(c) * prm.lambda1,
                          lambda2=np.sqrt(c) * prm.lambda2)
+
+
+def _mp_fundamental(prm, x, zs, shift=0.0, dps=50):
+    """w(x, z + shift) for each z in ``zs`` from the plain product
+    w_t(x, z) w_seed(x, z) w_t(0, z)^-1 at ``dps`` digits, normalized by its
+    value at z = 0: an oracle for the closed form independent of its
+    pole-free evaluation."""
+    with mp.workdps(dps):
+        n, p = prm.n, prm.p
+        d = [mp.mpf(v) for v in prm.d]
+        lam = mp.matrix(np.hstack([prm.lambda1, prm.lambda2]).tolist())
+        zmat, J = mp.zeros(2 * p, 2 * p), mp.zeros(2 * p, 2 * p)
+        for c in range(p):
+            zmat[c, c] = zmat[c, p + c] = J[c, p + c] = J[p + c, c] = 1
+            zmat[p + c, c], zmat[p + c, p + c] = d[c] / 2, -d[c] / 2
+        z_inv = zmat ** -1
+        eye_n, eye_m = mp.eye(n), mp.eye(2 * p)
+        # the doubles meet the input identity only to rounding, which residues
+        # near 1e30 would amplify: rebuild the skew-Hermitian part of alpha
+        # from Lambda so that the identity holds to ``dps`` digits
+        alpha = mp.matrix(prm.alpha.tolist())
+        alpha = (alpha + alpha.H) / 2 + 0.5j * lam * J * lam.H
+        psi = lam * zmat
+        lam_x, sigma = mp.zeros(n, 2 * p), mp.eye(n)
+        for c in range(p):
+            col = psi[:, c]
+            blk = mp.zeros(2 * n, 2 * n)
+            blk[:n, :n] = 1j * d[c] * alpha
+            blk[:n, n:] = col * col.H
+            blk[n:, n:] = (-1j * d[c] * alpha).H
+            e = mp.expm(blk * x)
+            lam_x[:, c] = e[n:, n:].H * col
+            lam_x[:, p + c] = psi[:, p + c]
+            sigma += e[n:, n:].H * e[:n, n:]
+        lam_x = lam_x * z_inv
+
+        def product(z):
+            w_x = eye_m - 1j * J * lam_x.H * sigma ** -1 * (alpha - z * eye_n) ** -1 * lam_x
+            # w_t(0, z)^-1 = J w_t(0, conj z)* J needs no inverse of a matrix
+            # whose entries nearly cancel in its determinant
+            w_0_inv = eye_m + 1j * J * lam.H * (alpha.H - z * eye_n) ** -1 * lam
+            seed = mp.diag([mp.exp(1j * z * x * dc) for dc in d] + [1] * p)
+            return w_x * zmat * seed * z_inv * w_0_inv
+
+        v0_inv = product(mp.mpf(0)) ** -1
+        return np.array([(v0_inv * product(mp.mpc(z) + mp.mpf(shift))).tolist() for z in zs],
+                        dtype=complex)
 
 
 class TestValidate:
@@ -242,7 +290,7 @@ class TestHamiltonian:
     @pytest.mark.parametrize("n,p,seed", [(2, 1, 3), (3, 2, 5), (5, 1, 7)])
     def test_circle_gauge_matches_ode_oracle(self, n, p, seed):
         # alpha singular: z = 0 is a pole of both transfer factors, and the
-        # gauge is the circle mean of their product around it
+        # gauge is the pole-free form of their product there
         prm = make_params(n, p, seed=seed, singular_alpha=True)
         xs = np.array([0.0, 0.5, 2.0, 6.0])
         ref = _ode_gauge(prm, xs)
@@ -251,10 +299,8 @@ class TestHamiltonian:
             assert np.abs(g - r).max() <= 1e-9 * np.abs(r).max()
 
     def test_singular_gauge_far_out_solves_its_ode(self):
-        # the circle around z = 0 shrinks with 1 / tau and only has to keep
-        # clear of the resolvent's guard, so it still answers at tau = 590,
-        # where a circle kept 1e-3 (1 + ||alpha||) from the pole would not
-        # fit: there the gauge solves v0' = -q0 v0 over a short leg
+        # the pole-free form has no limit in tau = max x max|d|: at tau = 590
+        # the gauge still solves v0' = -q0 v0 over a short leg
         prm = make_params(2, 1, seed=3, singular_alpha=True)
         xs = np.array([400.0, 400.5, 401.0])
         got = np.array([gauge_factor(prm, x) for x in xs])
@@ -284,8 +330,7 @@ class TestHamiltonian:
                                            atol=1e-14 * np.abs(plain).max())
 
     def test_singular_alpha_grid_matches_pointwise(self):
-        # the circle gauge on a grid (one radius, 1 / tau at the largest x)
-        # against the circle gauge point by point
+        # the pole-free gauge on a grid against the same gauge point by point
         prm = make_params(3, 2, seed=19, singular_alpha=True)
         xs = np.linspace(0.0, 1.5, 7)
         grid = hamiltonian_grid(prm, xs)
@@ -423,31 +468,32 @@ class TestRemovableSingularity:
         with pytest.raises(wk.SingularityError):
             transfer_matrix(prm, 1.0, 1j)
 
-    def test_circle_mean_of_neighbouring_values(self):
-        # at a pole z0 of the closed form the value is the mean over 16 points
-        # on a circle of radius min((1 + ||alpha||) / 4, 1 / (max x max|d|),
-        # half the gap to the next pole)
+    def test_pole_values_match_mpmath(self):
+        # at a pole z0 of the closed form, on the spectrum of alpha or its
+        # conjugate, w agrees with the plain product at z0 + 1e-30 evaluated
+        # to 50 digits, on generated sets of both signs of D
+        for n, p, negative, seed in [(1, 1, True, 65), (2, 1, False, 66), (3, 2, True, 67),
+                                     (3, 2, False, 64), (2, 2, False, 69)]:
+            gen = make_params(n, p, seed=seed, negative=negative)
+            eigs = np.linalg.eigvals(gen.alpha)
+            poles = np.concatenate([eigs, eigs.conj()])
+            for x in (0.5, 2.0):
+                w = wk.fundamental_direct(gen, x, poles)
+                ref = _mp_fundamental(gen, x, poles, shift=1e-30)
+                for wz, rz in zip(w, ref):
+                    assert np.abs(wz - rz).max() <= 1e-12 * np.abs(rz).max(), (seed, x)
         prm = make_params(3, 2, seed=64, negative=False)
-        eigs = np.linalg.eigvals(prm.alpha)
-        z0 = eigs[0]
-        poles = np.concatenate([eigs, eigs.conj()])
-        gap = np.sort(np.abs(poles - z0))[1]
+        z0 = np.linalg.eigvals(prm.alpha)[0]
         xs = np.array([0.6, 1.2])
-        radius = min((1.0 + np.linalg.norm(prm.alpha, 2)) / 4.0,
-                     1.0 / (xs.max() * np.abs(prm.d).max()), 0.5 * gap)
-        circle = z0 + radius * np.exp(2j * np.pi * np.arange(16) / 16)
         w = wk.fundamental_direct(prm, xs, np.array([z0, np.conj(z0)]))
-        mean = wk.fundamental_direct(prm, xs, circle).mean(axis=0)
-        np.testing.assert_allclose(w[0], mean, rtol=0, atol=1e-14 * np.abs(mean).max())
-        # the conjugate point is a pole of w(0, .)^-1 and gets the same rule;
-        # nearby the value is continuous
+        # the conjugate point is a pole of w(0, .)^-1 and takes the same
+        # pole-free form; nearby the value is continuous
         near = wk.fundamental_direct(prm, xs, np.conj(z0) + 1e-4)
         assert np.abs(w[1] - near).max() <= 1e-3 * np.abs(near).max()
         J = anti_diag_j(2)
         for k in range(xs.size):
             lhs = w[1, k].conj().T @ J @ w[0, k]   # w(x, conj z)* J w(x, z) = J
             np.testing.assert_allclose(lhs, J, atol=1e-9)
-
 
     @staticmethod
     def _seed_solution(d, x, z):
@@ -456,8 +502,8 @@ class TestRemovableSingularity:
         return Z @ np.diag([np.exp(1j * z * x * d), 1.0]) @ np.linalg.inv(Z)
 
     def test_zero_data_at_eigenvalue_for_long_x(self):
-        # x |d| up to 20: w has exponential type 20 in z, which a fixed radius
-        # of 0.25 would turn into a 1e2 relative error of the 16-point mean
+        # x |d| up to 20: w has exponential type 20 in z, and the value at
+        # the pole is the seed solution for every x
         prm = wk.GbdtParams(d=[-2.0], alpha=np.eye(2), lambda1=np.zeros((2, 1)),
                             lambda2=np.zeros((2, 1)))
         xs = np.linspace(0.0, 10.0, 11)
@@ -470,7 +516,7 @@ class TestRemovableSingularity:
         scalar_params, lambda: make_params(3, 2, seed=9, negative=True),
     ], ids=["scalar", "n3p2"])
     def test_accuracy_across_distance_to_pole(self, make):
-        # at z0 + delta, from far inside the band of the circle rule to far
+        # at z0 + delta, from far inside the band of the pole-free form to far
         # outside it, w agrees with a 96-point mean over a wide circle, whose
         # points all stay 0.3 away from the poles
         prm = make()
@@ -483,27 +529,29 @@ class TestRemovableSingularity:
                 ref = wk.fundamental_direct(prm, [0.7, 1.5], z + wide).mean(axis=0)
                 assert np.abs(w - ref).max() <= 2e-12 * np.abs(ref).max(), delta
 
-    def test_crowded_circle_raises(self):
-        # poles 0.003 apart, or tau = 600, leave the 16 points no room outside
-        # the band of every pole; 0.01 apart they fit
+    def test_crowded_poles_and_long_x_answer(self):
+        # poles 0.003 apart within each other's band, or tau = max x max|d|
+        # = 600, still have a value; with zero data it is the seed solution
         def zero_data(eigs):
             n = len(eigs)
             return wk.GbdtParams(d=[-2.0], alpha=np.diag(eigs), lambda1=np.zeros((n, 1)),
                                  lambda2=np.zeros((n, 1)))
 
-        w = wk.fundamental_direct(zero_data([1.0, 1.01]), 10.0, 1.0)
-        ref = self._seed_solution(-2.0, 10.0, 1.0)
-        assert np.abs(w - ref).max() <= 1e-12 * np.abs(ref).max()
-        with pytest.raises(wk.SingularityError, match="no circle"):
-            wk.fundamental_direct(zero_data([1.0, 1.003]), 1.0, 1.0)
-        with pytest.raises(wk.SingularityError, match="no circle"):
-            wk.fundamental_direct(zero_data([1.0]), 300.0, 1.0)
-        assert np.all(np.isfinite(wk.fundamental_direct(zero_data([1.0]), 300.0, 0.5)))
+        for eigs, x, z in [([1.0, 1.01], 10.0, 1.0), ([1.0, 1.003], 1.0, 1.0),
+                           ([1.0], 300.0, 1.0), ([1.0], 300.0, 0.5)]:
+            w = wk.fundamental_direct(zero_data(eigs), x, z)
+            ref = self._seed_solution(-2.0, x, z)
+            assert np.abs(w - ref).max() <= 1e-12 * np.abs(ref).max(), (eigs, x)
+        # a singular alpha at z = 0, where w = I for every x
+        prm = make_params(2, 1, seed=3, singular_alpha=True)
+        for x in (400.0, 2000.0):
+            np.testing.assert_allclose(wk.fundamental_direct(prm, x, 0.0), np.eye(2),
+                                       rtol=0, atol=1e-12)
 
     def test_circle_at_large_alpha_norm(self):
-        # with ||alpha|| about 300 the band 1e-3 (1 + ||alpha||) is wider than
-        # 0.25; the radius cap (1 + ||alpha||) / 4 leaves the circle room, and
-        # w_c(x, z) = w(300 x, z / 300) holds at a pole of the scaled set
+        # with ||alpha|| about 750 the band 1e-3 (1 + ||alpha||) is about 0.75
+        # wide, and the pole-free form keeps w_c(x, z) = w(300 x, z / 300) at
+        # a pole of the scaled set
         base = make_params(3, 2, seed=9, negative=True)
         big = _scaled(base, 300.0)
         z0 = np.linalg.eigvals(base.alpha)[0]
