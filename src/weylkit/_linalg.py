@@ -14,6 +14,7 @@ __all__ = [
     "pole_gaps",
     "resolvent_apply",
     "expm_stack",
+    "upper_half_plane",
 ]
 
 
@@ -40,6 +41,16 @@ def rel_residual(residual, scale):
 def eigmin_hermitian(a):
     """Smallest eigenvalue of the Hermitian part of ``a``."""
     return float(np.linalg.eigvalsh(hermitize(a)).min())
+
+
+def upper_half_plane(z, what):
+    """``z`` (a scalar or any array) flattened to a 1-D complex array; raises
+    DomainError naming the first point that is not finite with Im z > 0."""
+    zs = np.asarray(z, dtype=complex).reshape(-1)
+    bad = ~(np.isfinite(zs) & (zs.imag > 0))
+    if bad.any():
+        raise DomainError(f"{what} needs finite z with Im z > 0, got z = {zs[bad][0]}")
+    return zs
 
 
 def spectrum(a):

@@ -20,7 +20,7 @@ XMAX = 2.0                   # default truncation of amplitude grids
 ETA = 1.0                    # default height of the sampling line Im z = eta
 FOURIER_CUTOFF = 200.0       # default truncation a of the line integral
 FOURIER_DZETA = 0.05         # default trapezoid step along the line
-GL_ORDER = 6                 # Gauss-Legendre nodes per panel in amplitude transforms
+GL_ORDER = 6                 # forward-transform gl_order: accepted; no longer changes the result
 
 # Weyl disk oracle
 DISK_LENGTH_FACTOR = 40.0    # default l = 40 / Im z

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from . import defaults
-from ._linalg import eigmin_hermitian
+from ._linalg import eigmin_hermitian, upper_half_plane
 from .exceptions import DomainError, StructuralError
 from .grids import DifferenceKernel, GridFunction, _stencil_derivative
 
@@ -46,9 +46,7 @@ class WeylSampler:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        zs = z.reshape(-1)
-        if np.any(zs.imag <= 0):
-            raise DomainError("Weyl samplers are defined for Im z > 0 only")
+        zs = upper_half_plane(z, "a Weyl sampler")
         if self.eta is not None:
             off = np.abs(zs.imag - self.eta) > 1e-9 * max(1.0, self.eta)
             if off.any():
@@ -174,30 +172,55 @@ def _chirp_z(c, theta, m):
 # forward transforms: amplitude -> Weyl function
 
 
-def _panel_nodes(grid, gl_order):
-    """Gauss-Legendre nodes/weights on every panel of a node grid."""
-    gx, gw = np.polynomial.legendre.leggauss(gl_order)
-    xs = grid.xs
-    a = xs[:-1]
-    half = 0.5 * grid.h
-    nodes = (a[:, None] + half) + half * gx[None, :]
-    weights = np.broadcast_to(half * gw[None, :], nodes.shape)
-    return nodes.ravel(), weights.ravel().copy()
+def _panel_weights(theta):
+    """(A, B) with int_0^1 e^{theta t} ((1 - t) a + t b) dt = A a + B b:
+    A = sum_k theta^k / (k + 2)! = (expm1 theta - theta) / theta^2 and
+    B = e^theta A(-theta) = sum_k (k + 1) theta^k / (k + 2)!, both bounded by
+    1/2 for Re theta <= 0.  The closed forms cancel near 0, so |theta| < 1
+    sums 20 terms of the series instead."""
+    small = np.abs(theta) < 1.0
+    t = np.where(small, 1.0, theta)
+    em1 = np.expm1(t)
+    a = np.where(small, 0.0, (em1 - t) / (t * t))
+    b = np.where(small, 0.0, (t * np.exp(t) - em1) / (t * t))
+    term = np.where(small, 0.5 + 0j, 0.0)     # theta^k / (k + 2)!, small theta only
+    for k in range(20):
+        a += term
+        b += (k + 1) * term
+        term *= theta / (k + 3)
+    return a, b
 
 
-def _chi_values(grid, nodes):
-    """chi(x) = -2i int_0^x s(t)* dt for the piecewise-linear model of s."""
-    xs = grid.xs
-    h = grid.h
-    sh = np.conj(np.transpose(grid.values, (0, 2, 1)))   # s(x)^* samples
-    prefix = np.zeros_like(sh)
-    np.cumsum(0.5 * h * (sh[:-1] + sh[1:]), axis=0, out=prefix[1:])
-    idx = np.clip(((nodes - grid.x0) / h).astype(int), 0, grid.m - 2)
-    tau = nodes - xs[idx]
-    a = sh[idx]
-    b = (sh[idx + 1] - sh[idx]) / h
-    partial = a * tau[:, None, None] + 0.5 * b * tau[:, None, None] ** 2
-    return -2j * (prefix[idx] + partial)
+def _linear_laplace(vals, x0, h, zs):
+    """Exact int e^{izx} v(x) dx over [x0, x0 + N h], v the piecewise-linear
+    model of the N + 1 samples ``vals``, as a (K, ...) stack for K z.
+
+    Panel j gives h e^{iz x_j} (A v_j + B v_{j+1}) at theta = i z h, so an
+    interior node j carries h e^{iz x_{j-1}} (B + e^theta A), which is
+    h e^{iz x_{j-1}} (A + B)^2.  Phases at x_{j-1} keep every weight bounded
+    for any Im z h, and the interior is summed apart from the two edges.
+    """
+    n = vals.shape[0] - 1
+    if n == 0:
+        return np.zeros((zs.size,) + vals.shape[1:], dtype=complex)
+    flat = vals.reshape(n + 1, -1)
+    left, right = _panel_weights(1j * h * zs)
+    edge = np.exp(1j * zs[:, None] * (x0 + h * np.array([0.0, n - 1.0])))
+    step = _line_step(zs) if n > 1 else None
+    if step is None:
+        # one exponential per z and interior node, in cache-sized blocks
+        xs = x0 + h * np.arange(n - 1)
+        inner = np.empty((zs.size, flat.shape[1]), dtype=complex)
+        chunk = max(1, 2 ** 15 // max(n - 1, 1))
+        for i0 in range(0, zs.size, chunk):
+            inner[i0:i0 + chunk] = np.exp(1j * zs[i0:i0 + chunk, None] * xs) @ flat[1:n]
+    else:
+        # z_k = z_0 + k step: the interior sum is one chirp-z transform
+        damp = np.exp(1j * zs[0] * h * np.arange(n - 1))
+        inner = edge[:, :1] * _chirp_z(damp[:, None] * flat[1:n], step * h, zs.size)
+    out = ((left + right) ** 2)[:, None] * inner
+    out += (left * edge[:, 0])[:, None] * flat[0] + (right * edge[:, 1])[:, None] * flat[n]
+    return h * out.reshape((zs.size,) + vals.shape[1:])
 
 
 def _line_step(zs):
@@ -221,60 +244,39 @@ def weyl_from_amplitude(s, z, mode="dirac", d=None, gl_order=None):
     chi        phi(z) = z^2  int e^{izx} chi(x) dx,  chi = -2i int_0^x s*
     canonical  phi(z) = -z D int e^{izx} s(x) dx   (D the negative diagonal)
 
-    ``z`` may be a scalar or an array; integration uses composite
-    Gauss-Legendre panels aligned with the grid of ``s``, so all modes
-    integrate the same piecewise-linear model of the data.  When the
+    ``z`` may be a scalar or an array.  Every mode integrates the
+    piecewise-linear model of the samples of ``s`` exactly, panel by panel
+    in closed form (Filon's rule): one exponential per z and grid node,
+    O(K N) for K points and N panels.  chi is integrated by parts,
+    z^2 int e^{izx} chi = 2 z int e^{izx} s* - i z e^{izX} chi(X).  When the
     flattened ``z`` is a uniform horizontal line (Im z constant, constant
-    real step) the sum runs as ``gl_order`` chirp-z transforms over the
-    panels, O((K + N) log(K + N)) per matrix entry for K points and N
-    panels; scattered ``z`` use the direct O(K N gl_order) sum.
+    real step) the sum over nodes is one chirp-z transform,
+    O((K + N) log(K + N)) per matrix entry.  ``gl_order`` is accepted but
+    no longer changes the result.
     """
-    if gl_order is None:
-        gl_order = defaults.GL_ORDER
-    zs = np.asarray(z, dtype=complex).reshape(-1)
-    if np.any(zs.imag <= 0):
-        raise DomainError("weyl_from_amplitude requires Im z > 0")
-    nodes, weights = _panel_nodes(s, gl_order)
-    if mode == "dirac":
-        vals = np.conj(np.transpose(s.at(nodes), (0, 2, 1)))
+    zs = upper_half_plane(z, "weyl_from_amplitude")
+    if mode in ("dirac", "chi"):
+        vals = np.conj(np.swapaxes(s.values, 1, 2))
         pref = 2.0 * zs
-    elif mode == "chi":
-        vals = _chi_values(s, nodes)
-        pref = zs ** 2
     elif mode == "canonical":
         if d is None:
             raise StructuralError("canonical mode needs the weight diagonal d")
         d = np.asarray(d, dtype=float).reshape(-1)
         if np.any(d >= 0):
             raise DomainError("canonical mode requires D < 0")
-        vals = s.at(nodes)
+        vals = s.values
         pref = -zs
     else:
         raise StructuralError(f"unknown amplitude mode {mode!r}")
-    wv = weights[:, None, None] * vals
-    step = _line_step(zs) if nodes.size else None
-    if step is None:
-        out = np.empty((zs.size, s.rows, s.cols), dtype=complex)
-        chunk = max(1, int(2e6 / max(nodes.size, 1)))
-        for i0 in range(0, zs.size, chunk):
-            zb = zs[i0:i0 + chunk]
-            phases = np.exp(1j * zb[:, None] * nodes[None, :])
-            out[i0:i0 + chunk] = np.einsum("kn,nab->kab", phases, wv)
-    else:
-        # node (q, g) sits at q h + c_g, so for z_k = z_0 + k step each
-        # Gauss-Legendre index g is one chirp-z transform over the panels q
-        panels = s.m - 1
-        offsets = nodes[:gl_order]
-        wv = wv.reshape(panels, gl_order, s.rows, s.cols)
-        damp = np.exp(1j * zs[0] * s.h * np.arange(panels))
-        inner = _chirp_z(damp[:, None, None, None] * wv, step * s.h, zs.size)
-        out = np.einsum("kg,kgab->kab", np.exp(1j * zs[:, None] * offsets[None, :]), inner)
-    out *= pref[:, None, None]
-    if mode == "canonical":
-        out = np.einsum("a,kab->kab", d, out)
-    if np.isscalar(z) or np.asarray(z).ndim == 0:
+    out = pref[:, None, None] * _linear_laplace(vals, s.x0, s.h, zs)
+    if mode == "chi":
+        chi_end = -1j * s.h * (vals[:-1] + vals[1:]).sum(axis=0)   # -2i times trapezoid of s*
+        out -= (1j * zs * np.exp(1j * zs * s.xmax))[:, None, None] * chi_end
+    elif mode == "canonical":
+        out *= d[:, None]
+    if np.ndim(z) == 0:
         return out[0]
-    return out.reshape(np.asarray(z).shape + (s.rows, s.cols))
+    return out.reshape(np.shape(z) + out.shape[1:])
 
 
 def amplitude_tail_bound(s, z, mode="dirac", d=None):
@@ -477,11 +479,9 @@ def herglotz_check(phi, grid, tol=defaults.IDENTITY_TOL):
     (pass iff >= -tol) and the sup of ||phi(z) / z^2|| as a quadratic
     integrability proxy.
     """
-    grid = [complex(z) for z in np.asarray(grid).ravel()]
+    grid = [complex(z) for z in upper_half_plane(grid, "herglotz_check")]
     if not grid:
         raise StructuralError("herglotz_check needs a nonempty grid")
-    if any(z.imag <= 0 for z in grid):
-        raise DomainError("herglotz_check grid must lie in the open upper half-plane")
     eigmin = np.inf
     decay = 0.0
     argmin = None

@@ -157,9 +157,10 @@ def interpolate_series(
         epsilon = defaults.EPSILON
     z = complex(z)
     z0 = complex(z0)
-    if z.imag <= 0.5 + epsilon:
+    if not (np.isfinite(z) and z.imag > 0.5 + epsilon):
         raise DomainError(
-            f"interpolation valid only for Im z > 1/2 + eps = {0.5 + epsilon}"
+            f"interpolation valid only for finite z with Im z > 1/2 + eps = "
+            f"{0.5 + epsilon}, got z = {z}"
         )
     arr = np.asarray(samples, dtype=complex)
     scalar_output = arr.ndim == 1

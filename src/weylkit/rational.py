@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import defaults
-from ._linalg import eigmin_hermitian, rel_residual, resolvent_apply, spectrum
+from ._linalg import eigmin_hermitian, rel_residual, resolvent_apply, spectrum, upper_half_plane
 from .exceptions import DomainError, StructuralError, ValidationError
 from .gbdt import GbdtParams, weyl_pair
 
@@ -87,19 +87,20 @@ class Realization:
 
 def validate_realization(r, grid, tol=defaults.IDENTITY_TOL):
     """Check the gamma identity, Herglotz positivity on ``grid``, and the
-    value at infinity.  Returns a report dict, never raises."""
-    grid = [complex(z) for z in np.asarray(grid).ravel()]
-    if not grid:
+    value at infinity.  Returns a report dict whether or not the checks
+    pass.  Raises StructuralError for an empty grid, DomainError for a grid
+    point that is not finite with Im z > 0, and SingularityError for one
+    next to a pole of phi."""
+    grid = upper_half_plane(grid, "the validation grid")
+    if not grid.size:
         raise StructuralError("validation grid must be nonempty")
-    if any(z.imag <= 0 for z in grid):
-        raise DomainError("validation grid must lie in the open upper half-plane")
     diff = r.psi1_0 - r.psi2
     dinv = np.diag(1.0 / r.d).astype(complex)
     residual = r.gamma - r.gamma.conj().T - 1j * diff @ dinv @ diff.conj().T
     scale = (np.linalg.norm(r.gamma, 2) if r.n else 0.0) + 1.0
     identity_rel = rel_residual(residual, scale)
     herglotz_min = min(
-        eigmin_hermitian((val - val.conj().T) / 2j) for val in r.phi(np.array(grid))
+        eigmin_hermitian((val - val.conj().T) / 2j) for val in r.phi(grid)
     )
     R = 1e6
     at_inf = r.phi(1j * R) - 0.5j * np.diag(np.abs(r.d))

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import lapack, solve_banded, solve_triangular
 
 from . import defaults
-from ._linalg import anti_diag_j, expm_stack, hermitize
+from ._linalg import anti_diag_j, expm_stack, hermitize, upper_half_plane
 from .exceptions import (
     DomainError,
     PositivityError,
@@ -613,10 +613,7 @@ def propagate_fundamental(hamiltonian, z, l, steps_per_unit=None):
 def _disk_frames(hamiltonian, z, l, steps_per_unit):
     """W(l, z) = w(l, conj z)* for a scalar or 1-D array ``z`` in the upper
     half-plane, as a (k, 2p, 2p) stack."""
-    zs = np.asarray(z, dtype=complex).reshape(-1)
-    bad = ~(zs.imag > 0) | ~np.isfinite(zs)
-    if bad.any():
-        raise DomainError(f"the Weyl disk needs finite z with Im z > 0, got z = {zs[bad][0]}")
+    zs = upper_half_plane(z, "the Weyl disk")
     w = propagate_fundamental(hamiltonian, np.conj(zs), l, steps_per_unit)
     return np.conj(np.swapaxes(w, -1, -2))
 

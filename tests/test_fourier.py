@@ -8,6 +8,7 @@ import weylkit as wk
 from weylkit.fourier import (
     WeylSampler,
     _chirp_z,
+    _panel_weights,
     _pole_transform,
     _unit_chirp,
     amplitude_from_weyl,
@@ -42,10 +43,49 @@ def gauss_amplitude_grid(xmax=20.0, h=1 / 128):
     return GridFunction(h=h, values=vals, x0=0.0), kern
 
 
+def model_integral(coefs, x0, h, zs, order):
+    """h sum_j int_0^1 e^{iz(x_j + h t)} sum_m coefs[m][j] t^m dt over the
+    panels j of a piecewise-polynomial model, by Gauss-Legendre with
+    ``order`` nodes per panel."""
+    gx, gw = np.polynomial.legendre.leggauss(order)
+    t, w = 0.5 * (gx + 1.0), 0.5 * gw
+    xs = x0 + h * (np.arange(coefs[0].shape[0])[:, None] + t)
+    model = sum(c[:, None] * (t ** m)[:, None, None] for m, c in enumerate(coefs))
+    phases = np.exp(1j * zs[:, None, None] * xs) * w
+    return h * np.einsum("knq,nqab->kab", phases, model)
+
+
+def reference_weyl(sg, zs, mode, d=None, order=16):
+    """weyl_from_amplitude's three modes from the dense model integral: the
+    piecewise-linear s, and for chi its exact quadratic antiderivative."""
+    v = sg.values
+    if mode == "canonical":
+        lin = model_integral([v[:-1], v[1:] - v[:-1]], sg.x0, sg.h, zs, order)
+        return -zs[:, None, None] * np.asarray(d)[:, None] * lin
+    vs = np.conj(np.swapaxes(v, 1, 2))
+    if mode == "dirac":
+        lin = model_integral([vs[:-1], vs[1:] - vs[:-1]], sg.x0, sg.h, zs, order)
+        return 2.0 * zs[:, None, None] * lin
+    chi = np.zeros_like(vs)
+    chi[1:] = -1j * sg.h * np.cumsum(vs[:-1] + vs[1:], axis=0)
+    coefs = [chi[:-1], -2j * sg.h * vs[:-1], -1j * sg.h * (vs[1:] - vs[:-1])]
+    return zs[:, None, None] ** 2 * model_integral(coefs, sg.x0, sg.h, zs, order)
+
+
+def wavy_grid(xmax, h=1 / 8):
+    """A smooth non-Hermitian 2 x 2 amplitude that does not decay."""
+    xs = np.arange(int(round(xmax / h)) + 1) * h
+    vals = 0.5 * np.eye(2)[None] + np.stack([
+        np.stack([np.cos(3 * xs), 0.4j * np.sin(xs)], -1),
+        np.stack([0.2 * xs, np.exp(-xs) + 0.1j], -1)], 1)
+    return GridFunction(h=h, values=vals, x0=0.0)
+
+
 class TestForward:
     def test_constant_amplitude_dirac(self):
         s = const_half_grid()
-        for z in (1j, 2j, 0.5 + 1.5j):
+        # Im z h = 1562 at z = 1e5 i, where e^{Im z h} would overflow
+        for z in (1j, 2j, 0.5 + 1.5j, 1e5j):
             np.testing.assert_allclose(weyl_from_amplitude(s, z, mode="dirac"),
                                        1j * np.eye(1), atol=1e-9)
 
@@ -64,6 +104,11 @@ class TestForward:
     def test_lower_half_plane_rejected(self):
         with pytest.raises(wk.DomainError):
             weyl_from_amplitude(const_half_grid(), 1.0 - 0.5j, mode="dirac")
+
+    def test_nan_z_rejected(self):
+        for z in (complex(np.nan, 1.0), complex(1.0, np.nan), complex(np.inf, 1.0)):
+            with pytest.raises(wk.DomainError, match="finite z"):
+                weyl_from_amplitude(const_half_grid(), np.array([1j, z]), mode="dirac")
 
     def test_canonical_needs_weights(self):
         with pytest.raises(wk.StructuralError):
@@ -90,6 +135,66 @@ class TestForward:
         assert grid.shape == (40, 40, 2, 2)
         assert np.abs(grid.reshape(1600, 2, 2) - fast[:1600]).max() \
             <= 1e-12 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("mode", ["dirac", "chi", "canonical"])
+    def test_exact_for_the_model(self, mode):
+        # |z h| <= 2, where 16 nodes per panel resolve the model to roundoff;
+        # the line takes the chirp-z path, the scattered points the direct sum
+        sg = wavy_grid(xmax=4.0)
+        d = GAUSS_D if mode == "canonical" else None
+        rng = np.random.default_rng(3)
+        scattered = rng.uniform(-12.0, 12.0, 40) + 1j * rng.uniform(0.05, 8.0, 40)
+        line = np.linspace(-15.0, 15.0, 301) + 0.5j
+        for zs in (scattered, line):
+            ref = reference_weyl(sg, zs, mode, d)
+            got = weyl_from_amplitude(sg, zs, mode=mode, d=d)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("mode", ["dirac", "chi", "canonical"])
+    def test_large_imaginary_part_has_no_cancellation(self, mode):
+        # Im z h up to 20: every weight stays bounded and no sum is formed
+        # and then reduced by its edge terms
+        sg = wavy_grid(xmax=4.0)
+        d = GAUSS_D if mode == "canonical" else None
+        scattered = np.array([-40.0, 0.0, 25.0]) + 1j * np.array([[8.0], [40.0], [160.0]])
+        line = np.linspace(-30.0, 30.0, 121) + 160.0j
+        for zs in (scattered.ravel(), line):
+            ref = reference_weyl(sg, zs, mode, d, order=24)
+            got = weyl_from_amplitude(sg, zs, mode=mode, d=d)
+            assert np.all(np.abs(got - ref).max(axis=(1, 2))
+                          <= 1e-13 * np.abs(ref).max(axis=(1, 2)))
+
+    def test_chi_by_parts_with_boundary_term(self):
+        # on a short grid e^{izX} chi(X) is a large part of the chi value
+        sg = wavy_grid(xmax=2.0)
+        zs = np.array([0.3j, 1.0 + 0.5j, -2.0 + 0.2j, 4.0 + 1.0j])
+        got = weyl_from_amplitude(sg, zs, mode="chi")
+        ref = reference_weyl(sg, zs, "chi")
+        boundary = got - weyl_from_amplitude(sg, zs, mode="dirac")
+        assert np.all(np.abs(boundary).max(axis=(1, 2)) > 0.05 * np.abs(ref).max(axis=(1, 2)))
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_one_sample_grid_gives_zero(self):
+        sg = GridFunction(h=0.1, values=0.5 * np.eye(2)[None], x0=0.0)
+        for mode in ("dirac", "chi", "canonical"):
+            vals = weyl_from_amplitude(sg, np.array([1j, 2.0 + 1j]), mode=mode, d=GAUSS_D)
+            assert vals.shape == (2, 2, 2) and not vals.any()
+
+    def test_panel_weights_against_mpmath(self):
+        # both sides of the |theta| = 1 switch, in every direction; the
+        # interior weight (A + B)^2 is exact relative to (|A| + |B|)^2
+        mags = np.concatenate([np.geomspace(1e-9, 300.0, 40), [1 - 1e-9, 1.0, 1 + 1e-9]])
+        theta = (mags[:, None] * np.exp(2j * np.pi * np.arange(16) / 16)).ravel()
+        a, b = _panel_weights(theta)
+        with mpmath.workdps(40):
+            for th, ai, bi in zip(theta, a, b):
+                t = mpmath.mpc(th)
+                ea = (mpmath.expm1(t) - t) / t ** 2
+                eb = (t * mpmath.exp(t) - mpmath.expm1(t)) / t ** 2
+                assert abs(ai - complex(ea)) <= 1e-15 * abs(ea)
+                assert abs(bi - complex(eb)) <= 1e-15 * abs(eb)
+                inner = (mpmath.expm1(t) / t) ** 2
+                assert abs((ai + bi) ** 2 - complex(inner)) <= 1e-15 * (abs(ea) + abs(eb)) ** 2
 
     def test_tail_bound_scale(self):
         s = smooth_grid(xmax=10.0)
@@ -283,6 +388,12 @@ class TestSampler:
         with pytest.raises(wk.DomainError):
             samp(1.0)
 
+    def test_nan_z_rejected(self):
+        samp = WeylSampler.from_constant(1j * np.eye(1))
+        for z in (complex(np.nan, 1.0), complex(0.0, np.nan)):
+            with pytest.raises(wk.DomainError, match="finite z"):
+                samp(np.array([1j, z]))
+
 
 class TestHerglotz:
     def test_constant_positive(self):
@@ -305,6 +416,10 @@ class TestHerglotz:
     def test_grid_must_be_upper(self):
         with pytest.raises(wk.DomainError):
             herglotz_check(lambda z: 1j * np.eye(1), [1j, -1j])
+
+    def test_nan_grid_point_rejected(self):
+        with pytest.raises(wk.DomainError, match="finite z"):
+            herglotz_check(lambda z: 1j * np.eye(1), [1j, complex(np.nan, 1.0)])
 
     def test_empty_grid_structural(self):
         with pytest.raises(wk.StructuralError):

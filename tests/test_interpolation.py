@@ -117,6 +117,9 @@ class TestSeries:
         with pytest.raises(wk.DomainError):
             interpolate_series(samples, 1.0 + 0.55j, n_terms=60, epsilon=EPS,
                                mode="weyl-dirac")
+        for z in (complex(np.nan, 2.0), complex(1.0, np.nan)):
+            with pytest.raises(wk.DomainError, match="finite z"):
+                interpolate_series(samples, z, n_terms=60, epsilon=EPS, mode="weyl-dirac")
 
     def test_sample_count_checked(self):
         with pytest.raises(wk.StructuralError):

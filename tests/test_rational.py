@@ -50,6 +50,10 @@ class TestValidate:
         with pytest.raises(wk.DomainError):
             validate_realization(scalar_realization(), [1j, -1j])
 
+    def test_nan_grid_point_rejected(self):
+        with pytest.raises(wk.DomainError, match="finite z"):
+            validate_realization(scalar_realization(), [1j, complex(1.0, np.nan)])
+
     def test_nonnegative_d_rejected(self):
         with pytest.raises(wk.DomainError):
             wk.Realization(d=[1.0], gamma=[[0.0]], psi1_0=[[0.0]], psi2=[[0.0]])

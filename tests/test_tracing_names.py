@@ -3,9 +3,12 @@ renamed or deleted one must fail here, not only in a traced run."""
 
 import importlib
 import importlib.util
+import inspect
 import os
 
 import pytest
+
+from weylkit import defaults, fourier
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
 
@@ -27,3 +30,10 @@ def test_traced_attribute_exists(modname, attr):
         assert meth in vars(getattr(module, cls_name))
     else:
         assert callable(getattr(module, attr))
+
+
+def test_forward_transform_hooks():
+    # the traced forward count reads gl_order as args[4], else defaults.GL_ORDER
+    params = list(inspect.signature(fourier.weyl_from_amplitude).parameters)
+    assert params == ["s", "z", "mode", "d", "gl_order"]
+    assert isinstance(defaults.GL_ORDER, int)
