@@ -235,11 +235,9 @@ def _cmd_interpolate(args):
     outdir = _outdir(args)
     io.write_rows(os.path.join(outdir, "value.csv"), _Z_LABELS, _z_columns([z]),
                   np.atleast_2d(value)[None])
-    final = partials[-1]
-    with open(os.path.join(outdir, "convergence.csv"), "w", newline="\n") as fh:
-        fh.write("N,residual\n")
-        for i, part in enumerate(partials):
-            fh.write(f"{i},{io.fmt(np.linalg.norm(np.atleast_2d(part - final)))}\n")
+    residuals = [np.linalg.norm(np.atleast_2d(part - partials[-1])) for part in partials]
+    io._write_table(os.path.join(outdir, "convergence.csv"), ["N", "residual"],
+                    np.column_stack([np.arange(len(partials)), residuals]))
     _manifest(outdir, "interpolate", {
         "samples": os.path.basename(args.samples), "z": args.z, "z0": args.z0,
         "epsilon": args.epsilon, "n": n, "mode": args.mode,

@@ -106,8 +106,12 @@ class WeylSampler:
             raise StructuralError("need one p x p sample per zeta")
         if zetas.size < 2:
             raise StructuralError("a tabulated sampler needs at least two zetas")
-        if eta <= 0:
-            raise DomainError("sampling line must have eta > 0")
+        bad = ~np.isfinite(zetas)
+        if bad.any():
+            raise StructuralError(
+                f"zetas must be finite; the zeta at index {np.argmax(bad)} is not")
+        if not 0 < eta < np.inf:
+            raise DomainError(f"sampling line must have finite eta > 0, got eta = {eta}")
         order = np.argsort(zetas)
         zetas = zetas[order]
         values = values[order]
@@ -357,8 +361,8 @@ def amplitude_from_weyl(
         xmax = defaults.XMAX
     if dzeta is None:
         dzeta = defaults.FOURIER_DZETA
-    if eta <= 0:
-        raise DomainError("the sampling line must have eta > 0")
+    if not 0 < eta < np.inf:
+        raise DomainError(f"the sampling line must have finite eta > 0, got eta = {eta}")
     if mode not in ("canonical", "dirac"):
         raise StructuralError(f"unknown inversion mode {mode!r}")
     if mode == "canonical":

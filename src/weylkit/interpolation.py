@@ -162,6 +162,8 @@ def interpolate_series(
             f"interpolation valid only for finite z with Im z > 1/2 + eps = "
             f"{0.5 + epsilon}, got z = {z}"
         )
+    if not np.isfinite(z0):
+        raise DomainError(f"the shift z0 must be finite, got z0 = {z0}")
     arr = np.asarray(samples, dtype=complex)
     scalar_output = arr.ndim == 1
     if arr.ndim == 1:

@@ -5,10 +5,14 @@ IEEE-754 doubles in JSON; matrices are row-major nested arrays; the weight
 diagonal is a flat real array.  CSV files carry an ``x`` (or ``zeta``)
 column followed by ``Re_i_j``/``Im_i_j`` pairs in row-major entry order,
 printed with 17 significant digits and '\n' line endings, so identical
-inputs serialize byte-identically and round-trip bit-exactly.
+inputs serialize byte-identically.  A reader requires exactly that entry
+header.  Both formats round-trip bit-exactly, signed zeros included.  A
+malformed file (no data rows, an unparsable cell, a ragged row, a missing
+field) raises ``StructuralError`` naming the file or the field.
 """
 
 import json
+import re
 
 import numpy as np
 
@@ -43,28 +47,47 @@ __all__ = [
     "read_lattice_samples",
     "write_lattice_samples_json",
     "write_rows",
-    "fmt",
 ]
 
 
-def fmt(x):
-    """Fixed 17-significant-digit decimal form of a float."""
-    return format(float(x), ".17g")
+# ---------------------------------------------------------------------------
+# JSON
 
 
-def _matrix_to_json(arr):
+def _complex_to_json(arr):
+    """Nested [re, im] pairs of a complex array of any rank."""
     arr = np.asarray(arr, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in arr]
+    return np.stack([arr.real, arr.imag], -1).tolist()
 
 
-def _matrix_from_json(obj, name):
-    try:
+def _complex_from_json(rank):
+    """Reader of a rank-``rank`` complex array held as nested [re, im] pairs."""
+    def read(obj):
         arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise StructuralError(f"{name}: malformed complex matrix") from exc
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise StructuralError(f"{name}: expected nested [re, im] pairs")
-    return arr[:, :, 0] + 1j * arr[:, :, 1]
+        if arr.ndim != rank + 1 or arr.shape[-1] != 2:
+            raise ValueError(f"expected a rank-{rank} array of [re, im] pairs")
+        return np.ascontiguousarray(arr).view(complex)[..., 0]
+    return read
+
+
+def _real_from_json(obj):
+    return np.asarray(obj, dtype=float)
+
+
+def _fields(obj, kind, **readers):
+    """The fields of a JSON object of this kind, each through its reader; a
+    wrong kind, a missing field or a reader's failure is a StructuralError."""
+    if not isinstance(obj, dict) or obj.get("kind") != kind:
+        raise StructuralError(f'expected an object with "kind": "{kind}"')
+    out = {}
+    for key, read in readers.items():
+        if key not in obj:
+            raise StructuralError(f"{kind}: missing field {key!r}")
+        try:
+            out[key] = read(obj[key])
+        except (TypeError, ValueError) as exc:
+            raise StructuralError(f"{kind}: field {key!r}: {exc}") from exc
+    return out
 
 
 def params_to_json(params):
@@ -72,25 +95,17 @@ def params_to_json(params):
         "kind": "gbdt_params",
         "n": params.n,
         "p": params.p,
-        "d": [float(v) for v in params.d],
-        "alpha": _matrix_to_json(params.alpha),
-        "lambda1": _matrix_to_json(params.lambda1),
-        "lambda2": _matrix_to_json(params.lambda2),
+        "d": np.asarray(params.d, dtype=float).tolist(),
+        "alpha": _complex_to_json(params.alpha),
+        "lambda1": _complex_to_json(params.lambda1),
+        "lambda2": _complex_to_json(params.lambda2),
     }
 
 
 def params_from_json(obj):
-    if not isinstance(obj, dict) or obj.get("kind") != "gbdt_params":
-        raise StructuralError('expected an object with "kind": "gbdt_params"')
-    for key in ("d", "alpha", "lambda1", "lambda2"):
-        if key not in obj:
-            raise StructuralError(f"missing field {key!r}")
-    return GbdtParams(
-        d=np.asarray(obj["d"], dtype=float),
-        alpha=_matrix_from_json(obj["alpha"], "alpha"),
-        lambda1=_matrix_from_json(obj["lambda1"], "lambda1"),
-        lambda2=_matrix_from_json(obj["lambda2"], "lambda2"),
-    )
+    return GbdtParams(**_fields(obj, "gbdt_params", d=_real_from_json,
+                                alpha=_complex_from_json(2), lambda1=_complex_from_json(2),
+                                lambda2=_complex_from_json(2)))
 
 
 def realization_to_json(r):
@@ -98,25 +113,39 @@ def realization_to_json(r):
         "kind": "realization",
         "n": r.n,
         "p": r.p,
-        "d": [float(v) for v in r.d],
-        "gamma": _matrix_to_json(r.gamma),
-        "psi1_0": _matrix_to_json(r.psi1_0),
-        "psi2": _matrix_to_json(r.psi2),
+        "d": np.asarray(r.d, dtype=float).tolist(),
+        "gamma": _complex_to_json(r.gamma),
+        "psi1_0": _complex_to_json(r.psi1_0),
+        "psi2": _complex_to_json(r.psi2),
     }
 
 
 def realization_from_json(obj):
-    if not isinstance(obj, dict) or obj.get("kind") != "realization":
-        raise StructuralError('expected an object with "kind": "realization"')
-    for key in ("d", "gamma", "psi1_0", "psi2"):
-        if key not in obj:
-            raise StructuralError(f"missing field {key!r}")
-    return Realization(
-        d=np.asarray(obj["d"], dtype=float),
-        gamma=_matrix_from_json(obj["gamma"], "gamma"),
-        psi1_0=_matrix_from_json(obj["psi1_0"], "psi1_0"),
-        psi2=_matrix_from_json(obj["psi2"], "psi2"),
-    )
+    return Realization(**_fields(obj, "realization", d=_real_from_json,
+                                 gamma=_complex_from_json(2), psi1_0=_complex_from_json(2),
+                                 psi2=_complex_from_json(2)))
+
+
+def grid_to_json(grid):
+    return {"kind": "grid_function", "h": float(grid.h), "x0": float(grid.x0),
+            "values": _complex_to_json(grid.values)}
+
+
+def grid_from_json(obj):
+    if isinstance(obj, dict):
+        obj = {"x0": 0.0, **obj}     # x0 is optional
+    return GridFunction(**_fields(obj, "grid_function", h=float, x0=float,
+                                  values=_complex_from_json(3)))
+
+
+def kernel_to_json(kernel):
+    return {"kind": "difference_kernel", "p": kernel.p, "h": float(kernel.h),
+            "samples": _complex_to_json(kernel.samples)}
+
+
+def kernel_from_json(obj):
+    return DifferenceKernel(**_fields(obj, "difference_kernel", p=int, h=float,
+                                      samples=_complex_from_json(3)))
 
 
 def _dump_json(path, obj):
@@ -149,61 +178,72 @@ def load_realization(path):
     return realization_from_json(_load_json(path))
 
 
+def save_grid_json(path, grid):
+    _dump_json(path, grid_to_json(grid))
+
+
+def load_grid_json(path):
+    return grid_from_json(_load_json(path))
+
+
+def save_kernel_json(path, kernel):
+    _dump_json(path, kernel_to_json(kernel))
+
+
+def load_kernel_json(path):
+    return kernel_from_json(_load_json(path))
+
+
 # ---------------------------------------------------------------------------
 # CSV
 
 
 def _entry_header(rows, cols):
-    names = []
-    for i in range(rows):
-        for j in range(cols):
-            names.append(f"Re_{i}_{j}")
-            names.append(f"Im_{i}_{j}")
-    return names
+    return [f"{part}_{i}_{j}" for i in range(rows) for j in range(cols)
+            for part in ("Re", "Im")]
+
+
+def _write_table(path, names, table):
+    """CSV of a real (k, len(names)) table, each cell with 17 significant digits."""
+    k, ncols = table.shape
+    row = ",".join(["%.17g"] * ncols) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(names) + "\n")
+        fh.write((row * k) % tuple(table.ravel().tolist()))
 
 
 def write_rows(path, labels, xs, values):
     """CSV of a (k, rows, cols) stack: the abscissa columns named by ``labels``
     (one value or one sequence of values per row in ``xs``), then the entries."""
-    values = np.asarray(values)
-    rows, cols = values.shape[1], values.shape[2]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(list(labels) + _entry_header(rows, cols)) + "\n")
-        for x, val in zip(xs, values):
-            cells = [fmt(x)] if np.isscalar(x) or np.ndim(x) == 0 else [fmt(v) for v in x]
-            for i in range(rows):
-                for j in range(cols):
-                    cells.append(fmt(val[i, j].real))
-                    cells.append(fmt(val[i, j].imag))
-            fh.write(",".join(cells) + "\n")
+    values = np.ascontiguousarray(values, dtype=complex)
+    k, rows, cols = values.shape
+    labels = list(labels)
+    table = np.hstack([np.asarray(xs, dtype=float).reshape(k, len(labels)),
+                       values.view(float).reshape(k, 2 * rows * cols)])
+    _write_table(path, labels + _entry_header(rows, cols), table)
 
 
 def _read_rows(path, n_abscissa=1):
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise StructuralError(f"{path}: empty CSV")
+    if len(lines) < 2:
+        raise StructuralError(f"{path}: no data rows")
     header = lines[0].split(",")
-    entries = header[n_abscissa:]
-    if len(entries) % 2:
-        raise StructuralError(f"{path}: expected Re/Im column pairs")
-    ijs = []
-    for name in entries[::2]:
-        parts = name.split("_")
-        if len(parts) != 3 or parts[0] != "Re":
-            raise StructuralError(f"{path}: unexpected column {name!r}")
-        ijs.append((int(parts[1]), int(parts[2])))
-    rows = max(i for i, _ in ijs) + 1
-    cols = max(j for _, j in ijs) + 1
-    if len(ijs) != rows * cols:
-        raise StructuralError(f"{path}: incomplete entry grid in header")
-    data = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
-    if data.shape[1] != n_abscissa + 2 * rows * cols:
-        raise StructuralError(f"{path}: row width does not match header")
-    xs = data[:, :n_abscissa]
-    flat = data[:, n_abscissa::2] + 1j * data[:, n_abscissa + 1::2]
-    values = flat.reshape(-1, rows, cols)
-    return xs, values
+    last = re.fullmatch(r"Im_(\d+)_(\d+)", header[-1])
+    rows, cols = (int(last[1]) + 1, int(last[2]) + 1) if last else (0, 0)
+    if not last or header[n_abscissa:] != _entry_header(rows, cols):
+        raise StructuralError(
+            f"{path}: the entry columns must be Re_i_j, Im_i_j pairs in row-major order")
+    cells = [ln.split(",") for ln in lines[1:]]
+    ragged = [n for n, row in enumerate(cells, start=1) if len(row) != len(header)]
+    if ragged:
+        raise StructuralError(f"{path}: data row {ragged[0]} does not have {len(header)} cells")
+    try:
+        data = np.array(cells, dtype=float)
+    except ValueError as exc:
+        raise StructuralError(f"{path}: unparsable cell ({exc})") from exc
+    values = data[:, n_abscissa:].copy().view(complex).reshape(-1, rows, cols)
+    return data[:, :n_abscissa], values
 
 
 def write_grid_csv(path, grid, xlabel="x"):
@@ -246,69 +286,12 @@ def read_weyl_samples_csv(path):
     return xs[:, 0], values
 
 
-# ---------------------------------------------------------------------------
-# JSON forms of grid data
-
-
-def _stack_to_json(values):
-    return [_matrix_to_json(v) for v in values]
-
-
-def _stack_from_json(obj, name):
-    arr = np.asarray(obj, dtype=float)
-    if arr.ndim != 4 or arr.shape[3] != 2:
-        raise StructuralError(f"{name}: expected a list of complex matrices")
-    return arr[:, :, :, 0] + 1j * arr[:, :, :, 1]
-
-
-def grid_to_json(grid):
-    return {"kind": "grid_function", "h": float(grid.h), "x0": float(grid.x0),
-            "values": _stack_to_json(grid.values)}
-
-
-def grid_from_json(obj):
-    if not isinstance(obj, dict) or obj.get("kind") != "grid_function":
-        raise StructuralError('expected an object with "kind": "grid_function"')
-    return GridFunction(h=float(obj["h"]), x0=float(obj.get("x0", 0.0)),
-                        values=_stack_from_json(obj["values"], "values"))
-
-
-def kernel_to_json(kernel):
-    return {"kind": "difference_kernel", "p": kernel.p, "h": float(kernel.h),
-            "samples": _stack_to_json(kernel.samples)}
-
-
-def kernel_from_json(obj):
-    if not isinstance(obj, dict) or obj.get("kind") != "difference_kernel":
-        raise StructuralError('expected an object with "kind": "difference_kernel"')
-    return DifferenceKernel(p=int(obj["p"]), h=float(obj["h"]),
-                            samples=_stack_from_json(obj["samples"], "samples"))
-
-
-def save_grid_json(path, grid):
-    _dump_json(path, grid_to_json(grid))
-
-
-def load_grid_json(path):
-    return grid_from_json(_load_json(path))
-
-
-def save_kernel_json(path, kernel):
-    _dump_json(path, kernel_to_json(kernel))
-
-
-def load_kernel_json(path):
-    return kernel_from_json(_load_json(path))
-
-
 def read_lattice_samples(path):
     """Interpolation samples from CSV (q, Re/Im entries) or JSON."""
     path = str(path)
     if path.endswith(".json"):
-        obj = _load_json(path)
-        if not isinstance(obj, dict) or obj.get("kind") != "lattice_samples":
-            raise StructuralError('expected an object with "kind": "lattice_samples"')
-        return _stack_from_json(obj["samples"], "samples")
+        return _fields(_load_json(path), "lattice_samples",
+                       samples=_complex_from_json(3))["samples"]
     qs, values = _read_rows(path)
     order = np.argsort(qs[:, 0])
     return values[order]
@@ -318,5 +301,4 @@ def write_lattice_samples_json(path, samples):
     samples = np.asarray(samples, dtype=complex)
     if samples.ndim == 1:
         samples = samples[:, None, None]
-    _dump_json(path, {"kind": "lattice_samples",
-                      "samples": _stack_to_json(samples)})
+    _dump_json(path, {"kind": "lattice_samples", "samples": _complex_to_json(samples)})

@@ -297,6 +297,11 @@ class TestInverse:
         with pytest.raises(wk.DomainError):
             amplitude_from_weyl(WeylSampler.from_constant(1j * np.eye(1)), eta=0.0)
 
+    @pytest.mark.parametrize("eta", [np.nan, np.inf])
+    def test_eta_must_be_finite(self, eta):
+        with pytest.raises(wk.DomainError, match="finite eta > 0"):
+            amplitude_from_weyl(WeylSampler.from_constant(1j * np.eye(1)), eta=eta)
+
     def test_small_cutoff_warns(self):
         prm = make_params(2, 1, seed=77)
         samp = WeylSampler.from_weyl_pair(wk.weyl_pair(prm))
@@ -382,6 +387,17 @@ class TestSampler:
     def test_table_needs_two_samples(self):
         with pytest.raises(wk.StructuralError):
             WeylSampler.from_table([0.0], [[[1j]]], eta=1.0)
+
+    @pytest.mark.parametrize("eta", [np.nan, np.inf])
+    def test_table_line_height_must_be_finite(self, eta):
+        # a NaN eta would make the pin check never fire and accept any Im z
+        with pytest.raises(wk.DomainError, match="finite eta > 0"):
+            WeylSampler.from_table(np.linspace(-1, 1, 5), np.full(5, 1j), eta=eta)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_table_zetas_must_be_finite(self, bad):
+        with pytest.raises(wk.StructuralError, match="the zeta at index 1 is not"):
+            WeylSampler.from_table([0.0, bad, 2.0], np.full(3, 1j), eta=1.0)
 
     def test_requires_upper_half_plane(self):
         samp = WeylSampler.from_constant(1j * np.eye(1))

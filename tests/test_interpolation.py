@@ -121,6 +121,12 @@ class TestSeries:
             with pytest.raises(wk.DomainError, match="finite z"):
                 interpolate_series(samples, z, n_terms=60, epsilon=EPS, mode="weyl-dirac")
 
+    @pytest.mark.parametrize("z0", [complex(np.nan, 0.0), complex(0.0, np.inf)])
+    def test_shift_must_be_finite(self, z0):
+        with pytest.raises(wk.DomainError, match="shift z0 must be finite"):
+            interpolate_series(np.full(21, 1j), 2j, n_terms=20, epsilon=EPS,
+                               mode="shifted", z0=z0)
+
     def test_sample_count_checked(self):
         with pytest.raises(wk.StructuralError):
             interpolate_series(np.full(10, 1j), 3j, n_terms=20, epsilon=EPS)

@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import json
 import os
@@ -396,3 +397,151 @@ class TestNonFiniteInput:
 
         with pytest.raises(wk.StructuralError, match=r"Hamiltonian value at x = 1\.0"):
             wk.weyl_disk_approx(ham, 1j, l=2.0, steps_per_unit=16)
+
+    def test_recover_with_nan_eta_exits_1(self, tmp_path, capsys):
+        zetas = np.linspace(-5, 5, 11)
+        wio.write_weyl_samples_csv(tmp_path / "s.csv", zetas, np.full(11, 1j))
+        assert main(["recover", "--samples", str(tmp_path / "s.csv"), "--eta", "nan",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "finite eta > 0, got eta = nan" in capsys.readouterr().err
+
+
+# cells that 17 significant digits must carry exactly: signed zeros, the
+# smallest subnormal, the largest double, inexact decimals and whole numbers
+_EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1, 1 / 3,
+                -2.0, 1.0, 7.0, 1e16, 123456789.0]
+
+
+def _edge_stack(k, rows, cols, seed):
+    # set the parts one by one: re + 1j * im would turn -0.0 + 1j * 0.0 into 0j
+    rng = np.random.default_rng(seed)
+    out = np.empty((k, rows, cols), dtype=complex)
+    out.real = rng.choice(_EDGE_VALUES, size=out.shape)
+    out.imag = rng.choice(_EDGE_VALUES, size=out.shape)
+    if k:
+        out[0, 0, 0] = complex(-0.0, 0.0)
+        out[-1, -1, -1] = complex(-0.0, 1 / 3)
+    return out
+
+
+def _reference_csv(labels, xs, values):
+    """The CSV the writer must produce, built one cell at a time."""
+    header = list(labels) + [f"{part}_{i}_{j}" for i in range(values.shape[1])
+                             for j in range(values.shape[2]) for part in ("Re", "Im")]
+    lines = [",".join(header)]
+    for x, val in zip(xs, values):
+        cells = [format(float(v), ".17g") for v in np.atleast_1d(x)]
+        for v in val.ravel():
+            cells += [format(v.real, ".17g"), format(v.imag, ".17g")]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestCsvContract:
+    """Every cell is format(v, ".17g"), and reading gives back the same bits."""
+
+    @pytest.mark.parametrize("k,rows,cols", [(7, 1, 1), (5, 2, 3), (0, 2, 3)])
+    def test_one_abscissa_bytes(self, tmp_path, k, rows, cols):
+        xs = np.array(_EDGE_VALUES[:k]) if k else np.zeros(0)
+        values = _edge_stack(k, rows, cols, seed=k + rows)
+        wio.write_rows(tmp_path / "t.csv", ["x"], xs, values)
+        assert (tmp_path / "t.csv").read_text() == _reference_csv(["x"], xs, values)
+
+    def test_two_abscissae_bytes(self, tmp_path):
+        xs = np.array([[0.1, -0.0], [1 / 3, 5e-324], [2.0, 1.7976931348623157e308]])
+        values = _edge_stack(3, 2, 2, seed=3)
+        wio.write_rows(tmp_path / "t.csv", ["Re_z", "Im_z"], xs, values)
+        assert (tmp_path / "t.csv").read_text() == _reference_csv(["Re_z", "Im_z"], xs,
+                                                                  values)
+
+    def test_real_values_get_a_zero_imaginary_part(self, tmp_path):
+        values = np.array([[[0.5]], [[-0.0]]])
+        wio.write_rows(tmp_path / "t.csv", ["x"], [0.0, 1.0], values)
+        assert (tmp_path / "t.csv").read_text() == "x,Re_0_0,Im_0_0\n0,0.5,0\n1,-0,0\n"
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (2, 3)])
+    def test_round_trip_keeps_every_bit(self, tmp_path, rows, cols):
+        values = _edge_stack(9, rows, cols, seed=rows * cols)
+        grid = GridFunction(h=0.1, values=values, x0=0.05)
+        wio.write_grid_csv(tmp_path / "g.csv", grid)
+        back = wio.read_grid_csv(tmp_path / "g.csv")
+        assert _same_bits(back.values, grid.values)
+        zetas = np.array(_EDGE_VALUES[:9])
+        wio.write_weyl_samples_csv(tmp_path / "w.csv", zetas, values)
+        z2, v2 = wio.read_weyl_samples_csv(tmp_path / "w.csv")
+        assert _same_bits(z2, zetas) and _same_bits(v2, values)
+
+    def test_json_round_trip_keeps_every_bit(self, tmp_path):
+        values = _edge_stack(6, 2, 2, seed=11)
+        grid = GridFunction(h=0.25, values=values, x0=0.125)
+        wio.save_grid_json(tmp_path / "g.json", grid)
+        assert _same_bits(wio.load_grid_json(tmp_path / "g.json").values, values)
+        wio.write_lattice_samples_json(tmp_path / "s.json", values)
+        assert _same_bits(wio.read_lattice_samples(tmp_path / "s.json"), values)
+        prm = make_params(2, 1, seed=90, negative=False)
+        alpha = prm.alpha.copy()
+        alpha[0, 1] = complex(-0.0, -0.0)
+        obj = wio.params_to_json(dataclasses.replace(prm, alpha=alpha))
+        assert _same_bits(wio.params_from_json(obj).alpha, alpha)
+
+
+_CSV_HEADER = "zeta,Re_0_0,Im_0_0"
+
+
+class TestMalformedInput:
+    """A malformed file stops at the reader with StructuralError, exit 2, and a
+    message that names the file or the field."""
+
+    @pytest.mark.parametrize("text,message", [
+        (_CSV_HEADER + "\n", "no data rows"),
+        (_CSV_HEADER + "\n0,1,0\n1,x,0\n", "unparsable cell"),
+        (_CSV_HEADER + "\n0,1,0\n1,1\n", "data row 2 does not have 3 cells"),
+        ("zeta,Re_0_0,Imag_0_0\n0,1,0\n1,1,0\n", "row-major order"),
+        ("zeta,Re_0_0\n0,1\n1,1\n", "row-major order"),
+        ("zeta\n0\n1\n", "row-major order"),
+        ("zeta,Re_0_0,Im_0_0,Re_1_0,Im_1_0,Re_0_1,Im_0_1,Re_1_1,Im_1_1\n"
+         "0,1,0,0,0,0,0,1,0\n1,1,0,0,0,0,0,1,0\n", "row-major order"),
+    ], ids=["header-only", "unparsable-cell", "ragged-row", "misnamed-entry",
+            "unpaired-entry", "no-entries", "column-major"])
+    def test_weyl_samples_csv(self, tmp_path, capsys, text, message):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        assert main(["recover", "--samples", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
+
+    def test_kernel_json_without_p(self, tmp_path, capsys):
+        obj = wio.kernel_to_json(DifferenceKernel(p=1, h=0.25, samples=np.zeros((4, 1, 1))))
+        del obj["p"]
+        (tmp_path / "k.json").write_text(json.dumps(obj))
+        assert main(["fundamental", "--kernel", str(tmp_path / "k.json"), "--d=-1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "difference_kernel: missing field 'p'" in capsys.readouterr().err
+
+    def test_grid_json_without_h(self, tmp_path):
+        # no subcommand reads a grid file, so the loader is called directly
+        obj = wio.grid_to_json(GridFunction(h=0.25, values=np.zeros((4, 1, 1))))
+        del obj["h"]
+        (tmp_path / "g.json").write_text(json.dumps(obj))
+        with pytest.raises(wk.StructuralError, match="grid_function: missing field 'h'"):
+            wio.load_grid_json(tmp_path / "g.json")
+
+    @pytest.mark.parametrize("obj,message", [
+        ({"kind": "lattice_samples"}, "lattice_samples: missing field 'samples'"),
+        ({"kind": "lattice_samples", "samples": [[[["a", 0.0]]]]},
+         "lattice_samples: field 'samples': could not convert"),
+        ({"kind": "lattice_samples", "samples": [[[1.0, 0.0]], [[1.0]]]},
+         "lattice_samples: field 'samples': setting an array element"),
+        ({"kind": "lattice_samples", "samples": [[1.0, 0.0], [1.0, 0.0]]},
+         "lattice_samples: field 'samples': expected a rank-3 array of [re, im] pairs"),
+    ], ids=["missing-samples", "unparsable-entry", "ragged-entry", "wrong-rank"])
+    def test_lattice_json(self, tmp_path, capsys, obj, message):
+        (tmp_path / "s.json").write_text(json.dumps(obj))
+        assert main(["interpolate", "--samples", str(tmp_path / "s.json"), "--z", "3j",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
