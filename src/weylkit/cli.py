@@ -317,9 +317,13 @@ def _run_checks():
     yield "factorization residual", fres < defaults.FACTOR_RESIDUAL_TOL, f"{fres:.2e}"
     ires = np.linalg.norm(w @ fac.winv - eye, 2)
     yield "factor inverse pair", ires < 1e-10, f"{ires:.2e}"
-    dense = factorize_triangular(dataclasses.replace(op, column=None))
+    dense = factorize_triangular(dataclasses.replace(op, dense=op.s, column=None))
     sdiff = float(np.abs(fac.winv - dense.winv).max())
     yield "Schur factor vs LAPACK", sdiff < 1e-10, f"max diff {sdiff:.2e}"
+    rdiff = max(float(np.abs(recover_potential(kern, mode=mode).values
+                             - recover_potential(kern, mode=mode, factor=fac).values).max())
+                for mode in ("endpoint", "kernel-edge"))
+    yield "one-pass read-off vs factor route", rdiff < 1e-12, f"max diff {rdiff:.2e}"
 
     # scipy's exponential is the reference here only; weylkit computes with its own
     from scipy.linalg import expm

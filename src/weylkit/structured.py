@@ -3,17 +3,24 @@
 The continuous objects are operators S = I + integral operator whose kernel
 is k(x - t) (plain case) or, entrywise, k_ij(d_j t - d_i x) for a negative
 diagonal weight D.  A midpoint Nystroem rule on a uniform grid turns S into
-a dense Hermitian matrix; positivity is probed by Cholesky.  The Cholesky
-factor C (S = C C*) is kept; its inverse W = C^-1 = I + E is the discrete
-analog of the lower-triangular factorization S^-1 = (I + E)* (I + E) and is
-applied by triangular solves on C.  Without a weight, or with equal
-weights, S is block Toeplitz and C comes from a block Schur recursion on
-its first block column.  Everything else in this module -- potential
-recovery, the theta functions, Hamiltonian assembly, fundamental solutions
-and the Weyl-disk oracle -- is built from that factor.
+a Hermitian matrix; positivity is probed by Cholesky.  The Cholesky factor
+C (S = C C*) is kept; its inverse W = C^-1 = I + E is the discrete analog of
+the lower-triangular factorization S^-1 = (I + E)* (I + E) and is applied by
+triangular solves on C.
+
+Without a weight, or with equal weights, S is block Toeplitz: the operator
+keeps its first block column and forms the dense S only when something
+reads it.  One block Schur-Levinson pass over that column, told up front
+which outputs to produce, serves every Toeplitz caller: C for
+:func:`factorize_triangular`, W U for the read-offs (the kernel samples for
+the endpoint potential, [2s I k] for the theta functions, Pi for the
+canonical factor beta) and W's first block column for the kernel-edge
+potential.  The read-offs thus store no (pM)^2 matrix; passed a factor,
+they apply it instead.  Distinct weights fill the dense S and take LAPACK.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack, solve_banded, solve_triangular
@@ -53,22 +60,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StructuredOperator:
-    """Dense Nystroem discretization of S = I + integral operator.
+    """Nystroem discretization of S = I + integral operator.
 
     ``column`` is the first block column of S when S is exactly Hermitian
     block Toeplitz (no weight, or all weights equal), else None; it routes
-    :func:`factorize_triangular` to the block Schur recursion.
+    :func:`factorize_triangular` to the block Schur pass.  ``dense`` is the
+    (p M, p M) matrix S when it was assembled entrywise (distinct weights)
+    or given; on the Toeplitz route ``s`` forms it from ``column`` on first
+    access and keeps it.
     """
 
-    s: np.ndarray          # (p M, p M) Hermitian
     h: float
     p: int
-    d: np.ndarray = None   # weight diagonal, all < 0, or None for the plain case
+    d: np.ndarray = None        # weight diagonal, all < 0, or None for the plain case
     column: np.ndarray = None   # (M, p, p) blocks S_{n0}, or None
+    dense: np.ndarray = None    # (p M, p M) S, or None
+
+    @cached_property
+    def s(self):
+        """The dense Hermitian S, (p M, p M)."""
+        if self.dense is not None:
+            return self.dense
+        size = self.column.shape[0] * self.p
+        s = np.empty((size, size), dtype=complex)
+        _fill_toeplitz(s, self.column)
+        return s
 
     @property
     def m(self):
-        return self.s.shape[0] // self.p
+        if self.column is not None:
+            return self.column.shape[0]
+        return self.dense.shape[0] // self.p
 
     @property
     def l(self):
@@ -111,6 +133,20 @@ def _fill_toeplitz(out, col):
         out[i * q:(i + 1) * q] = wide[:, (m - 1 - i) * q:(2 * m - 1 - i) * q]
 
 
+def _block_count(kernel, l, scale):
+    """Number of grid blocks M = l / h of an operator on [0, l] whose kernel
+    arguments reach scale * l; h must divide l and the kernel must be stored
+    out to scale * l."""
+    m = int(round(l / kernel.h))
+    if m < 1 or abs(m * kernel.h - l) > 1e-9 * max(1.0, l):
+        raise StructuralError("grid step must divide the operator length")
+    if scale * l > kernel.l + 1e-9:
+        raise StructuralError(
+            f"kernel stored on [0, {kernel.l:.6g}] but arguments reach {scale * l:.6g}"
+        )
+    return m
+
+
 def build_structured_operator(kernel, d=None, l=None):
     """Assemble S = I + h [kernel matrix] on the midpoint grid of [0, l].
 
@@ -119,8 +155,8 @@ def build_structured_operator(kernel, d=None, l=None):
     all weights must be negative, and the kernel must be stored out to
     max|d| * l.  Entries at argument 0, where k is one-sided, take the
     Hermitian average, so S is exactly Hermitian.  With no weight or equal
-    weights S is block Toeplitz and is filled from its first block column,
-    which the result keeps.
+    weights S is block Toeplitz: the result keeps its first block column
+    and fills the dense S only when ``s`` is read.
     """
     p, h = kernel.p, kernel.h
     if d is not None:
@@ -134,18 +170,10 @@ def build_structured_operator(kernel, d=None, l=None):
         scale = 1.0
     if l is None:
         l = default_operator_length(kernel, d)
-    m = int(round(l / h))
-    if m < 1 or abs(m * h - l) > 1e-9 * max(1.0, l):
-        raise StructuralError("grid step must divide the operator length")
-    if scale * l > kernel.l + 1e-9:
-        raise StructuralError(
-            f"kernel stored on [0, {kernel.l:.6g}] but arguments reach {scale * l:.6g}"
-        )
-    s = np.empty((m * p, m * p), dtype=complex)
+    m = _block_count(kernel, l, scale)
     if d is None or np.all(d == d[0]):
-        col = _toeplitz_column(kernel, m, scale)
-        _fill_toeplitz(s, col)
-        return StructuredOperator(s=s, h=h, p=p, d=d, column=col)
+        return StructuredOperator(h=h, p=p, d=d, column=_toeplitz_column(kernel, m, scale))
+    s = np.empty((m * p, m * p), dtype=complex)
     # distinct weights: entries (a, a) are Toeplitz in i - j; each pair
     # a < b is evaluated once and mirrored into (b, a) by conjugation
     for a in range(p):
@@ -163,7 +191,7 @@ def build_structured_operator(kernel, d=None, l=None):
                 vals *= h
                 s[i0 * p + a:i1 * p:p, b::p] = vals
                 s[b::p, i0 * p + a:i1 * p:p] = vals.conj().T
-    return StructuredOperator(s=s, h=h, p=p, d=d)
+    return StructuredOperator(h=h, p=p, d=d, dense=s)
 
 
 # ---------------------------------------------------------------------------
@@ -231,68 +259,102 @@ def _not_positive(minor):
     )
 
 
-def _schur_factor(col, h):
-    """Cholesky factor C = W^-1 of a Hermitian block Toeplitz S from its first
-    block column.
+def _sub_product(out, k, b):
+    """out -= k @ b in place for a narrow k (q, p), as p outer products.
 
-    Block Schur-Levinson recursion.  At step n the forward predictor a_n
-    (a_n(0) = I) and the backward predictor b_n (b_n(n) = I) satisfy
+    The work is elementwise and never reaches BLAS, whose thread pool makes
+    these flat (q, N) products and the small LAPACK calls between them more
+    than ten times slower once N is large.
+    """
+    for j in range(k.shape[1]):
+        out -= k[:, j:j + 1] * b[j:j + 1]
+
+
+def _schur_pass(col, rhs=None, chol=False, first_column=False):
+    """One block Schur-Levinson pass over a Hermitian block Toeplitz S, given
+    its first block column, producing only the outputs asked for:
+    ``chol`` the dense Cholesky factor C (S = C C*), ``rhs`` W U for stacked
+    block samples U (M, p, r) with W = C^-1, and ``first_column`` W's first
+    block column (M, p, p).  Returns (C, W U, W first column), None for each
+    output not asked for.
+
+    Step n has the forward and backward prediction errors f_n(j) (j > n) and
+    g_n(j) (j >= n): with predictors a_n (a_n(0) = I) and b_n (b_n(n) = I),
     a_n S = [P_f 0 ... 0 f_n(n+1) ...] and b_n S = [0 ... 0 P_b g_n(n+1) ...].
-    With P_b = c c* (lower Cholesky), row block n of W is c^-1 b_n and column
-    block n of C is g_n(j)* c^-*, j >= n; only C is written.  The coefficients
-    K_f = Delta P_b^-1 and K_b = Delta* P_f^-1, Delta = f_n(n+1), advance all
-    four sequences with one 2p x 2p transform of a wide generator whose top
-    rows hold a_n(k) at block k and f_n(j) at block j + 1 (j > n), and whose
-    bottom rows hold b_n(k) at block k + 1 and g_n(j) at block j + 2 (j >= n):
-    the top stays in place and the bottom moves one block right.  Each of the
-    M steps costs O(M p^2) work.
+    With P_b = g_n(n) = c c* (lower Cholesky), column block n of C is
+    g_n(j)* c^-*, j >= n.  The coefficients K_f = Delta P_b^-1 and
+    K_b = Delta* P_f^-1, Delta = f_n(n+1), advance the errors by the 2p x 2p
+    transform [[I, -K_f], [-K_b, I]] of the pairs (f_n(j), g_n(j-1)), which
+    gives f_{n+1}(j) and g_{n+1}(j).  The generator keeps f_n(j) at block j
+    of its top rows and g_n(j) at block j - n of its bottom rows, so each
+    step updates both in place.  No predictor is carried: W U is forward
+    substitution with C's column blocks as they appear, and W's first block
+    column is c_n^-1 b_n(0) with b_0(0) = I and b_{n+1}(0) = -K_b.  Each of
+    the M steps costs O(M p^2 (p + r)) work.
     """
     m, p, _ = col.shape
     size = m * p
     row0 = np.conj(col).transpose(2, 0, 1).reshape(p, size)   # block j is S_{0j}
-    gen = np.zeros((2 * p, size + 2 * p), dtype=complex)
-    gen[:p, :p] = gen[p:, p:2 * p] = np.eye(p)
-    gen[:p, 2 * p:size + p] = row0[:, p:]
-    gen[p:, 2 * p:] = row0
+    top, bottom = row0.copy(), row0.copy()
     p_f = row0[:, :p].copy()
-    theta = np.eye(2 * p, dtype=complex)
-    chol = np.zeros((size, size), dtype=complex, order="F")
+    c_out = np.zeros((size, size), dtype=complex, order="F") if chol else None
+    if rhs is not None:
+        # conjugate transpose of the substitution's running right-hand side
+        # U - sum_k C_{:k} (W U)_k, one row per column of U
+        rest = rhs.reshape(size, -1).conj().T.copy()
+        wu = np.empty((size, rest.shape[0]), dtype=complex)
+    w0 = np.empty((m, p, p), dtype=complex) if first_column else None
+    b0 = np.eye(p, dtype=complex)                              # b_n(0)
     for n in range(m):
         lo, hi = n * p, (n + 1) * p
-        pivot = slice(hi + p, hi + 2 * p)                      # block n + 2
-        c, info = lapack.zpotrf(gen[p:, pivot], lower=1, clean=1)
+        c, info = lapack.zpotrf(bottom[:, :p], lower=1, clean=1)
         if info > 0:
             # a pivot that fails at its column info is the leading minor
             # n p + info of S, the order zpotrf reports on the whole of S
             raise _not_positive(lo + info)
-        chol[lo:hi, lo:hi] = c
+        below = bottom[:, p:size - lo]                         # g_n(j), j > n
+        if chol:
+            cinv, _ = lapack.ztrtri(c, lower=1)
+            c_out[lo:hi, lo:hi] = c
+            c_out[hi:, lo:hi] = (cinv @ below).conj().T
+        # c^-1 u as c* (P_b^-1 u): OpenBLAS's ztrtrs uses its thread pool
+        # even for a p x p solve, which makes each step several times
+        # slower for a while after any threaded BLAS call
+        if rhs is not None:
+            y, _ = lapack.zpotrs(c, rest[:, lo:hi].conj().T, lower=1)
+            wu[lo:hi] = c.conj().T @ y
+            _sub_product(rest[:, hi:], y.conj().T, below)
+        if first_column:
+            y, _ = lapack.zpotrs(c, b0, lower=1)
+            w0[n] = c.conj().T @ y
         if n == m - 1:
             break
-        cinv, _ = lapack.ztrtri(c, lower=1)
-        chol[hi:, lo:hi] = (cinv @ gen[p:, hi + 2 * p:]).conj().T
-        delta = gen[:p, pivot]
-        k_f_h, _ = lapack.zpotrs(c, delta.conj().T, lower=1)    # K_f* = P_b^-1 Delta*
+        delta = top[:, hi:hi + p]
+        delta_h = delta.conj().T
+        k_f_h, _ = lapack.zpotrs(c, delta_h, lower=1)          # K_f* = P_b^-1 Delta*
         _, k_b_h, _ = lapack.zposv(p_f, delta, lower=1)         # K_b* = P_f^-1 Delta
-        p_f -= k_f_h.conj().T @ delta.conj().T
-        theta[:p, p:], theta[p:, :p] = -k_f_h.conj().T, -k_b_h.conj().T
-        step = theta @ gen[:, :size + p]
-        gen[:p, :size + p] = step[:p]
-        gen[p:, p:] = step[p:]
-        gen[:p, pivot] = 0.0    # a_{n+1}(n+2) = 0 replaces f_{n+1}(n+1) ~ 0
-    return TriangularFactor(chol, h=h, p=p)
+        k_f, k_b = k_f_h.conj().T, k_b_h.conj().T
+        p_f -= k_f @ delta_h
+        b0 = -k_b
+        f, g = top[:, hi:], bottom[:, :size - hi]              # f_n(j), g_n(j-1), j > n
+        g_old = g.copy()
+        _sub_product(g, k_b, f)
+        _sub_product(f, k_f, g_old)
+    return c_out, (wu.reshape(rhs.shape) if rhs is not None else None), w0
 
 
 def factorize_triangular(op):
     """Triangular factorization S = C C*, W S W* = I with W = C^-1, of a
     positive operator; the factor keeps C only.
 
-    Block Toeplitz operators (``op.column`` set) take the block Schur
-    recursion; others take LAPACK's Cholesky.  Raises PositivityError
-    naming the offending leading minor size when S is not positive
-    definite; this doubles as the positivity test.
+    Block Toeplitz operators (``op.column`` set) take the block Schur pass;
+    others take LAPACK's Cholesky.  Raises PositivityError naming the
+    offending leading minor size when S is not positive definite; this
+    doubles as the positivity test.
     """
     if op.column is not None:
-        return _schur_factor(op.column, op.h)
+        c, _, _ = _schur_pass(op.column, chol=True)
+        return TriangularFactor(c, h=op.h, p=op.p)
     c, info = lapack.zpotrf(op.s, lower=1, clean=1)
     if info > 0:
         raise _not_positive(info)
@@ -301,11 +363,34 @@ def factorize_triangular(op):
     return TriangularFactor(c, h=op.h, p=op.p)
 
 
-def _plain_factor(kernel, l, factor):
+def _plain_grid(kernel, l, factor):
+    """Block count M of a plain read-off on [0, l], and the Toeplitz column
+    of S_l when no factor is given (None otherwise).  A given factor must be
+    one of the kernel's operators: same p and h, M at most the kernel's and
+    M h = l when l is given."""
+    if factor is None:
+        m = _block_count(kernel, kernel.l if l is None else l, 1.0)
+        return m, _toeplitz_column(kernel, m, 1.0)
+    if factor.p != kernel.p or abs(factor.h - kernel.h) > 1e-12 * kernel.h:
+        raise StructuralError(
+            f"factor grid (p = {factor.p}, h = {factor.h:.6g}) does not match "
+            f"the kernel grid (p = {kernel.p}, h = {kernel.h:.6g})"
+        )
+    if factor.m > kernel.m:
+        raise StructuralError(
+            f"factor has {factor.m} grid blocks but the kernel only {kernel.m}")
+    if l is not None and abs(factor.m * factor.h - l) > 1e-9 * max(1.0, l):
+        raise StructuralError(
+            f"factor length {factor.m * factor.h:.6g} differs from l = {l:.6g}")
+    return factor.m, None
+
+
+def _apply_w(col, factor, u):
+    """W U: by the factor's triangular solve when one is given, else by one
+    Schur pass on the Toeplitz column."""
     if factor is not None:
-        return factor
-    op = build_structured_operator(kernel, l=l)
-    return factorize_triangular(op)
+        return factor.apply(u)
+    return _schur_pass(col, rhs=u)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -317,22 +402,26 @@ def recover_potential(kernel, l=None, mode="endpoint", factor=None):
 
     ``endpoint`` evaluates v(x/2) = 2i (k(x) + int_0^x E(x, t) k(t) dt) on
     the grid; ``kernel-edge`` uses v(x) = -2i E(2x, 0), valid for
-    continuous potentials.  Both are O(h)-accurate.
+    continuous potentials.  Both are O(h)-accurate.  Without ``factor`` one
+    Schur pass produces W k (endpoint) or W's first block column
+    (kernel-edge); a given factor, checked against the kernel's grid and
+    ``l``, is applied instead.
     """
-    if l is None:
-        l = kernel.l
-    fac = _plain_factor(kernel, l, factor)
-    m, p, h = fac.m, kernel.p, kernel.h
-    if mode == "endpoint":
-        ek = fac.apply(kernel.samples[:m])
-        vals = 2j * ek
-    elif mode == "kernel-edge":
-        unit = np.zeros((m, p, p), dtype=complex)
-        unit[0] = np.eye(p)
-        vals = (-2j / h) * fac.apply(unit)        # first block column of W
-        vals[0] = vals[1] if m > 1 else 0.0
-    else:
+    if mode not in ("endpoint", "kernel-edge"):
         raise StructuralError(f"unknown recovery mode {mode!r}")
+    m, col = _plain_grid(kernel, l, factor)
+    p, h = kernel.p, kernel.h
+    if mode == "endpoint":
+        vals = 2j * _apply_w(col, factor, kernel.samples[:m])
+    else:
+        if factor is None:
+            w0 = _schur_pass(col, first_column=True)[2]
+        else:
+            unit = np.zeros((m, p, p), dtype=complex)
+            unit[0] = np.eye(p)
+            w0 = factor.apply(unit)
+        vals = (-2j / h) * w0                   # first block column of W
+        vals[0] = vals[1] if m > 1 else 0.0
     return GridFunction(h=h / 2.0, values=vals, x0=h / 4.0)
 
 
@@ -356,18 +445,20 @@ def theta_functions(kernel, l=None, factor=None):
 
     theta1(x/2) = (1/sqrt 2) ((I+E) [2s  I])(x) with s = I/2 + int k;
     theta2 follows from the structured-operator formula with S_{2x}^-1
-    applied columnwise, evaluated via the causal triangular factor.
+    applied columnwise, evaluated via the causal triangular factor.  W is
+    applied to [2s I k] at once: by one Schur pass, or by ``factor`` when
+    one is given (checked as in :func:`recover_potential`).
     """
-    if l is None:
-        l = kernel.l
-    fac = _plain_factor(kernel, l, factor)
-    m, p, h = fac.m, kernel.p, kernel.h
+    m, col = _plain_grid(kernel, l, factor)
+    p, h = kernel.p, kernel.h
     xs = kernel.xs[:m]
     s_vals = 0.5 * np.eye(p)[None] + kernel.cumulative(xs)
-    stack = np.concatenate([2.0 * s_vals, np.tile(np.eye(p)[None], (m, 1, 1))], axis=2)
-    big = fac.apply(stack)                      # (m, p, 2p) samples of (I+E)[2s I]
+    stack = np.concatenate([2.0 * s_vals, np.tile(np.eye(p)[None], (m, 1, 1)),
+                            kernel.samples[:m]], axis=2)
+    applied = _apply_w(col, factor, stack)
+    big = applied[:, :, :2 * p]                 # (m, p, 2p) samples of (I+E)[2s I]
+    ek = applied[:, :, 2 * p:]                  # (m, p, p) samples of (I+E)k
     theta1 = big / np.sqrt(2.0)
-    ek = fac.apply(kernel.samples[:m])          # (m, p, p) samples of (I+E)k
     prods = np.einsum("mji,mjk->mik", ek.conj(), big)   # a_m^H B_m
     prefix = np.zeros((m, p, 2 * p), dtype=complex)
     np.cumsum(prods[:-1] * h, axis=0, out=prefix[1:])
@@ -417,14 +508,19 @@ def canonical_from_kernel(kernel, d, l=None, return_factor=False):
     """Hamiltonian H = beta* beta of the canonical system generated by k.
 
     beta is the triangular factor applied to Pi columnwise; requires the
-    weighted operator to be positive definite.
+    weighted operator to be positive definite.  Equal weights take one
+    Schur pass that yields W Pi; with ``return_factor`` the caller needs C
+    anyway, so the pass yields C and W Pi is one triangular solve on it.
     """
     d = np.asarray(d, dtype=float).reshape(-1)
     op = build_structured_operator(kernel, d=d, l=l)
-    fac = factorize_triangular(op)
     xs = op.h * (np.arange(op.m) + 0.5)
     pi = _pi_samples(kernel, d, xs)
-    beta_vals = fac.apply(pi)
+    if op.column is not None and not return_factor:
+        beta_vals = _schur_pass(op.column, rhs=pi)[1]
+    else:
+        fac = factorize_triangular(op)
+        beta_vals = fac.apply(pi)
     h_vals = np.einsum("mji,mjk->mik", beta_vals.conj(), beta_vals)
     h_vals = hermitize(h_vals)
     half = op.h

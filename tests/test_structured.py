@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -10,6 +12,7 @@ from weylkit.fourier import WeylSampler, amplitude_from_weyl
 from weylkit.gbdt import hamiltonian_grid
 from weylkit.grids import DifferenceKernel, GridFunction
 from weylkit.structured import (
+    StructuredOperator,
     TriangularFactor,
     _pi_samples,
     accelerant_from_potential,
@@ -180,6 +183,53 @@ class TestRecoverPotential:
             lambda x: -3.0 * np.exp(-x) * np.ones((1, 1)), p=1, l=1.0, h=1 / 64)
         with pytest.raises(wk.PositivityError):
             recover_potential(kern)
+
+
+# the read-offs that take a factor, as (kernel, **kwargs) -> values
+FACTOR_READOFFS = {
+    "endpoint": lambda k, **kw: recover_potential(k, **kw).values,
+    "kernel-edge": lambda k, **kw: recover_potential(k, mode="kernel-edge", **kw).values,
+    "theta": lambda k, **kw: theta_functions(k, **kw)[0].values,
+}
+
+
+@pytest.mark.parametrize("readoff", FACTOR_READOFFS.values(), ids=FACTOR_READOFFS.keys())
+class TestPassedFactorIsChecked:
+    def test_factor_length_must_equal_l(self, readoff):
+        kern = exp_kernel(l=1.0, h=1 / 64)
+        fac = factorize_triangular(build_structured_operator(kern))
+        with pytest.raises(wk.StructuralError):
+            readoff(kern, l=0.5, factor=fac)
+        half = factorize_triangular(build_structured_operator(kern, l=0.5))
+        assert readoff(kern, l=0.5, factor=half).shape[0] == 32
+
+    def test_factor_step_must_equal_kernel_step(self, readoff):
+        coarse = factorize_triangular(build_structured_operator(exp_kernel(l=1.0, h=1 / 64)))
+        with pytest.raises(wk.StructuralError):
+            readoff(exp_kernel(l=1.0, h=1 / 128), factor=coarse)
+
+    def test_factor_longer_than_kernel(self, readoff):
+        long = factorize_triangular(build_structured_operator(exp_kernel(l=1.0, h=1 / 64)))
+        with pytest.raises(wk.StructuralError):
+            readoff(exp_kernel(l=0.5, h=1 / 64), factor=long)
+
+
+class TestOnePassMemory:
+    def test_readoffs_form_no_dense_matrix(self, monkeypatch):
+        # M = 2048, p = 1: a (pM)^2 complex matrix is 67 MB
+        kern = exp_kernel(c=0.3, l=2.0, h=1 / 1024)
+        monkeypatch.setattr(StructuredOperator, "s", property(
+            lambda op: pytest.fail("the read-off formed the dense S")))
+        for readoff in (lambda: recover_potential(kern),
+                        lambda: recover_potential(kern, mode="kernel-edge"),
+                        lambda: theta_functions(kern)):
+            tracemalloc.start()
+            try:
+                readoff()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4e6
 
 
 class TestReadOffOrder:
@@ -793,9 +843,18 @@ class TestSchurFactor:
         op = build_structured_operator(kern)
         _, info = lapack.zpotrf(op.s, lower=1)
         assert info > p      # fails past the first block
-        with pytest.raises(wk.PositivityError) as err:
-            factorize_triangular(op)
-        assert err.value.minor == info
+        routes = {
+            "factorize": lambda: factorize_triangular(op),
+            "endpoint": lambda: recover_potential(kern),
+            "kernel-edge": lambda: recover_potential(kern, mode="kernel-edge"),
+            "theta": lambda: theta_functions(kern),
+            # d = -1 gives the plain operator's S
+            "canonical": lambda: canonical_from_kernel(kern, d=-np.ones(p)),
+        }
+        for name, route in routes.items():
+            with pytest.raises(wk.PositivityError) as err:
+                route()
+            assert err.value.minor == info, name
 
 
 def kron_reference(kernel, d, z, op, fac):
@@ -900,3 +959,28 @@ class TestFactorProperties:
             for z, val in zip(zs, vals):
                 ref = kron_reference(kern, d, z, op, fac)
                 assert np.abs(val - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @seed(20261018)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(positive_operators().filter(lambda case: case[1] is None or len(set(case[1])) == 1))
+    def test_one_pass_matches_factor_route(self, case):
+        kern, d, l = case
+        op = build_structured_operator(kern, d=d, l=l)
+        fac = factorize_triangular(op)
+
+        def close(got, ref):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+        if d is None:
+            for mode in ("endpoint", "kernel-edge"):
+                close(recover_potential(kern, l=l, mode=mode).values,
+                      recover_potential(kern, l=l, mode=mode, factor=fac).values)
+            for got, ref in zip(theta_functions(kern, l=l), theta_functions(kern, l=l, factor=fac)):
+                close(got.values, ref.values)
+        else:
+            m, p = op.m, op.p
+            pi = _pi_samples(kern, d, op.h * (np.arange(m) + 0.5)).reshape(m * p, 2 * p)
+            beta_ref = (fac.w @ pi).reshape(m, p, 2 * p)
+            beta, ham = canonical_from_kernel(kern, d, l=l)
+            close(beta.values, beta_ref)
+            close(ham.values, hermitize(np.einsum("mji,mjk->mik", beta_ref.conj(), beta_ref)))
