@@ -14,7 +14,6 @@ parameters.  The output directory may be overridden with the
 """
 
 import argparse
-import dataclasses
 import os
 import sys
 from importlib import resources
@@ -317,9 +316,18 @@ def _run_checks():
     yield "factorization residual", fres < defaults.FACTOR_RESIDUAL_TOL, f"{fres:.2e}"
     ires = np.linalg.norm(w @ fac.winv - eye, 2)
     yield "factor inverse pair", ires < 1e-10, f"{ires:.2e}"
-    dense = factorize_triangular(dataclasses.replace(op, dense=op.s, column=None))
+    dense = factorize_triangular(op.unstructured())
     sdiff = float(np.abs(fac.winv - dense.winv).max())
     yield "Schur factor vs LAPACK", sdiff < 1e-10, f"max diff {sdiff:.2e}"
+    # the fixture's int |k| is 0.063, so S stays positive for any weight of a
+    # kernel k(x) U with |U| <= 1
+    kern2 = DifferenceKernel(p=2, h=kern.h, samples=kern.samples[:, 0, 0, None, None]
+                             * np.array([[0.6, 0.3 - 0.2j], [0.3 + 0.2j, -0.4]]))
+    op2 = build_structured_operator(kern2, d=[-1.0, -2.0])
+    cdiff = float(np.abs(factorize_triangular(op2).winv
+                         - factorize_triangular(op2.unstructured()).winv).max())
+    yield ("commensurate pass vs LAPACK (d = -1, -2)",
+           op2.boundary is not None and cdiff < 1e-10, f"max diff {cdiff:.2e}")
     rdiff = max(float(np.abs(recover_potential(kern, mode=mode).values
                              - recover_potential(kern, mode=mode, factor=fac).values).max())
                 for mode in ("endpoint", "kernel-edge"))

@@ -16,10 +16,21 @@ which outputs to produce, serves every Toeplitz caller: C for
 the endpoint potential, [2s I k] for the theta functions, Pi for the
 canonical factor beta) and W's first block column for the kernel-edge
 potential.  The read-offs thus store no (pM)^2 matrix; passed a factor,
-they apply it instead.  Distinct weights fill the dense S and take LAPACK.
+they apply it instead.
+
+Commensurate weights keep an exact displacement structure: entry (a, b) of
+block (i, j) depends only on |d_a| (i + 1/2) - |d_b| (j + 1/2), so for the
+shift F that moves component a by s_a blocks (|d_a| s_a the same for every
+a), S - F S F* has rank at most 2t, t = sum s_a.  For t <= 2p the operator
+keeps only the t boundary rows, and the same pass, folding its t positive
+and t negative generator rows onto p of each before every step, yields C
+or W U in O(t^2 p M^2) work.  Other weights fill the dense S and take
+LAPACK.
 """
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -63,11 +74,13 @@ class StructuredOperator:
     """Nystroem discretization of S = I + integral operator.
 
     ``column`` is the first block column of S when S is exactly Hermitian
-    block Toeplitz (no weight, or all weights equal), else None; it routes
-    :func:`factorize_triangular` to the block Schur pass.  ``dense`` is the
-    (p M, p M) matrix S when it was assembled entrywise (distinct weights)
-    or given; on the Toeplitz route ``s`` forms it from ``column`` on first
-    access and keeps it.
+    block Toeplitz (no weight, or all weights equal).  For commensurate
+    weights ``boundary`` holds the rows S[(i, a), :], i < min(s_a, M), in
+    row order, ``shifts`` the s_a and ``kernel`` the kernel S is filled from.
+    Either routes :func:`factorize_triangular` to the Schur pass.  ``dense``
+    is the (p M, p M) matrix S when it was assembled entrywise (other
+    weights) or given; otherwise ``s`` forms it on first access, bit for bit
+    as the entrywise assembly would, and keeps it.
     """
 
     h: float
@@ -75,12 +88,17 @@ class StructuredOperator:
     d: np.ndarray = None        # weight diagonal, all < 0, or None for the plain case
     column: np.ndarray = None   # (M, p, p) blocks S_{n0}, or None
     dense: np.ndarray = None    # (p M, p M) S, or None
+    boundary: np.ndarray = None  # (t, p M) rows S[(i, a), :] with i < min(s_a, M), or None
+    shifts: tuple = None        # s_a, the per-component shift of the displacement
+    kernel: DifferenceKernel = None  # the kernel ``boundary`` was read from
 
     @cached_property
     def s(self):
         """The dense Hermitian S, (p M, p M)."""
         if self.dense is not None:
             return self.dense
+        if self.column is None:
+            return _fill_weighted(self.kernel, self.d, self.m)
         size = self.column.shape[0] * self.p
         s = np.empty((size, size), dtype=complex)
         _fill_toeplitz(s, self.column)
@@ -90,11 +108,31 @@ class StructuredOperator:
     def m(self):
         if self.column is not None:
             return self.column.shape[0]
+        if self.boundary is not None:
+            return self.boundary.shape[1] // self.p
         return self.dense.shape[0] // self.p
 
     @property
     def l(self):
         return self.h * self.m
+
+    @property
+    def generator(self):
+        """(rows, shifts) for :func:`_schur_pass`, or None when S has no
+        exact displacement structure: the first block row and unit shifts
+        for a Toeplitz S, the boundary rows and s_a for commensurate weights."""
+        if self.column is not None:
+            size = self.column.shape[0] * self.p
+            return (np.conj(self.column).transpose(2, 0, 1).reshape(self.p, size),
+                    (1,) * self.p)
+        if self.boundary is not None:
+            return self.boundary, self.shifts
+        return None
+
+    def unstructured(self):
+        """The same S with no structure recorded: dense, so that
+        :func:`factorize_triangular` takes LAPACK's Cholesky."""
+        return StructuredOperator(h=self.h, p=self.p, d=self.d, dense=self.s)
 
     def is_positive_definite(self):
         _, info = lapack.zpotrf(self.s, lower=1)
@@ -121,16 +159,89 @@ def _toeplitz_column(kernel, m, scale):
     return col
 
 
+def _toeplitz_wide(col):
+    """The (q, (2m - 1) q) row [S_{m-1}, ..., S_1, S_0, S_1*, ..., S_{m-1}*]
+    of the Hermitian block Toeplitz matrix with first block column ``col``
+    (m, q, q): its block row i is the window starting at block m - 1 - i."""
+    m, q, _ = col.shape
+    # adding +0.0 clears the negative zeros that conjugation leaves, as a
+    # Hermitian average would
+    blocks = np.concatenate([col[::-1], np.conj(col[1:]).transpose(0, 2, 1)]) + 0.0
+    return blocks.transpose(1, 0, 2).reshape(q, (2 * m - 1) * q)
+
+
 def _fill_toeplitz(out, col):
     """Write the Hermitian block Toeplitz matrix with first block column
     ``col`` (m, q, q) into ``out``: block row i is a window of one wide row."""
     m, q, _ = col.shape
-    # blocks S_{i-j} for i - j = m-1, ..., 1-m; adding +0.0 clears the
-    # negative zeros that conjugation leaves, as a Hermitian average would
-    blocks = np.concatenate([col[::-1], np.conj(col[1:]).transpose(0, 2, 1)]) + 0.0
-    wide = blocks.transpose(1, 0, 2).reshape(q, (2 * m - 1) * q)
+    wide = _toeplitz_wide(col)
     for i in range(m):
         out[i * q:(i + 1) * q] = wide[:, (m - 1 - i) * q:(2 * m - 1 - i) * q]
+
+
+def _pair_entries(kernel, d, rows, cols, a, b, k0):
+    """h k_ab(d_b x_j - d_a x_i) for grid indices i in ``rows`` down and j
+    in ``cols`` across.  Where the argument is 0, k is one-sided and the
+    entry takes the Hermitian average k0.  That is decided on the exact
+    relation |d_a| (2i + 1) = |d_b| (2j + 1), not on the rounded argument,
+    which a step h that is not a binary fraction can leave at +-1e-17."""
+    h = kernel.h
+    args = d[b] * (h * (cols + 0.5)) - d[a] * (h * (rows[:, None] + 0.5))
+    vals = kernel.entry(args, a, b)
+    vals[d[b] * (2 * cols + 1) == d[a] * (2 * rows[:, None] + 1)] = k0[a, b]
+    vals *= h
+    return vals
+
+
+def _fill_weighted(kernel, d, m):
+    """The dense S of distinct weights, entry by entry: components (a, a)
+    are Toeplitz in i - j; each pair a < b is evaluated once and mirrored
+    into (b, a) by conjugation."""
+    p, h = kernel.p, kernel.h
+    s = np.empty((m * p, m * p), dtype=complex)
+    for a in range(p):
+        _fill_toeplitz(s[a::p, a::p], _toeplitz_column(kernel, m, -d[a])[:, a:a + 1, a:a + 1])
+    grid = np.arange(m)
+    k0 = hermitize(kernel.at(0.0))
+    rows = max(1, _ASSEMBLY_CHUNK // (m * p * p))
+    for a in range(p):
+        for b in range(a + 1, p):
+            for i0 in range(0, m, rows):
+                i1 = min(m, i0 + rows)
+                vals = _pair_entries(kernel, d, grid[i0:i1], grid, a, b, k0)
+                s[i0 * p + a:i1 * p:p, b::p] = vals
+                s[b::p, i0 * p + a:i1 * p:p] = vals.conj().T
+    return s
+
+
+def _commensurate_shifts(d):
+    """The smallest positive integers s_a with |d_a| s_a all equal, from the
+    exact rational ratios of the float weights."""
+    inv = [1 / Fraction(-float(x)) for x in d]
+    den = math.lcm(*(f.denominator for f in inv))
+    ints = [int(f * den) for f in inv]
+    step = math.gcd(*ints)
+    return tuple(k // step for k in ints)
+
+
+def _boundary_rows(kernel, d, m, shifts):
+    """The rows S[(i, a), :] with i < min(s_a, M), in row order, each entry
+    computed as :func:`_fill_weighted` computes it."""
+    p = kernel.p
+    grid = np.arange(m)
+    k0 = hermitize(kernel.at(0.0))
+    index = sorted((i, a) for a in range(p) for i in range(min(shifts[a], m)))
+    rows = np.empty((len(index), m * p), dtype=complex)
+    wide = [_toeplitz_wide(_toeplitz_column(kernel, m, -d[a])[:, a:a + 1, a:a + 1])[0]
+            for a in range(p)]
+    for row, (i, a) in zip(rows, index):
+        row[a::p] = wide[a][m - 1 - i:2 * m - 1 - i]
+        for b in range(p):
+            if b > a:
+                row[b::p] = _pair_entries(kernel, d, grid[i:i + 1], grid, a, b, k0)[0]
+            elif b < a:
+                row[b::p] = _pair_entries(kernel, d, grid, grid[i:i + 1], b, a, k0)[:, 0].conj()
+    return rows
 
 
 def _block_count(kernel, l, scale):
@@ -155,8 +266,10 @@ def build_structured_operator(kernel, d=None, l=None):
     all weights must be negative, and the kernel must be stored out to
     max|d| * l.  Entries at argument 0, where k is one-sided, take the
     Hermitian average, so S is exactly Hermitian.  With no weight or equal
-    weights S is block Toeplitz: the result keeps its first block column
-    and fills the dense S only when ``s`` is read.
+    weights S is block Toeplitz: the result keeps its first block column.
+    Commensurate weights whose shifts add up to t <= 2p keep the t boundary
+    rows.  Either way the dense S is filled only when ``s`` is read; other
+    weights assemble it here.
     """
     p, h = kernel.p, kernel.h
     if d is not None:
@@ -173,25 +286,11 @@ def build_structured_operator(kernel, d=None, l=None):
     m = _block_count(kernel, l, scale)
     if d is None or np.all(d == d[0]):
         return StructuredOperator(h=h, p=p, d=d, column=_toeplitz_column(kernel, m, scale))
-    s = np.empty((m * p, m * p), dtype=complex)
-    # distinct weights: entries (a, a) are Toeplitz in i - j; each pair
-    # a < b is evaluated once and mirrored into (b, a) by conjugation
-    for a in range(p):
-        _fill_toeplitz(s[a::p, a::p], _toeplitz_column(kernel, m, -d[a])[:, a:a + 1, a:a + 1])
-    xs = h * (np.arange(m) + 0.5)
-    k0 = hermitize(kernel.at(0.0))
-    rows = max(1, _ASSEMBLY_CHUNK // (m * p * p))
-    for a in range(p):
-        for b in range(a + 1, p):
-            for i0 in range(0, m, rows):
-                i1 = min(m, i0 + rows)
-                args = d[b] * xs - d[a] * xs[i0:i1, None]
-                vals = kernel.entry(args, a, b)
-                vals[args == 0.0] = k0[a, b]
-                vals *= h
-                s[i0 * p + a:i1 * p:p, b::p] = vals
-                s[b::p, i0 * p + a:i1 * p:p] = vals.conj().T
-    return StructuredOperator(h=h, p=p, d=d, dense=s)
+    shifts = _commensurate_shifts(d)
+    if sum(shifts) <= 2 * p:
+        return StructuredOperator(h=h, p=p, d=d, boundary=_boundary_rows(kernel, d, m, shifts),
+                                  shifts=shifts, kernel=kernel)
+    return StructuredOperator(h=h, p=p, d=d, dense=_fill_weighted(kernel, d, m))
 
 
 # ---------------------------------------------------------------------------
@@ -270,33 +369,134 @@ def _sub_product(out, k, b):
         out -= k[:, j:j + 1] * b[j:j + 1]
 
 
-def _schur_pass(col, rhs=None, chol=False, first_column=False):
-    """One block Schur-Levinson pass over a Hermitian block Toeplitz S, given
-    its first block column, producing only the outputs asked for:
-    ``chol`` the dense Cholesky factor C (S = C C*), ``rhs`` W U for stacked
-    block samples U (M, p, r) with W = C^-1, and ``first_column`` W's first
-    block column (M, p, p).  Returns (C, W U, W first column), None for each
-    output not asked for.
+def _transform(c, p_f, delta):
+    """Coefficients K_f = Delta P_b^-1 and K_b = Delta* P_f^-1 of the 2p x 2p
+    transform [[I, -K_f], [-K_b, I]] that clears Delta, with P_b = c c*;
+    updates P_f to P_f - K_f Delta* in place."""
+    delta_h = delta.conj().T
+    k_f_h, _ = lapack.zpotrs(c, delta_h, lower=1)              # K_f* = P_b^-1 Delta*
+    _, k_b_h, _ = lapack.zposv(p_f, delta, lower=1)             # K_b* = P_f^-1 Delta
+    k_f, k_b = k_f_h.conj().T, k_b_h.conj().T
+    p_f -= k_f @ delta_h
+    return k_f, k_b
 
-    Step n has the forward and backward prediction errors f_n(j) (j > n) and
-    g_n(j) (j >= n): with predictors a_n (a_n(0) = I) and b_n (b_n(n) = I),
-    a_n S = [P_f 0 ... 0 f_n(n+1) ...] and b_n S = [0 ... 0 P_b g_n(n+1) ...].
-    With P_b = g_n(n) = c c* (lower Cholesky), column block n of C is
-    g_n(j)* c^-*, j >= n.  The coefficients K_f = Delta P_b^-1 and
-    K_b = Delta* P_f^-1, Delta = f_n(n+1), advance the errors by the 2p x 2p
-    transform [[I, -K_f], [-K_b, I]] of the pairs (f_n(j), g_n(j-1)), which
-    gives f_{n+1}(j) and g_{n+1}(j).  The generator keeps f_n(j) at block j
-    of its top rows and g_n(j) at block j - n of its bottom rows, so each
-    step updates both in place.  No predictor is carried: W U is forward
-    substitution with C's column blocks as they appear, and W's first block
-    column is c_n^-1 b_n(0) with b_0(0) = I and b_{n+1}(0) = -K_b.  Each of
-    the M steps costs O(M p^2 (p + r)) work.
+
+def _split_generator(rows, shifts, m):
+    """The 2t rows [(E + X); (E - X)] / sqrt 2 of S - F S F* = E* X + X* E,
+    for the t boundary rows R: E holds the unit rows at the boundary
+    indices B and X = R - (1/2) S_BB E."""
+    t, size = rows.shape
+    p = len(shifts)
+    index = [i * p + a for i, a in sorted(
+        (i, a) for a in range(p) for i in range(min(shifts[a], m)))]
+    x = rows.copy()
+    x[:, index] *= 0.5
+    gen = np.concatenate([x, -x])
+    gen[np.arange(t), index] += 1.0
+    gen[t + np.arange(t), index] += 1.0
+    gen *= np.sqrt(0.5)
+    return gen
+
+
+def _fold_step(gen, lo, hi, upper):
+    """One step of the pass on the 2t generator rows ``gen`` (t positive
+    rows, then t negative rows, all of metric I), pivot block [lo, hi).
+
+    One QR of blockdiag([Y+, 0], [Y-, 0]), Y the halves' pivot blocks,
+    yields Q = blockdiag(Q+, Q-): Q* folds each half onto its first p rows
+    (g with pivot block R+, f with Delta = R-).  g is scaled to P_b = R+* R+,
+    the 2p x 2p transform clears Delta, and g and f are normalized again;
+    all of it acts on the live rows as one 2t x 2t product.  Returns the
+    pivot's Cholesky factor c; the pivot rows are then c^-1 g.
     """
-    m, p, _ = col.shape
-    size = m * p
-    row0 = np.conj(col).transpose(2, 0, 1).reshape(p, size)   # block j is S_{0j}
-    top, bottom = row0.copy(), row0.copy()
-    p_f = row0[:, :p].copy()
+    t, p = gen.shape[0] // 2, hi - lo
+    square = np.zeros((2 * t, 2 * t), dtype=complex)
+    square[:t, :p] = gen[:t, lo:hi]
+    square[t:, t:t + p] = gen[t:, lo:hi]
+    qr, tau, _, _ = lapack.zgeqrf(square, overwrite_a=1)
+    # P_b = R+* R+ = c_b c_b*; zpotrs reads only c_b's lower triangle
+    c_b = qr[:p, :p].conj().T
+    delta = qr[t:t + p, t:t + p] * upper
+    q, _, _ = lapack.zungqr(qr, tau, overwrite_a=1)
+    step = q.conj().T
+    p_f = np.eye(p, dtype=complex)
+    k_f, k_b = _transform(c_b, p_f, delta)
+    # R+* times the folded pivot rows, Q+[:, :p] R+ = Y+, is Y+*
+    g = np.concatenate([gen[:t, lo:hi].conj().T, np.zeros((p, t), dtype=complex)], axis=1)
+    f = step[t:t + p]
+    g, f = g - k_b @ f, f - k_f @ g
+    c, info = lapack.zpotrf(g @ gen[:, lo:hi], lower=1, clean=1)
+    if info == 0:
+        # P_f > 0 exactly when the pivot is; only rounding can fail it
+        d_f, info = lapack.zpotrf(p_f, lower=1, clean=1)
+    if info > 0:
+        raise _not_positive(lo + info)
+    step[:p] = lapack.ztrtri(c, lower=1)[0] @ g
+    step[t:t + p] = lapack.ztrtri(d_f, lower=1)[0] @ f
+    gen[:, lo:] = step @ gen[:, lo:]
+    return c
+
+
+def _shift_pivot_rows(g, shifts, n):
+    """Apply F to the pivot rows g (p, p M) at step n >= 1, in place: block
+    j of component a takes block j - s_a of the previous step's rows (live
+    from block n - 1 on) and zero where that lies before them."""
+    p = len(shifts)
+    blocks = g.reshape(p, -1, p)
+    m = blocks.shape[1]
+    for a, s in enumerate(shifts):
+        moved = m - (n - 1 + s)                    # blocks that take a live block
+        if moved > 0:
+            # numpy buffers the overlapping copy
+            blocks[:, n - 1 + s:, a] = blocks[:, n - 1:n - 1 + moved, a]
+        if s > 1:
+            blocks[:, n:n - 1 + s, a] = 0.0
+
+
+def _schur_pass(generator, rhs=None, chol=False, first_column=False):
+    """One block Schur pass over a Hermitian S with displacement structure,
+    given its ``generator`` (rows, shifts) (see ``StructuredOperator``),
+    producing only the outputs asked for: ``chol`` the dense Cholesky factor
+    C (S = C C*), ``rhs`` W U for stacked block samples U (M, p, r) with
+    W = C^-1, and ``first_column`` W's first block column (M, p, p; Toeplitz
+    S only).  Returns (C, W U, W first column), None for each output not
+    asked for.
+
+    F moves component a of block i to block i + s_a.  Step n keeps p pivot
+    rows g (metric P_b^-1) and p negative rows f (metric P_f^-1); in the
+    Toeplitz case (all s_a = 1) they are the backward and forward prediction
+    errors g_n(j) (j >= n) and f_n(j) (j > n): with predictors a_n
+    (a_n(0) = I) and b_n (b_n(n) = I), a_n S = [P_f 0 ... 0 f_n(n+1) ...]
+    and b_n S = [0 ... 0 P_b g_n(n+1) ...].  With P_b = g_n(n) = c c*
+    (lower Cholesky), column block n of C is g_n(j)* c^-*, j >= n.  The
+    pivot rows then move by F, and K_f = Delta P_b^-1 and
+    K_b = Delta* P_f^-1, Delta = f(n+1), advance the pairs (f(j), F g(j))
+    by the 2p x 2p transform [[I, -K_f], [-K_b, I]], which clears f(n+1).
+    The Toeplitz pivot rows keep block j at block j - n of ``bottom``, so
+    F costs nothing, and each step updates both in place.  No predictor is
+    carried: W U is forward substitution with C's column blocks as they
+    appear, and W's first block column is c_n^-1 b_n(0) with b_0(0) = I and
+    b_{n+1}(0) = -K_b.  Each of the M steps costs O(M p^2 (p + r)) work.
+
+    Commensurate weights (t > p boundary rows) start from the split
+    generator (:func:`_split_generator`), 2t rows [g, further positive,
+    f, further negative] of metric I in one array; the pivot rows of
+    component a move s_a blocks.  Each step (:func:`_fold_step`) folds the t
+    positive and the t negative rows by one unitary map each, so that only
+    g and f meet the pivot block, takes the same transform, and normalizes
+    g and f again; column block n of C is then g(j)*, j > n.
+    """
+    rows, shifts = generator
+    t, size = rows.shape
+    p = len(shifts)
+    m = size // p
+    fold = t > p
+    if fold:
+        gen = _split_generator(rows, shifts, m)
+        upper = np.triu(np.ones((p, p)))
+    else:
+        top, bottom = rows.copy(), rows.copy()      # f and g
+        p_f = rows[:, :p].copy()
     c_out = np.zeros((size, size), dtype=complex, order="F") if chol else None
     if rhs is not None:
         # conjugate transpose of the substitution's running right-hand side
@@ -307,39 +507,43 @@ def _schur_pass(col, rhs=None, chol=False, first_column=False):
     b0 = np.eye(p, dtype=complex)                              # b_n(0)
     for n in range(m):
         lo, hi = n * p, (n + 1) * p
-        c, info = lapack.zpotrf(bottom[:, :p], lower=1, clean=1)
-        if info > 0:
-            # a pivot that fails at its column info is the leading minor
-            # n p + info of S, the order zpotrf reports on the whole of S
-            raise _not_positive(lo + info)
-        below = bottom[:, p:size - lo]                         # g_n(j), j > n
+        if fold:
+            if n:
+                _shift_pivot_rows(gen[:p], shifts, n)
+            c = _fold_step(gen, lo, hi, upper)
+            below = gen[:p, hi:]                               # c^-1 g(j), j > n
+        else:
+            if n:
+                k_f, k_b = _transform(c, p_f, top[:, lo:hi])
+                b0 = -k_b
+                f, g = top[:, lo:], bottom[:, :size - lo]      # f(j), F g(j), j >= n
+                g_old = g.copy()
+                _sub_product(g, k_b, f)
+                _sub_product(f, k_f, g_old)
+            c, info = lapack.zpotrf(bottom[:, :p], lower=1, clean=1)
+            if info > 0:
+                # a pivot that fails at its column info is the leading
+                # minor n p + info of S, the order zpotrf reports on S
+                raise _not_positive(lo + info)
+            below = bottom[:, p:size - lo]                     # g_n(j), j > n
         if chol:
-            cinv, _ = lapack.ztrtri(c, lower=1)
             c_out[lo:hi, lo:hi] = c
-            c_out[hi:, lo:hi] = (cinv @ below).conj().T
+            normalized = below if fold else lapack.ztrtri(c, lower=1)[0] @ below
+            c_out[hi:, lo:hi] = normalized.conj().T
         # c^-1 u as c* (P_b^-1 u): OpenBLAS's ztrtrs uses its thread pool
         # even for a p x p solve, which makes each step several times
         # slower for a while after any threaded BLAS call
         if rhs is not None:
             y, _ = lapack.zpotrs(c, rest[:, lo:hi].conj().T, lower=1)
             wu[lo:hi] = c.conj().T @ y
-            _sub_product(rest[:, hi:], y.conj().T, below)
+            if fold:
+                # (c^-1 u)* (c^-1 g) with the rows already normalized
+                rest[:, hi:] -= wu[lo:hi].conj().T @ below
+            else:
+                _sub_product(rest[:, hi:], y.conj().T, below)
         if first_column:
             y, _ = lapack.zpotrs(c, b0, lower=1)
             w0[n] = c.conj().T @ y
-        if n == m - 1:
-            break
-        delta = top[:, hi:hi + p]
-        delta_h = delta.conj().T
-        k_f_h, _ = lapack.zpotrs(c, delta_h, lower=1)          # K_f* = P_b^-1 Delta*
-        _, k_b_h, _ = lapack.zposv(p_f, delta, lower=1)         # K_b* = P_f^-1 Delta
-        k_f, k_b = k_f_h.conj().T, k_b_h.conj().T
-        p_f -= k_f @ delta_h
-        b0 = -k_b
-        f, g = top[:, hi:], bottom[:, :size - hi]              # f_n(j), g_n(j-1), j > n
-        g_old = g.copy()
-        _sub_product(g, k_b, f)
-        _sub_product(f, k_f, g_old)
     return c_out, (wu.reshape(rhs.shape) if rhs is not None else None), w0
 
 
@@ -347,13 +551,14 @@ def factorize_triangular(op):
     """Triangular factorization S = C C*, W S W* = I with W = C^-1, of a
     positive operator; the factor keeps C only.
 
-    Block Toeplitz operators (``op.column`` set) take the block Schur pass;
-    others take LAPACK's Cholesky.  Raises PositivityError naming the
-    offending leading minor size when S is not positive definite; this
-    doubles as the positivity test.
+    Operators with a generator (Toeplitz or commensurate weights) take the
+    block Schur pass; others take LAPACK's Cholesky.  Raises PositivityError
+    naming the offending leading minor size when S is not positive definite;
+    this doubles as the positivity test.
     """
-    if op.column is not None:
-        c, _, _ = _schur_pass(op.column, chol=True)
+    generator = op.generator
+    if generator is not None:
+        c, _, _ = _schur_pass(generator, chol=True)
         return TriangularFactor(c, h=op.h, p=op.p)
     c, info = lapack.zpotrf(op.s, lower=1, clean=1)
     if info > 0:
@@ -363,34 +568,41 @@ def factorize_triangular(op):
     return TriangularFactor(c, h=op.h, p=op.p)
 
 
-def _plain_grid(kernel, l, factor):
-    """Block count M of a plain read-off on [0, l], and the Toeplitz column
-    of S_l when no factor is given (None otherwise).  A given factor must be
-    one of the kernel's operators: same p and h, M at most the kernel's and
-    M h = l when l is given."""
-    if factor is None:
-        m = _block_count(kernel, kernel.l if l is None else l, 1.0)
-        return m, _toeplitz_column(kernel, m, 1.0)
-    if factor.p != kernel.p or abs(factor.h - kernel.h) > 1e-12 * kernel.h:
+def _check_grid(name, given, kernel, l):
+    """A passed operator or factor must be one of the kernel's: same p and
+    h, and M h = l when l is given."""
+    if given.p != kernel.p or abs(given.h - kernel.h) > 1e-12 * kernel.h:
         raise StructuralError(
-            f"factor grid (p = {factor.p}, h = {factor.h:.6g}) does not match "
+            f"{name} grid (p = {given.p}, h = {given.h:.6g}) does not match "
             f"the kernel grid (p = {kernel.p}, h = {kernel.h:.6g})"
         )
+    if l is not None and abs(given.m * given.h - l) > 1e-9 * max(1.0, l):
+        raise StructuralError(
+            f"{name} length {given.m * given.h:.6g} differs from l = {l:.6g}")
+
+
+def _plain_grid(kernel, l, factor):
+    """Block count M of a plain read-off on [0, l], and the Toeplitz
+    operator S_l when no factor is given (None otherwise).  A given factor
+    must be one of the kernel's operators (:func:`_check_grid`), with M at
+    most the kernel's."""
+    if factor is None:
+        m = _block_count(kernel, kernel.l if l is None else l, 1.0)
+        return m, StructuredOperator(h=kernel.h, p=kernel.p,
+                                     column=_toeplitz_column(kernel, m, 1.0))
+    _check_grid("factor", factor, kernel, l)
     if factor.m > kernel.m:
         raise StructuralError(
             f"factor has {factor.m} grid blocks but the kernel only {kernel.m}")
-    if l is not None and abs(factor.m * factor.h - l) > 1e-9 * max(1.0, l):
-        raise StructuralError(
-            f"factor length {factor.m * factor.h:.6g} differs from l = {l:.6g}")
     return factor.m, None
 
 
-def _apply_w(col, factor, u):
+def _apply_w(op, factor, u):
     """W U: by the factor's triangular solve when one is given, else by one
-    Schur pass on the Toeplitz column."""
+    Schur pass over the operator's generator."""
     if factor is not None:
         return factor.apply(u)
-    return _schur_pass(col, rhs=u)[1]
+    return _schur_pass(op.generator, rhs=u)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +621,13 @@ def recover_potential(kernel, l=None, mode="endpoint", factor=None):
     """
     if mode not in ("endpoint", "kernel-edge"):
         raise StructuralError(f"unknown recovery mode {mode!r}")
-    m, col = _plain_grid(kernel, l, factor)
+    m, op = _plain_grid(kernel, l, factor)
     p, h = kernel.p, kernel.h
     if mode == "endpoint":
-        vals = 2j * _apply_w(col, factor, kernel.samples[:m])
+        vals = 2j * _apply_w(op, factor, kernel.samples[:m])
     else:
         if factor is None:
-            w0 = _schur_pass(col, first_column=True)[2]
+            w0 = _schur_pass(op.generator, first_column=True)[2]
         else:
             unit = np.zeros((m, p, p), dtype=complex)
             unit[0] = np.eye(p)
@@ -449,13 +661,13 @@ def theta_functions(kernel, l=None, factor=None):
     applied to [2s I k] at once: by one Schur pass, or by ``factor`` when
     one is given (checked as in :func:`recover_potential`).
     """
-    m, col = _plain_grid(kernel, l, factor)
+    m, op = _plain_grid(kernel, l, factor)
     p, h = kernel.p, kernel.h
     xs = kernel.xs[:m]
     s_vals = 0.5 * np.eye(p)[None] + kernel.cumulative(xs)
     stack = np.concatenate([2.0 * s_vals, np.tile(np.eye(p)[None], (m, 1, 1)),
                             kernel.samples[:m]], axis=2)
-    applied = _apply_w(col, factor, stack)
+    applied = _apply_w(op, factor, stack)
     big = applied[:, :, :2 * p]                 # (m, p, 2p) samples of (I+E)[2s I]
     ek = applied[:, :, 2 * p:]                  # (m, p, p) samples of (I+E)k
     theta1 = big / np.sqrt(2.0)
@@ -508,16 +720,17 @@ def canonical_from_kernel(kernel, d, l=None, return_factor=False):
     """Hamiltonian H = beta* beta of the canonical system generated by k.
 
     beta is the triangular factor applied to Pi columnwise; requires the
-    weighted operator to be positive definite.  Equal weights take one
-    Schur pass that yields W Pi; with ``return_factor`` the caller needs C
-    anyway, so the pass yields C and W Pi is one triangular solve on it.
+    weighted operator to be positive definite.  Equal or commensurate
+    weights take one Schur pass that yields W Pi; with ``return_factor`` the
+    caller needs C anyway, so the pass yields C and W Pi is one triangular
+    solve on it.  Other weights take LAPACK's Cholesky.
     """
     d = np.asarray(d, dtype=float).reshape(-1)
     op = build_structured_operator(kernel, d=d, l=l)
     xs = op.h * (np.arange(op.m) + 0.5)
     pi = _pi_samples(kernel, d, xs)
-    if op.column is not None and not return_factor:
-        beta_vals = _schur_pass(op.column, rhs=pi)[1]
+    if op.generator is not None and not return_factor:
+        beta_vals = _schur_pass(op.generator, rhs=pi)[1]
     else:
         fac = factorize_triangular(op)
         beta_vals = fac.apply(pi)
@@ -564,13 +777,21 @@ def fundamental_from_kernel(kernel, d, l, z, op=None, factor=None):
     stack).  A = i D int_0^x on the midpoint grid is block lower triangular
     with half weight on the diagonal; differencing its rows turns
     (I - z A) u = Pi into one bidiagonal system per z and component a, with
-    diagonal 1 - c/2 and subdiagonal -(1 + c/2), c = i z d_a h.
+    diagonal 1 - c/2 and subdiagonal -(1 + c/2), c = i z d_a h.  A given
+    ``op`` must be built from the kernel's grid for this ``d`` and ``l``, and
+    a given ``factor`` must match that grid; otherwise StructuralError.
     """
     d = np.asarray(d, dtype=float).reshape(-1)
     if op is None:
         op = build_structured_operator(kernel, d=d, l=l)
+    else:
+        _check_grid("operator", op, kernel, l)
+        if op.d is None or not np.array_equal(op.d, d):
+            raise StructuralError(f"operator built for d = {op.d}, not d = {d}")
     if factor is None:
         factor = factorize_triangular(op)
+    else:
+        _check_grid("factor", factor, kernel, l)
     m, p, h = op.m, op.p, op.h
     zs = np.asarray(z, dtype=complex)
     zf = zs.reshape(-1)

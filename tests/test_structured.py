@@ -231,6 +231,20 @@ class TestOnePassMemory:
                 tracemalloc.stop()
             assert peak < 4e6
 
+    def test_commensurate_canonical_forms_no_dense_matrix(self, monkeypatch):
+        # d = (-1, -2), M = 1024, p = 2: a (pM)^2 complex matrix is 67 MB
+        kern = DifferenceKernel.from_function(gauss_kernel, p=2, l=2.0, h=1 / 1024)
+        monkeypatch.setattr(StructuredOperator, "s", property(
+            lambda op: pytest.fail("the canonical read-off formed the dense S")))
+        tracemalloc.start()
+        try:
+            beta, _ = canonical_from_kernel(kern, d=GAUSS_D, l=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert beta.m == 1024
+        assert peak < 4e6
+
 
 class TestReadOffOrder:
     """Both read-offs are O(h): grid refinement on the rank-p kernel
@@ -814,6 +828,31 @@ class TestStripAssembly:
         assert np.abs(op.s - op.s.conj().T).max() == 0.0
         assert (op.column is not None) == (len(set(d)) == 1)
 
+    @pytest.mark.parametrize("d,shifts", [((-1.0, -2.0), (2, 1)), ((-2.0, -1.0), (1, 2)),
+                                          ((-1.0, -3.0), (3, 1)), ((-0.5, -1.5), (3, 1)),
+                                          ((-1.0, -1.5), None), ((-1.0, -1.3), None)])
+    def test_commensurate_weights_keep_boundary_rows(self, d, shifts):
+        # shifts adding up to t <= 2p keep the boundary rows; (-1, -1.5) has
+        # shifts (3, 2) and -1.3 no exact small ratio, so both stay dense
+        kern = toy_kernel(2, l=4.0, h=1 / 32)
+        for m in (1, 2, 30):
+            op = build_structured_operator(kern, d=d, l=m * kern.h)
+            assert op.shifts == shifts and (op.dense is None) == (shifts is not None)
+            if shifts is not None:
+                index = sorted(i * 2 + a for a in range(2) for i in range(min(shifts[a], m)))
+                np.testing.assert_array_equal(op.boundary, op.s[index])
+
+    def test_zero_argument_off_a_binary_grid(self):
+        # h = 0.2 rounds d_b x_j - d_a x_i to 5.6e-17 at (i, j) = (1, 4),
+        # where 1.5 (2i + 1) = 0.5 (2j + 1): the entry still takes the average
+        kern = toy_kernel(2, l=2.0, h=0.2)
+        op = build_structured_operator(kern, d=[-1.5, -0.5], l=1.0)
+        k0 = hermitize(kern.at(0.0))[0, 1] * kern.h
+        for i, j in ((0, 1), (1, 4)):
+            assert op.s[2 * i, 2 * j + 1] == k0
+        c = lapack_factor(op.s)[1]
+        assert np.abs(factorize_triangular(op).winv - c).max() <= 1e-12 * np.abs(c).max()
+
 
 class TestSchurFactor:
     @pytest.mark.parametrize("m", [1, 2, 200])
@@ -830,12 +869,42 @@ class TestSchurFactor:
         assert np.abs(np.triu(fac.winv, 1)).max(initial=0.0) == 0.0
 
     def test_distinct_weights_keep_lapack(self):
+        # incommensurate weights: 1.3 has no small exact ratio to 1
         kern = toy_kernel(2)
-        op = build_structured_operator(kern, d=GAUSS_D, l=0.5)
-        assert op.column is None
+        op = build_structured_operator(kern, d=[-1.0, -1.3], l=0.5)
+        assert op.generator is None and op.dense is not None
         fac = factorize_triangular(op)
         w, _ = lapack_factor(op.s)
         np.testing.assert_array_equal(fac.w, w)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 200])
+    @pytest.mark.parametrize("d", [(-1.0, -2.0), (-2.0, -1.0), (-1.0, -3.0)])
+    def test_commensurate_matches_lapack(self, d, m):
+        kern = toy_kernel(2, l=7.0)
+        op = build_structured_operator(kern, d=d, l=m * kern.h)
+        assert op.boundary is not None and op.dense is None
+        fac = factorize_triangular(op)
+        w, c = lapack_factor(op.s)
+        assert np.abs(fac.w - w).max() <= 1e-12 * np.abs(w).max()
+        assert np.abs(fac.winv - c).max() <= 1e-12 * np.abs(c).max()
+        assert np.abs(np.triu(fac.w, 1)).max(initial=0.0) == 0.0
+        assert np.abs(np.triu(fac.winv, 1)).max(initial=0.0) == 0.0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_shift_longer_than_the_grid(self, m):
+        # p = 3, shifts (4, 1, 1): for M < 4 the first component's pivot rows
+        # move past the end of the grid
+        kern = positive_kernel(np.random.default_rng(m), 3, 2, 0.05, 1 / 16, 4 * m + 1)
+        op = build_structured_operator(kern, d=[-1.0, -4.0, -4.0], l=m / 16)
+        assert op.shifts == (4, 1, 1) and op.boundary is not None
+        c = lapack_factor(op.s)[1]
+        assert np.abs(factorize_triangular(op).winv - c).max() <= 1e-12 * np.abs(c).max()
+
+    def test_unstructured_takes_lapack(self):
+        kern = toy_kernel(2)
+        op = build_structured_operator(kern, d=GAUSS_D, l=0.5).unstructured()
+        assert op.generator is None and op.boundary is None and op.kernel is None
+        np.testing.assert_array_equal(factorize_triangular(op).winv, lapack_factor(op.s)[1])
 
     @pytest.mark.parametrize("p,c", [(1, -8.0), (2, -6.0)])
     def test_failed_pivot_names_lapack_minor(self, p, c):
@@ -844,17 +913,24 @@ class TestSchurFactor:
         _, info = lapack.zpotrf(op.s, lower=1)
         assert info > p      # fails past the first block
         routes = {
-            "factorize": lambda: factorize_triangular(op),
-            "endpoint": lambda: recover_potential(kern),
-            "kernel-edge": lambda: recover_potential(kern, mode="kernel-edge"),
-            "theta": lambda: theta_functions(kern),
+            "factorize": (lambda: factorize_triangular(op), info),
+            "endpoint": (lambda: recover_potential(kern), info),
+            "kernel-edge": (lambda: recover_potential(kern, mode="kernel-edge"), info),
+            "theta": (lambda: theta_functions(kern), info),
             # d = -1 gives the plain operator's S
-            "canonical": lambda: canonical_from_kernel(kern, d=-np.ones(p)),
+            "canonical": (lambda: canonical_from_kernel(kern, d=-np.ones(p)), info),
         }
-        for name, route in routes.items():
+        if p == 2:
+            op_c = build_structured_operator(kern, d=GAUSS_D, l=0.5)
+            _, info_c = lapack.zpotrf(op_c.s, lower=1)
+            assert op_c.boundary is not None and info_c > p
+            routes["commensurate"] = (lambda: factorize_triangular(op_c), info_c)
+            routes["commensurate canonical"] = (
+                lambda: canonical_from_kernel(kern, d=GAUSS_D, l=0.5), info_c)
+        for name, (route, minor) in routes.items():
             with pytest.raises(wk.PositivityError) as err:
                 route()
-            assert err.value.minor == info, name
+            assert err.value.minor == minor, name
 
 
 def kron_reference(kernel, d, z, op, fac):
@@ -890,20 +966,83 @@ class TestBatchedFundamental:
         np.testing.assert_array_equal(grid.reshape(flat.shape), flat)
 
 
+class TestPassedOperatorIsChecked:
+    """fundamental_from_kernel refuses an operator or factor that is not the
+    one its kernel, d and l define."""
+
+    kern = toy_kernel(1, l=4.0, h=1 / 32)
+
+    def test_operator_weight_must_equal_d(self):
+        op = build_structured_operator(self.kern, d=[-1.5], l=1.0)
+        with pytest.raises(wk.StructuralError):
+            fundamental_from_kernel(self.kern, [-1.0], 1.0, 0.5j, op=op)
+
+    def test_operator_length_must_equal_l(self):
+        op = build_structured_operator(self.kern, d=[-1.0], l=1.0)
+        with pytest.raises(wk.StructuralError):
+            fundamental_from_kernel(self.kern, [-1.0], 2.0, 0.5j, op=op)
+        fundamental_from_kernel(self.kern, [-1.0], 1.0, 0.5j, op=op)
+
+    def test_operator_step_must_equal_kernel_step(self):
+        op = build_structured_operator(toy_kernel(1, l=4.0, h=1 / 64), d=[-1.0], l=1.0)
+        with pytest.raises(wk.StructuralError):
+            fundamental_from_kernel(self.kern, [-1.0], 1.0, 0.5j, op=op)
+
+    def test_factor_length_must_equal_l(self):
+        short = factorize_triangular(build_structured_operator(self.kern, d=[-1.0], l=0.5))
+        with pytest.raises(wk.StructuralError):
+            fundamental_from_kernel(self.kern, [-1.0], 1.0, 0.5j, factor=short)
+        op = build_structured_operator(self.kern, d=[-1.0], l=1.0)
+        with pytest.raises(wk.StructuralError):
+            fundamental_from_kernel(self.kern, [-1.0], 1.0, 0.5j, op=op, factor=short)
+
+    def test_factor_step_must_equal_kernel_step(self):
+        fine = toy_kernel(1, l=4.0, h=1 / 64)
+        fac = factorize_triangular(build_structured_operator(fine, d=[-1.0], l=1.0))
+        with pytest.raises(wk.StructuralError):
+            fundamental_from_kernel(self.kern, [-1.0], 1.0, 0.5j, factor=fac)
+
+
 # ---------------------------------------------------------------------------
 # property test of the factor on generated positive kernels
 
 
+def positive_kernel(rng, p, n_terms, eps, h, n):
+    """n midpoint samples, step h, of a p x p kernel whose operator S is
+    positive for every weight, up to the interpolation of k between samples
+    (which can lose it on coarse grids, M = 1 with h > 1).
+
+    k is a sum of J = ``n_terms`` terms c_j e^{i b_j x} P_j with c_j >= 0
+    and P_j Hermitian positive: k_ab(d_b t - d_a x) = U(x) (sum c_j P_j) U(t)*
+    with U diagonal, so that part of S - I is positive for every weight.  A
+    Gaussian-damped Hermitian term of amplitude eps <= 0.1 is added; its
+    row sums stay below about 0.6 (Schur test), so S >= 0.4 I.
+    """
+    c = rng.uniform(0.0, 2.0, size=n_terms)
+    b = rng.uniform(-3.0, 3.0, size=n_terms)
+    vecs = rng.normal(size=(n_terms, p, 1)) + 1j * rng.normal(size=(n_terms, p, 1))
+    proj = vecs @ vecs.conj().transpose(0, 2, 1)
+    proj /= np.linalg.norm(proj, 2, axis=(1, 2))[:, None, None]
+    m1, m2 = (hermitize(rng.normal(size=(p, p)) + 1j * rng.normal(size=(p, p)))
+              for _ in range(2))
+    m1, m2 = m1 / np.linalg.norm(m1, 2), m2 / np.linalg.norm(m2, 2)
+    xs = h * (np.arange(n) + 0.5)[:, None, None]
+    samples = (np.einsum("j,xj,jab->xab", c, np.exp(1j * b * xs[:, :, 0]), proj)
+               + eps * np.exp(-xs * xs) * (m1 + 1j * xs * m2))
+    return DifferenceKernel(p=p, h=h, samples=samples)
+
+
+def _stored_blocks(d, m):
+    """Kernel samples an operator of M = m blocks with weights d reads."""
+    scale = 1.0 if d is None else float(np.abs(d).max())
+    return int(np.ceil(scale * m)) + 1
+
+
 @st.composite
 def positive_operators(draw):
-    """A kernel, weight and length whose operator S is positive by design.
-
-    k is a sum of J <= 3 terms c_j e^{i b_j x} P_j with c_j >= 0 and P_j
-    Hermitian positive: k_ab(d_b t - d_a x) = U(x) (sum c_j P_j) U(t)* with
-    U diagonal, so that part of S - I is positive for every weight.  A
-    Gaussian-damped Hermitian term of amplitude eps <= 0.1 is added; its
-    row sums stay below about 0.6 (Schur test), so S >= 0.4 I.  Weights are
-    none (plain), all equal, or distinct (p = 2 only).
+    """A kernel (:func:`positive_kernel`), weight and length whose operator
+    S is positive by design.  Weights are none (plain), all equal, or
+    distinct (p = 2 only).
     """
     p = draw(st.sampled_from([1, 2]))
     m = draw(st.integers(1, 64))
@@ -914,22 +1053,30 @@ def positive_operators(draw):
          "distinct": np.array([-u, -u * draw(st.floats(1.25, 3.0))])}[kind]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_terms = draw(st.integers(1, 3))
-    c = rng.uniform(0.0, 2.0, size=n_terms)
-    b = rng.uniform(-3.0, 3.0, size=n_terms)
-    vecs = rng.normal(size=(n_terms, p, 1)) + 1j * rng.normal(size=(n_terms, p, 1))
-    proj = vecs @ vecs.conj().transpose(0, 2, 1)
-    proj /= np.linalg.norm(proj, 2, axis=(1, 2))[:, None, None]
-    m1, m2 = (hermitize(rng.normal(size=(p, p)) + 1j * rng.normal(size=(p, p)))
-              for _ in range(2))
-    m1, m2 = m1 / np.linalg.norm(m1, 2), m2 / np.linalg.norm(m2, 2)
     eps = draw(st.floats(0.0, 0.1))
     h = l / m
-    scale = 1.0 if d is None else float(np.abs(d).max())
-    xs = h * (np.arange(int(np.ceil(scale * m)) + 1) + 0.5)[:, None, None]
-    samples = (np.einsum("j,xj,jab->xab", c, np.exp(1j * b * xs[:, :, 0]), proj)
-               + eps * np.exp(-xs * xs) * (m1 + 1j * xs * m2))
-    kern = DifferenceKernel(p=p, h=h, samples=samples)
-    return kern, d, m * h
+    return positive_kernel(rng, p, n_terms, eps, h, _stored_blocks(d, m)), d, m * h
+
+
+@st.composite
+def commensurate_operators(draw):
+    """A positive kernel (:func:`positive_kernel`) with commensurate weights
+    |d_a| = u or u r, r in {2, 3, 1/2}, whose shifts add up to t <= 2p.
+
+    u is a short binary fraction, so u r is exact and the ratio r exact.
+    """
+    p = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(1, 48))
+    l = draw(st.floats(0.25, 1.5))
+    r = draw(st.sampled_from([2.0, 3.0, 0.5]))
+    u = draw(st.sampled_from([0.5, 0.75, 1.0, 1.25]))
+    # with r = 3 every unit weight has shift 3, so only one fits t <= 2p
+    k = p - 1 if r == 3.0 else draw(st.integers(1, p - 1))
+    d = -u * np.array(draw(st.permutations([r] * k + [1.0] * (p - k))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_terms = draw(st.integers(1, 3))
+    eps = draw(st.floats(0.0, 0.1))
+    return positive_kernel(rng, p, n_terms, eps, l / m, _stored_blocks(d, m)), d, l
 
 
 class TestFactorProperties:
@@ -984,3 +1131,36 @@ class TestFactorProperties:
             beta, ham = canonical_from_kernel(kern, d, l=l)
             close(beta.values, beta_ref)
             close(ham.values, hermitize(np.einsum("mji,mjk->mik", beta_ref.conj(), beta_ref)))
+
+    @seed(20261019)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(commensurate_operators())
+    def test_commensurate_pass(self, case):
+        kern, d, l = case
+        op = build_structured_operator(kern, d=d, l=l)
+        assert op.boundary is not None
+        chol, info = lapack.zpotrf(op.s, lower=1, clean=1)
+        if info:
+            # coarse grids (M = 1, h > 1) interpolate k too roughly for the
+            # design to keep S positive: the pass must then name LAPACK's minor
+            with pytest.raises(wk.PositivityError) as err:
+                factorize_triangular(op)
+            assert err.value.minor == info
+            return
+        fac = factorize_triangular(op)
+        n = op.s.shape[0]
+        w, c = fac.w, fac.winv
+        assert np.linalg.norm(w @ op.s @ w.conj().T - np.eye(n), 2) <= 1e-10
+        assert np.abs(c - chol).max() <= 1e-12 * np.abs(chol).max()
+
+        zs = np.array([0.7 + 0.5j, -1.0 + 2.0j])
+        vals = fundamental_from_kernel(kern, d, l, zs)
+        for z, val in zip(zs, vals):
+            ref = kron_reference(kern, d, z, op, fac)
+            assert np.abs(val - ref).max() <= 1e-12 * np.abs(ref).max()
+
+        m, p = op.m, op.p
+        pi = _pi_samples(kern, d, op.h * (np.arange(m) + 0.5)).reshape(m * p, 2 * p)
+        beta_ref = (w @ pi).reshape(m, p, 2 * p)
+        beta, _ = canonical_from_kernel(kern, d, l=l)
+        assert np.abs(beta.values - beta_ref).max() <= 1e-12 * np.abs(beta_ref).max()
