@@ -21,11 +21,12 @@ they apply it instead.
 Commensurate weights keep an exact displacement structure: entry (a, b) of
 block (i, j) depends only on |d_a| (i + 1/2) - |d_b| (j + 1/2), so for the
 shift F that moves component a by s_a blocks (|d_a| s_a the same for every
-a), S - F S F* has rank at most 2t, t = sum s_a.  For t <= 2p the operator
-keeps only the t boundary rows, and the same pass, folding its t positive
-and t negative generator rows onto p of each before every step, yields C
-or W U in O(t^2 p M^2) work.  Other weights fill the dense S and take
-LAPACK.
+a), S - F S F* has rank at most 2t, t = sum s_a.  For t <= 2p, p <= 3 and
+p M >= 1024 (where it was timed to beat LAPACK) the operator keeps only
+the t boundary rows, and the same pass, folding its t positive and t
+negative generator rows onto p of each before every step, yields C or
+W U in O(t^2 p M^2) work.  Other weights and smaller grids fill the dense
+S and take LAPACK.
 """
 
 import math
@@ -75,12 +76,14 @@ class StructuredOperator:
 
     ``column`` is the first block column of S when S is exactly Hermitian
     block Toeplitz (no weight, or all weights equal).  For commensurate
-    weights ``boundary`` holds the rows S[(i, a), :], i < min(s_a, M), in
-    row order, ``shifts`` the s_a and ``kernel`` the kernel S is filled from.
-    Either routes :func:`factorize_triangular` to the Schur pass.  ``dense``
-    is the (p M, p M) matrix S when it was assembled entrywise (other
-    weights) or given; otherwise ``s`` forms it on first access, bit for bit
-    as the entrywise assembly would, and keeps it.
+    weights on a grid large enough for the pass to pay (see
+    :func:`build_structured_operator`) ``boundary`` holds the rows
+    S[(i, a), :], i < min(s_a, M), in row order, ``shifts`` the s_a and
+    ``kernel`` the kernel S is filled from.  Either routes
+    :func:`factorize_triangular` to the Schur pass.  ``dense`` is the
+    (p M, p M) matrix S when it was assembled entrywise (other weights) or
+    given; otherwise ``s`` forms it on first access, bit for bit as the
+    entrywise assembly would, and keeps it.
     """
 
     h: float
@@ -224,17 +227,24 @@ def _commensurate_shifts(d):
     return tuple(k // step for k in ints)
 
 
+def _boundary_index(shifts, m):
+    """Flat indices i p + a of the boundary rows (i, a), i < min(s_a, M), in
+    row order: the order of ``StructuredOperator.boundary``."""
+    p = len(shifts)
+    return sorted(i * p + a for a, s in enumerate(shifts) for i in range(min(s, m)))
+
+
 def _boundary_rows(kernel, d, m, shifts):
     """The rows S[(i, a), :] with i < min(s_a, M), in row order, each entry
     computed as :func:`_fill_weighted` computes it."""
     p = kernel.p
     grid = np.arange(m)
     k0 = hermitize(kernel.at(0.0))
-    index = sorted((i, a) for a in range(p) for i in range(min(shifts[a], m)))
+    index = _boundary_index(shifts, m)
     rows = np.empty((len(index), m * p), dtype=complex)
     wide = [_toeplitz_wide(_toeplitz_column(kernel, m, -d[a])[:, a:a + 1, a:a + 1])[0]
             for a in range(p)]
-    for row, (i, a) in zip(rows, index):
+    for row, (i, a) in zip(rows, (divmod(k, p) for k in index)):
         row[a::p] = wide[a][m - 1 - i:2 * m - 1 - i]
         for b in range(p):
             if b > a:
@@ -242,6 +252,27 @@ def _boundary_rows(kernel, d, m, shifts):
             elif b < a:
                 row[b::p] = _pair_entries(kernel, d, grid, grid[i:i + 1], b, a, k0)[:, 0].conj()
     return rows
+
+
+def _commensurate_operator(kernel, d, m):
+    """The operator of commensurate weights ``d`` on M = ``m`` blocks by its
+    boundary rows, whatever M: the Schur pass's route, which
+    :func:`build_structured_operator` takes only where it pays."""
+    d = np.asarray(d, dtype=float).reshape(-1)
+    shifts = _commensurate_shifts(d)
+    return StructuredOperator(h=kernel.h, p=kernel.p, d=d, shifts=shifts, kernel=kernel,
+                              boundary=_boundary_rows(kernel, d, m, shifts))
+
+
+# Commensurate weights take the Schur pass when p <= _PASS_MAX_P, t <= 2p and
+# p M >= _PASS_MIN_ORDER.  Timed against the entrywise fill plus LAPACK's
+# Cholesky, with and without a right-hand side (2 cores, 2 BLAS threads), for
+# p = 2 at t = 3, 4 and p = 3 at t = 4, 5, 6, p M from 256 to 2048: the pass
+# lost up to p M = 512 (about 20 ms against 15 ms there), broke about even
+# from 640 to 900 and won from 1024 on, by 5x and more at 2048.  Its fixed
+# cost per step sets the crossover.  Larger p was not timed.
+_PASS_MIN_ORDER = 1024
+_PASS_MAX_P = 3
 
 
 def _block_count(kernel, l, scale):
@@ -267,9 +298,11 @@ def build_structured_operator(kernel, d=None, l=None):
     max|d| * l.  Entries at argument 0, where k is one-sided, take the
     Hermitian average, so S is exactly Hermitian.  With no weight or equal
     weights S is block Toeplitz: the result keeps its first block column.
-    Commensurate weights whose shifts add up to t <= 2p keep the t boundary
-    rows.  Either way the dense S is filled only when ``s`` is read; other
-    weights assemble it here.
+    Commensurate weights, whose smallest shifts s_a with |d_a| s_a all
+    equal add up to t <= 2p, keep the t boundary rows when p <= 3 and
+    p M >= 1024, where the Schur pass was measured to beat LAPACK (see
+    ``_PASS_MIN_ORDER``).  Either way the dense S is filled only when ``s``
+    is read; other weights, and smaller commensurate grids, assemble it here.
     """
     p, h = kernel.p, kernel.h
     if d is not None:
@@ -286,10 +319,9 @@ def build_structured_operator(kernel, d=None, l=None):
     m = _block_count(kernel, l, scale)
     if d is None or np.all(d == d[0]):
         return StructuredOperator(h=h, p=p, d=d, column=_toeplitz_column(kernel, m, scale))
-    shifts = _commensurate_shifts(d)
-    if sum(shifts) <= 2 * p:
-        return StructuredOperator(h=h, p=p, d=d, boundary=_boundary_rows(kernel, d, m, shifts),
-                                  shifts=shifts, kernel=kernel)
+    if (p <= _PASS_MAX_P and p * m >= _PASS_MIN_ORDER
+            and sum(_commensurate_shifts(d)) <= 2 * p):
+        return _commensurate_operator(kernel, d, m)
     return StructuredOperator(h=h, p=p, d=d, dense=_fill_weighted(kernel, d, m))
 
 
@@ -385,10 +417,8 @@ def _split_generator(rows, shifts, m):
     """The 2t rows [(E + X); (E - X)] / sqrt 2 of S - F S F* = E* X + X* E,
     for the t boundary rows R: E holds the unit rows at the boundary
     indices B and X = R - (1/2) S_BB E."""
-    t, size = rows.shape
-    p = len(shifts)
-    index = [i * p + a for i, a in sorted(
-        (i, a) for a in range(p) for i in range(min(shifts[a], m)))]
+    t = rows.shape[0]
+    index = _boundary_index(shifts, m)
     x = rows.copy()
     x[:, index] *= 0.5
     gen = np.concatenate([x, -x])
@@ -552,9 +582,11 @@ def factorize_triangular(op):
     positive operator; the factor keeps C only.
 
     Operators with a generator (Toeplitz or commensurate weights) take the
-    block Schur pass; others take LAPACK's Cholesky.  Raises PositivityError
-    naming the offending leading minor size when S is not positive definite;
-    this doubles as the positivity test.
+    block Schur pass (:func:`build_structured_operator` keeps the generator
+    of commensurate weights only where the pass pays); others take LAPACK's
+    Cholesky.  Raises PositivityError naming the offending leading minor
+    size when S is not positive definite; this doubles as the positivity
+    test.
     """
     generator = op.generator
     if generator is not None:
@@ -720,10 +752,12 @@ def canonical_from_kernel(kernel, d, l=None, return_factor=False):
     """Hamiltonian H = beta* beta of the canonical system generated by k.
 
     beta is the triangular factor applied to Pi columnwise; requires the
-    weighted operator to be positive definite.  Equal or commensurate
-    weights take one Schur pass that yields W Pi; with ``return_factor`` the
-    caller needs C anyway, so the pass yields C and W Pi is one triangular
-    solve on it.  Other weights take LAPACK's Cholesky.
+    weighted operator to be positive definite.  Equal weights, and
+    commensurate weights where :func:`build_structured_operator` keeps
+    their generator, take one Schur pass that yields W Pi; with
+    ``return_factor`` the caller needs C anyway, so the pass yields C and
+    W Pi is one triangular solve on it.  Other weights take LAPACK's
+    Cholesky.
     """
     d = np.asarray(d, dtype=float).reshape(-1)
     op = build_structured_operator(kernel, d=d, l=l)

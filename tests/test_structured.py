@@ -14,7 +14,10 @@ from weylkit.grids import DifferenceKernel, GridFunction
 from weylkit.structured import (
     StructuredOperator,
     TriangularFactor,
+    _boundary_index,
+    _commensurate_operator,
     _pi_samples,
+    _schur_pass,
     accelerant_from_potential,
     build_structured_operator,
     canonical_from_kernel,
@@ -829,18 +832,35 @@ class TestStripAssembly:
         assert (op.column is not None) == (len(set(d)) == 1)
 
     @pytest.mark.parametrize("d,shifts", [((-1.0, -2.0), (2, 1)), ((-2.0, -1.0), (1, 2)),
-                                          ((-1.0, -3.0), (3, 1)), ((-0.5, -1.5), (3, 1)),
-                                          ((-1.0, -1.5), None), ((-1.0, -1.3), None)])
-    def test_commensurate_weights_keep_boundary_rows(self, d, shifts):
-        # shifts adding up to t <= 2p keep the boundary rows; (-1, -1.5) has
-        # shifts (3, 2) and -1.3 no exact small ratio, so both stay dense
+                                          ((-1.0, -3.0), (3, 1)), ((-0.5, -1.5), (3, 1))])
+    def test_commensurate_boundary_rows_are_rows_of_s(self, d, shifts):
         kern = toy_kernel(2, l=4.0, h=1 / 32)
         for m in (1, 2, 30):
+            op = _commensurate_operator(kern, d, m)
+            assert op.shifts == shifts and op.dense is None
+            index = sorted(i * 2 + a for a in range(2) for i in range(min(shifts[a], m)))
+            assert _boundary_index(shifts, m) == index
+            np.testing.assert_array_equal(op.boundary, op.s[index])
+
+    @pytest.mark.parametrize("d,takes_pass", [((-1.0, -2.0), True), ((-2.0, -1.0), True),
+                                              ((-1.0, -3.0), True), ((-1.0, -1.5), False),
+                                              ((-1.0, -1.3), False)])
+    def test_commensurate_route_from_p_m_1024(self, d, takes_pass):
+        # t <= 2p keeps the boundary rows from p M = 1024 on, where the pass
+        # was timed to beat LAPACK; (-1, -1.5) has shifts (3, 2) (t = 5) and
+        # -1.3 no exact small ratio, so both stay dense at any size
+        kern = toy_kernel(2, l=32.0, h=1 / 64)
+        for m, big in ((511, False), (512, True)):
             op = build_structured_operator(kern, d=d, l=m * kern.h)
-            assert op.shifts == shifts and (op.dense is None) == (shifts is not None)
-            if shifts is not None:
-                index = sorted(i * 2 + a for a in range(2) for i in range(min(shifts[a], m)))
-                np.testing.assert_array_equal(op.boundary, op.s[index])
+            assert (op.boundary is not None) == (takes_pass and big)
+            assert (op.dense is None) == (takes_pass and big)
+
+    def test_commensurate_route_needs_p_at_most_3(self):
+        d = [-1.0, -2.0, -2.0, -2.0]        # t = 5 <= 2p, but p = 4 was not timed
+        kern = DifferenceKernel(p=4, h=1 / 64, samples=np.zeros((1024, 4, 4), dtype=complex))
+        assert build_structured_operator(kern, d=d, l=8.0).dense is not None
+        p3 = DifferenceKernel(p=3, h=1 / 64, samples=np.zeros((1024, 3, 3), dtype=complex))
+        assert build_structured_operator(p3, d=d[:3], l=6.0).boundary is not None
 
     def test_zero_argument_off_a_binary_grid(self):
         # h = 0.2 rounds d_b x_j - d_a x_i to 5.6e-17 at (i, j) = (1, 4),
@@ -881,7 +901,7 @@ class TestSchurFactor:
     @pytest.mark.parametrize("d", [(-1.0, -2.0), (-2.0, -1.0), (-1.0, -3.0)])
     def test_commensurate_matches_lapack(self, d, m):
         kern = toy_kernel(2, l=7.0)
-        op = build_structured_operator(kern, d=d, l=m * kern.h)
+        op = _commensurate_operator(kern, d, m)
         assert op.boundary is not None and op.dense is None
         fac = factorize_triangular(op)
         w, c = lapack_factor(op.s)
@@ -895,14 +915,14 @@ class TestSchurFactor:
         # p = 3, shifts (4, 1, 1): for M < 4 the first component's pivot rows
         # move past the end of the grid
         kern = positive_kernel(np.random.default_rng(m), 3, 2, 0.05, 1 / 16, 4 * m + 1)
-        op = build_structured_operator(kern, d=[-1.0, -4.0, -4.0], l=m / 16)
+        op = _commensurate_operator(kern, [-1.0, -4.0, -4.0], m)
         assert op.shifts == (4, 1, 1) and op.boundary is not None
         c = lapack_factor(op.s)[1]
         assert np.abs(factorize_triangular(op).winv - c).max() <= 1e-12 * np.abs(c).max()
 
     def test_unstructured_takes_lapack(self):
         kern = toy_kernel(2)
-        op = build_structured_operator(kern, d=GAUSS_D, l=0.5).unstructured()
+        op = _commensurate_operator(kern, GAUSS_D, 64).unstructured()
         assert op.generator is None and op.boundary is None and op.kernel is None
         np.testing.assert_array_equal(factorize_triangular(op).winv, lapack_factor(op.s)[1])
 
@@ -921,12 +941,18 @@ class TestSchurFactor:
             "canonical": (lambda: canonical_from_kernel(kern, d=-np.ones(p)), info),
         }
         if p == 2:
-            op_c = build_structured_operator(kern, d=GAUSS_D, l=0.5)
+            op_c = _commensurate_operator(kern, GAUSS_D, 32)
             _, info_c = lapack.zpotrf(op_c.s, lower=1)
-            assert op_c.boundary is not None and info_c > p
+            assert info_c > p
             routes["commensurate"] = (lambda: factorize_triangular(op_c), info_c)
+            # canonical_from_kernel routes d = (-1, -2) to the pass from
+            # p M = 1024 on: M = 512 blocks, stored out to 2 l = 16
+            long_kern = toy_kernel(p, c=c, l=16.0, h=1 / 64)
+            op_l = build_structured_operator(long_kern, d=GAUSS_D, l=8.0)
+            _, info_l = lapack.zpotrf(op_l.s, lower=1)
+            assert op_l.boundary is not None and info_l > p
             routes["commensurate canonical"] = (
-                lambda: canonical_from_kernel(kern, d=GAUSS_D, l=0.5), info_c)
+                lambda: canonical_from_kernel(long_kern, d=GAUSS_D, l=8.0), info_l)
         for name, (route, minor) in routes.items():
             with pytest.raises(wk.PositivityError) as err:
                 route()
@@ -1137,8 +1163,7 @@ class TestFactorProperties:
     @given(commensurate_operators())
     def test_commensurate_pass(self, case):
         kern, d, l = case
-        op = build_structured_operator(kern, d=d, l=l)
-        assert op.boundary is not None
+        op = _commensurate_operator(kern, d, int(round(l / kern.h)))
         chol, info = lapack.zpotrf(op.s, lower=1, clean=1)
         if info:
             # coarse grids (M = 1, h > 1) interpolate k too roughly for the
@@ -1154,7 +1179,7 @@ class TestFactorProperties:
         assert np.abs(c - chol).max() <= 1e-12 * np.abs(chol).max()
 
         zs = np.array([0.7 + 0.5j, -1.0 + 2.0j])
-        vals = fundamental_from_kernel(kern, d, l, zs)
+        vals = fundamental_from_kernel(kern, d, l, zs, op=op)
         for z, val in zip(zs, vals):
             ref = kron_reference(kern, d, z, op, fac)
             assert np.abs(val - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -1162,5 +1187,5 @@ class TestFactorProperties:
         m, p = op.m, op.p
         pi = _pi_samples(kern, d, op.h * (np.arange(m) + 0.5)).reshape(m * p, 2 * p)
         beta_ref = (w @ pi).reshape(m, p, 2 * p)
-        beta, _ = canonical_from_kernel(kern, d, l=l)
-        assert np.abs(beta.values - beta_ref).max() <= 1e-12 * np.abs(beta_ref).max()
+        beta = _schur_pass(op.generator, rhs=pi.reshape(m, p, 2 * p))[1]
+        assert np.abs(beta - beta_ref).max() <= 1e-12 * np.abs(beta_ref).max()
