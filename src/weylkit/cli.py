@@ -320,6 +320,11 @@ def _run_checks():
     dense = factorize_triangular(op.unstructured())
     sdiff = float(np.abs(fac.winv - dense.winv).max())
     yield "Schur factor vs LAPACK", sdiff < 1e-10, f"max diff {sdiff:.2e}"
+    # one block short, the pass's last q-block is a partial one
+    short = build_structured_operator(kern, l=(kern.m - 1) * kern.h)
+    gdiff = float(np.abs(factorize_triangular(short).winv
+                         - factorize_triangular(short.unstructured()).winv).max())
+    yield f"Schur factor vs LAPACK (M = {short.m})", gdiff < 1e-10, f"max diff {gdiff:.2e}"
     # the fixture's int |k| is 0.063, so S stays positive for any weight of a
     # kernel k(x) U with |U| <= 1
     kern2 = DifferenceKernel(p=2, h=kern.h, samples=kern.samples[:, 0, 0, None, None]

@@ -16,7 +16,12 @@ which outputs to produce, serves every Toeplitz caller: C for
 the endpoint potential, [2s I k] for the theta functions, Pi for the
 canonical factor beta) and W's first block column for the kernel-edge
 potential.  The read-offs thus store no (pM)^2 matrix; passed a factor,
-they apply it instead.
+they apply it instead.  The pass reads S as block Toeplitz with q = b p
+blocks, b from the shape (:func:`_toeplitz_block`), its first block column
+padded with zero blocks to a multiple of b: ceil(M/b) steps and
+O(b p^3 M^2) work, in place of M steps of mostly fixed cost.  The padding
+is harmless, since the pass only moves data to the right and pivots its
+last step on the real rows only.
 
 Commensurate weights keep an exact displacement structure: entry (a, b) of
 block (i, j) depends only on |d_a| (i + 1/2) - |d_b| (j + 1/2), so for the
@@ -119,15 +124,17 @@ class StructuredOperator:
     def l(self):
         return self.h * self.m
 
-    @property
+    @cached_property
     def generator(self):
         """(rows, shifts) for :func:`_schur_pass`, or None when S has no
-        exact displacement structure: the first block row and unit shifts
-        for a Toeplitz S, the boundary rows and s_a for commensurate weights."""
+        exact displacement structure.  For a Toeplitz S the rows are the
+        first b block rows (:func:`_toeplitz_block`) and the shifts b p
+        ones: S read as block Toeplitz with q = b p blocks, its column
+        padded with zero blocks to a multiple of b.  For commensurate
+        weights they are the boundary rows and the s_a."""
         if self.column is not None:
-            size = self.column.shape[0] * self.p
-            return (np.conj(self.column).transpose(2, 0, 1).reshape(self.p, size),
-                    (1,) * self.p)
+            b = _toeplitz_block(self.p, self.m)
+            return _toeplitz_rows(self.column, b), (1,) * (b * self.p)
         if self.boundary is not None:
             return self.boundary, self.shifts
         return None
@@ -136,10 +143,6 @@ class StructuredOperator:
         """The same S with no structure recorded: dense, so that
         :func:`factorize_triangular` takes LAPACK's Cholesky."""
         return StructuredOperator(h=self.h, p=self.p, d=self.d, dense=self.s)
-
-    def is_positive_definite(self):
-        _, info = lapack.zpotrf(self.s, lower=1)
-        return bool(info == 0)
 
 
 def default_operator_length(kernel, d=None):
@@ -171,6 +174,18 @@ def _toeplitz_wide(col):
     # Hermitian average would
     blocks = np.concatenate([col[::-1], np.conj(col[1:]).transpose(0, 2, 1)]) + 0.0
     return blocks.transpose(1, 0, 2).reshape(q, (2 * m - 1) * q)
+
+
+def _toeplitz_rows(col, b):
+    """The first b block rows (b q, m' b q), m' = ceil(m / b), of the
+    Hermitian block Toeplitz matrix with first block column ``col``
+    (m, q, q) padded with zero blocks to m' b."""
+    m, q, _ = col.shape
+    padded = -(-m // b) * b
+    col = np.concatenate([col, np.zeros((padded - m, q, q), dtype=complex)])
+    wide = _toeplitz_wide(col)
+    return np.concatenate([wide[:, (padded - 1 - i) * q:(2 * padded - 1 - i) * q]
+                           for i in range(b)])
 
 
 def _fill_toeplitz(out, col):
@@ -390,15 +405,30 @@ def _not_positive(minor):
     )
 
 
-def _sub_product(out, k, b):
-    """out -= k @ b in place for a narrow k (q, p), as p outer products.
+# OpenBLAS runs a zgemm of m n k >= 2^16 multiply-adds on its thread pool,
+# and a zgemv, which numpy calls for a k of one row, from m n >= 2^12 on.
+# Between the pass's small LAPACK calls that costs far more than it saves,
+# and it slows the next threaded LAPACK call as well: forced to q = 32
+# (p = 1, M = 1024; 2 cores, 2 BLAS threads) the W k pass took 370 ms with
+# one zgemm per product against 67 ms in smaller panels, and a zpotrf of
+# order 512 right after the pass took about 17 ms with threaded zgemv
+# panels against about 10 ms.
+_THREAD_WORK = 1 << 16
+_THREAD_WORK_GEMV = 1 << 12
 
-    The work is elementwise and never reaches BLAS, whose thread pool makes
-    these flat (q, N) products and the small LAPACK calls between them more
-    than ten times slower once N is large.
-    """
-    for j in range(k.shape[1]):
-        out -= k[:, j:j + 1] * b[j:j + 1]
+
+def _panels(k, n):
+    """Column slices of an n-column product k @ b, each small enough that
+    OpenBLAS runs it on one thread."""
+    work = _THREAD_WORK if k.shape[0] > 1 else _THREAD_WORK_GEMV
+    width = max(1, (work - 1) // k.size)
+    return [slice(j, j + width) for j in range(0, n, width)]
+
+
+def _sub_product(out, k, b):
+    """out -= k @ b in place, one single-threaded panel at a time."""
+    for cols in _panels(k, b.shape[1]):
+        out[:, cols] -= k @ b[:, cols]
 
 
 def _transform(c, p_f, delta):
@@ -436,7 +466,8 @@ def _fold_step(gen, lo, hi, upper):
     yields Q = blockdiag(Q+, Q-): Q* folds each half onto its first p rows
     (g with pivot block R+, f with Delta = R-).  g is scaled to P_b = R+* R+,
     the 2p x 2p transform clears Delta, and g and f are normalized again;
-    all of it acts on the live rows as one 2t x 2t product.  Returns the
+    all of it acts on the live rows as one 2t x 2t product, applied in
+    single-threaded column panels (:func:`_panels`).  Returns the
     pivot's Cholesky factor c; the pivot rows are then c^-1 g.
     """
     t, p = gen.shape[0] // 2, hi - lo
@@ -463,7 +494,9 @@ def _fold_step(gen, lo, hi, upper):
         raise _not_positive(lo + info)
     step[:p] = lapack.ztrtri(c, lower=1)[0] @ g
     step[t:t + p] = lapack.ztrtri(d_f, lower=1)[0] @ f
-    gen[:, lo:] = step @ gen[:, lo:]
+    live = gen[:, lo:]
+    for cols in _panels(step, live.shape[1]):
+        live[:, cols] = step @ live[:, cols]
     return c
 
 
@@ -483,17 +516,35 @@ def _shift_pivot_rows(g, shifts, n):
             blocks[:, n:n - 1 + s, a] = 0.0
 
 
-def _schur_pass(generator, rhs=None, chol=False, first_column=False):
-    """One block Schur pass over a Hermitian S with displacement structure,
-    given its ``generator`` (rows, shifts) (see ``StructuredOperator``),
-    producing only the outputs asked for: ``chol`` the dense Cholesky factor
-    C (S = C C*), ``rhs`` W U for stacked block samples U (M, p, r) with
-    W = C^-1, and ``first_column`` W's first block column (M, p, p; Toeplitz
-    S only).  Returns (C, W U, W first column), None for each output not
-    asked for.
+# The Toeplitz pass reads S as block Toeplitz with q = b p blocks: about
+# M / b fixed step costs against b p^3 M^2 multiply-adds, which balance at
+# b = sqrt(_BLOCK_WORK / (p^3 M)).  Timed for every b <= 16 / p at p = 1, 2,
+# 3 and M = 256 ... 4096 (2 cores, 2 BLAS threads), the rule's b was never
+# slower than b = 1 beyond the run-to-run spread, and the fastest b was at
+# most one or two sizes away; at p = 1, M = 1024 the W k pass takes 21 ms
+# against 72 ms for b = 1.
+_BLOCK_WORK = 1 << 16
+_MAX_BLOCK_ORDER = 16
 
-    F moves component a of block i to block i + s_a.  Step n keeps p pivot
-    rows g (metric P_b^-1) and p negative rows f (metric P_f^-1); in the
+
+def _toeplitz_block(p, m):
+    """Block rows b per step of the Toeplitz pass on M = ``m`` blocks of
+    order p: the b that balances the pass's fixed cost per step against
+    its O(b p^3 M^2) products, at most M and at most q = b p = 16."""
+    b = round(math.sqrt(_BLOCK_WORK / (p ** 3 * m)))
+    return max(1, min(b, _MAX_BLOCK_ORDER // p, m))
+
+
+def _schur_pass(op, rhs=None, chol=False, first_column=False):
+    """One block Schur pass over a Hermitian S with displacement structure,
+    from the operator's ``generator`` (rows, shifts), producing only the
+    outputs asked for: ``chol`` the dense Cholesky factor C (S = C C*),
+    ``rhs`` W U for stacked block samples U (M, p, r) with W = C^-1, and
+    ``first_column`` W's first block column (M, p, p; Toeplitz S only).
+    Returns (C, W U, W first column), None for each output not asked for.
+
+    F moves component a of block i to block i + s_a.  Step n keeps q pivot
+    rows g (metric P_b^-1) and q negative rows f (metric P_f^-1); in the
     Toeplitz case (all s_a = 1) they are the backward and forward prediction
     errors g_n(j) (j >= n) and f_n(j) (j > n): with predictors a_n
     (a_n(0) = I) and b_n (b_n(n) = I), a_n S = [P_f 0 ... 0 f_n(n+1) ...]
@@ -501,14 +552,25 @@ def _schur_pass(generator, rhs=None, chol=False, first_column=False):
     (lower Cholesky), column block n of C is g_n(j)* c^-*, j >= n.  The
     pivot rows then move by F, and K_f = Delta P_b^-1 and
     K_b = Delta* P_f^-1, Delta = f(n+1), advance the pairs (f(j), F g(j))
-    by the 2p x 2p transform [[I, -K_f], [-K_b, I]], which clears f(n+1).
+    by the 2q x 2q transform [[I, -K_f], [-K_b, I]], which clears f(n+1).
     The Toeplitz pivot rows keep block j at block j - n of ``bottom``, so
     F costs nothing, and each step updates both in place.  No predictor is
     carried: W U is forward substitution with C's column blocks as they
     appear, and W's first block column is c_n^-1 b_n(0) with b_0(0) = I and
-    b_{n+1}(0) = -K_b.  Each of the M steps costs O(M p^2 (p + r)) work.
+    b_{n+1}(0) = -K_b.
 
-    Commensurate weights (t > p boundary rows) start from the split
+    A Toeplitz S of M blocks of order p is read as block Toeplitz with
+    q = b p blocks (:func:`_toeplitz_block`), its first block column padded
+    with zero blocks to ceil(M / b) b: ceil(M / b) steps of O(b p^3 M)
+    work each, O(b p^3 M^2) in all, plus O(p^2 r M^2) for r right-hand
+    sides.  The padding is harmless: the transforms act column by column
+    and F moves g forward, so no padded column ever reaches a real one, and
+    the last step pivots on the leading r x r of its q x q pivot,
+    r = p M - n q.  A pivot that fails at its column info is then still
+    the leading minor n q + info of S that LAPACK names.  The products run
+    in single-threaded column panels (:func:`_sub_product`).
+
+    Commensurate weights (t > p boundary rows, q = p) start from the split
     generator (:func:`_split_generator`), 2t rows [g, further positive,
     f, further negative] of metric I in one array; the pivot rows of
     component a move s_a blocks.  Each step (:func:`_fold_step`) folds the t
@@ -516,65 +578,68 @@ def _schur_pass(generator, rhs=None, chol=False, first_column=False):
     g and f meet the pivot block, takes the same transform, and normalizes
     g and f again; column block n of C is then g(j)*, j > n.
     """
-    rows, shifts = generator
-    t, size = rows.shape
-    p = len(shifts)
-    m = size // p
-    fold = t > p
+    rows, shifts = op.generator
+    p, size = op.p, op.m * op.p
+    t, width = rows.shape                           # width >= size: padded
+    q = len(shifts)
+    fold = t > q
     if fold:
-        gen = _split_generator(rows, shifts, m)
-        upper = np.triu(np.ones((p, p)))
+        gen = _split_generator(rows, shifts, op.m)
+        upper = np.triu(np.ones((q, q)))
     else:
         top, bottom = rows.copy(), rows.copy()      # f and g
-        p_f = rows[:, :p].copy()
+        p_f = rows[:, :q].copy()
     c_out = np.zeros((size, size), dtype=complex, order="F") if chol else None
     if rhs is not None:
         # conjugate transpose of the substitution's running right-hand side
         # U - sum_k C_{:k} (W U)_k, one row per column of U
         rest = rhs.reshape(size, -1).conj().T.copy()
         wu = np.empty((size, rest.shape[0]), dtype=complex)
-    w0 = np.empty((m, p, p), dtype=complex) if first_column else None
-    b0 = np.eye(p, dtype=complex)                              # b_n(0)
-    for n in range(m):
-        lo, hi = n * p, (n + 1) * p
+    w0 = np.empty((size, p), dtype=complex) if first_column else None
+    b0 = np.eye(q, p, dtype=complex)                 # first p columns of b_n(0)
+    for lo in range(0, size, q):
+        hi = min(lo + q, size)
         if fold:
-            if n:
-                _shift_pivot_rows(gen[:p], shifts, n)
+            if lo:
+                _shift_pivot_rows(gen[:q], shifts, lo // q)
             c = _fold_step(gen, lo, hi, upper)
-            below = gen[:p, hi:]                               # c^-1 g(j), j > n
+            below = gen[:q, hi:]                               # c^-1 g(j), j > n
         else:
-            if n:
-                k_f, k_b = _transform(c, p_f, top[:, lo:hi])
-                b0 = -k_b
-                f, g = top[:, lo:], bottom[:, :size - lo]      # f(j), F g(j), j >= n
+            if lo:
+                k_f, k_b = _transform(c, p_f, top[:, lo:lo + q])
+                b0 = -k_b[:, :p]
+                f, g = top[:, lo:], bottom[:, :width - lo]     # f(j), F g(j), j >= n
                 g_old = g.copy()
                 _sub_product(g, k_b, f)
                 _sub_product(f, k_f, g_old)
-            c, info = lapack.zpotrf(bottom[:, :p], lower=1, clean=1)
+            c, info = lapack.zpotrf(bottom[:hi - lo, :hi - lo], lower=1, clean=1)
             if info > 0:
                 # a pivot that fails at its column info is the leading
-                # minor n p + info of S, the order zpotrf reports on S
+                # minor n q + info of S, the order zpotrf reports on S
                 raise _not_positive(lo + info)
-            below = bottom[:, p:size - lo]                     # g_n(j), j > n
+            below = bottom[:, q:size - lo]                     # g_n(j), j > n
         if chol:
             c_out[lo:hi, lo:hi] = c
-            normalized = below if fold else lapack.ztrtri(c, lower=1)[0] @ below
-            c_out[hi:, lo:hi] = normalized.conj().T
+            if fold:
+                c_out[hi:, lo:hi] = below.conj().T
+            else:
+                # (c^-1 g)*, written through C's transpose
+                column = c_out.T[lo:hi, hi:]
+                _sub_product(column, -lapack.ztrtri(c, lower=1)[0], below)
+                np.conjugate(column, out=column)
         # c^-1 u as c* (P_b^-1 u): OpenBLAS's ztrtrs uses its thread pool
-        # even for a p x p solve, which makes each step several times
+        # even for a q x q solve, which makes each step several times
         # slower for a while after any threaded BLAS call
         if rhs is not None:
             y, _ = lapack.zpotrs(c, rest[:, lo:hi].conj().T, lower=1)
             wu[lo:hi] = c.conj().T @ y
-            if fold:
-                # (c^-1 u)* (c^-1 g) with the rows already normalized
-                rest[:, hi:] -= wu[lo:hi].conj().T @ below
-            else:
-                _sub_product(rest[:, hi:], y.conj().T, below)
+            # fold: (c^-1 u)* (c^-1 g) with the rows already normalized
+            _sub_product(rest[:, hi:], wu[lo:hi].conj().T if fold else y.conj().T, below)
         if first_column:
-            y, _ = lapack.zpotrs(c, b0, lower=1)
-            w0[n] = c.conj().T @ y
-    return c_out, (wu.reshape(rhs.shape) if rhs is not None else None), w0
+            y, _ = lapack.zpotrs(c, b0[:hi - lo], lower=1)
+            w0[lo:hi] = c.conj().T @ y
+    return (c_out, wu.reshape(rhs.shape) if rhs is not None else None,
+            w0.reshape(op.m, p, p) if first_column else None)
 
 
 def factorize_triangular(op):
@@ -588,9 +653,8 @@ def factorize_triangular(op):
     size when S is not positive definite; this doubles as the positivity
     test.
     """
-    generator = op.generator
-    if generator is not None:
-        c, _, _ = _schur_pass(generator, chol=True)
+    if op.generator is not None:
+        c, _, _ = _schur_pass(op, chol=True)
         return TriangularFactor(c, h=op.h, p=op.p)
     c, info = lapack.zpotrf(op.s, lower=1, clean=1)
     if info > 0:
@@ -634,7 +698,7 @@ def _apply_w(op, factor, u):
     Schur pass over the operator's generator."""
     if factor is not None:
         return factor.apply(u)
-    return _schur_pass(op.generator, rhs=u)[1]
+    return _schur_pass(op, rhs=u)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +723,7 @@ def recover_potential(kernel, l=None, mode="endpoint", factor=None):
         vals = 2j * _apply_w(op, factor, kernel.samples[:m])
     else:
         if factor is None:
-            w0 = _schur_pass(op.generator, first_column=True)[2]
+            w0 = _schur_pass(op, first_column=True)[2]
         else:
             unit = np.zeros((m, p, p), dtype=complex)
             unit[0] = np.eye(p)
@@ -764,7 +828,7 @@ def canonical_from_kernel(kernel, d, l=None, return_factor=False):
     xs = op.h * (np.arange(op.m) + 0.5)
     pi = _pi_samples(kernel, d, xs)
     if op.generator is not None and not return_factor:
-        beta_vals = _schur_pass(op.generator, rhs=pi)[1]
+        beta_vals = _schur_pass(op, rhs=pi)[1]
     else:
         fac = factorize_triangular(op)
         beta_vals = fac.apply(pi)

@@ -18,6 +18,8 @@ from weylkit.structured import (
     _commensurate_operator,
     _pi_samples,
     _schur_pass,
+    _sub_product,
+    _toeplitz_block,
     accelerant_from_potential,
     build_structured_operator,
     canonical_from_kernel,
@@ -137,12 +139,13 @@ class TestFactorize:
             lambda x: c * np.exp(-x) * np.ones((1, 1)), p=1, l=1.0, h=1 / 128)
         op = build_structured_operator(kern)
         pd = np.linalg.eigvalsh(op.s).min() > 0
-        assert op.is_positive_definite() == pd
-        if pd:
-            factorize_triangular(op)
-        else:
-            with pytest.raises(wk.PositivityError):
-                factorize_triangular(op)
+        # the Schur pass and LAPACK's Cholesky of the dense S
+        for route in (op, op.unstructured()):
+            if pd:
+                factorize_triangular(route)
+            else:
+                with pytest.raises(wk.PositivityError):
+                    factorize_triangular(route)
 
 
 class TestRecoverPotential:
@@ -926,22 +929,72 @@ class TestSchurFactor:
         assert op.generator is None and op.boundary is None and op.kernel is None
         np.testing.assert_array_equal(factorize_triangular(op).winv, lapack_factor(op.s)[1])
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 9, 13, 17, 33, 200])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_reblocked_pass_ragged_lengths(self, p, m):
+        # the pass reads S in q = b p blocks; most of these M leave a partial
+        # last q-block (b = 16 // p from M = 17 on)
+        rng = np.random.default_rng(10 * m + p)
+        kern = positive_kernel(rng, p, 2, 0.05, 1 / 64, m)
+        op = build_structured_operator(kern)
+        u = rng.normal(size=(m, p, 3)) + 1j * rng.normal(size=(m, p, 3))
+        c, wu, w0 = _schur_pass(op, rhs=u, chol=True, first_column=True)
+        w, c_ref = lapack_factor(op.s)
+        n = m * p
+        for got, ref in ((c, c_ref), (wu.reshape(n, 3), w @ u.reshape(n, 3)),
+                         (w0.reshape(n, p), w[:, :p])):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("rows,inner,n", [(1, 1, 70000), (1, 8, 4100), (16, 16, 700),
+                                              (6, 3, 4100)])
+    def test_panel_product_stays_single_threaded(self, rows, inner, n):
+        # OpenBLAS threads a zgemm from m n k = 2^16 on, and the zgemv numpy
+        # calls for a one-row k from m n = 2^12 on; every panel stays below
+        limit = 1 << 12 if rows == 1 else 1 << 16
+        widths = []
+
+        class Spy(np.ndarray):
+            def __matmul__(self, other):
+                widths.append(other.shape[1])
+                return np.asarray(self) @ other
+
+        rng = np.random.default_rng(n)
+        k = rng.normal(size=(rows, inner)) + 1j * rng.normal(size=(rows, inner))
+        b = rng.normal(size=(inner, n)) + 1j * rng.normal(size=(inner, n))
+        out = rng.normal(size=(rows, n)) + 0j
+        ref = out - k @ b
+        _sub_product(out, k.view(Spy), b)
+        assert sum(widths) == n and n % widths[0] and len(widths) > 1
+        assert max(widths) * rows * inner < limit
+        # equal up to the summation order inside a zgemm
+        assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+
     @pytest.mark.parametrize("p,c", [(1, -8.0), (2, -6.0)])
     def test_failed_pivot_names_lapack_minor(self, p, c):
-        kern = toy_kernel(p, c=c, l=1.0, h=1 / 64)
-        op = build_structured_operator(kern)
-        _, info = lapack.zpotrf(op.s, lower=1)
-        assert info > p      # fails past the first block
-        routes = {
-            "factorize": (lambda: factorize_triangular(op), info),
-            "endpoint": (lambda: recover_potential(kern), info),
-            "kernel-edge": (lambda: recover_potential(kern, mode="kernel-edge"), info),
-            "theta": (lambda: theta_functions(kern), info),
-            # d = -1 gives the plain operator's S
-            "canonical": (lambda: canonical_from_kernel(kern, d=-np.ones(p)), info),
-        }
+        routes = {}
+        # M = 64 fails inside a full q-block of the re-blocked pass, away
+        # from its first column; the shorter M = 53 (p = 1) or 30 (p = 2)
+        # fails at the same minor, inside the partial last q-block
+        for m, last in ((64, False), ({1: 53, 2: 30}[p], True)):
+            kern = toy_kernel(p, c=c, l=m / 64, h=1 / 64)
+            op = build_structured_operator(kern)
+            _, info = lapack.zpotrf(op.s, lower=1)
+            assert info > p      # fails past the first block
+            q = _toeplitz_block(p, m) * p
+            step, column = divmod(info - 1, q)
+            assert column > 0 and ((step + 1) * q > m * p) == last
+            routes.update({
+                (m, "factorize"): (lambda op=op: factorize_triangular(op), info),
+                (m, "endpoint"): (lambda kern=kern: recover_potential(kern), info),
+                (m, "kernel-edge"): (
+                    lambda kern=kern: recover_potential(kern, mode="kernel-edge"), info),
+                (m, "theta"): (lambda kern=kern: theta_functions(kern), info),
+                # d = -1 gives the plain operator's S
+                (m, "canonical"): (
+                    lambda kern=kern: canonical_from_kernel(kern, d=-np.ones(p)), info),
+            })
         if p == 2:
-            op_c = _commensurate_operator(kern, GAUSS_D, 32)
+            op_c = _commensurate_operator(toy_kernel(p, c=c, l=1.0, h=1 / 64), GAUSS_D, 32)
             _, info_c = lapack.zpotrf(op_c.s, lower=1)
             assert info_c > p
             routes["commensurate"] = (lambda: factorize_triangular(op_c), info_c)
@@ -1187,5 +1240,5 @@ class TestFactorProperties:
         m, p = op.m, op.p
         pi = _pi_samples(kern, d, op.h * (np.arange(m) + 0.5)).reshape(m * p, 2 * p)
         beta_ref = (w @ pi).reshape(m, p, 2 * p)
-        beta = _schur_pass(op.generator, rhs=pi.reshape(m, p, 2 * p))[1]
+        beta = _schur_pass(op, rhs=pi.reshape(m, p, 2 * p))[1]
         assert np.abs(beta - beta_ref).max() <= 1e-12 * np.abs(beta_ref).max()
