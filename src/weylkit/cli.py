@@ -382,6 +382,17 @@ def _run_checks():
     aerr = float(np.abs(vals - 1j * np.eye(1)).max())
     yield "free amplitude transform", aerr < 1e-6, f"err {aerr:.2e}"
 
+    # the line takes the chirp-z route, the same points shuffled the factored sum
+    xs = np.arange(257) / 32.0
+    smooth = GridFunction(h=1.0 / 32, values=0.5 * np.eye(2) + np.exp(-xs)[:, None, None]
+                          * np.array([[0.3, 0.1j], [-0.2, 0.4]]))
+    line = np.linspace(-10.0, 10.0, 201) + 0.5j
+    order = np.random.default_rng(0).permutation(line.size)
+    on_line = weyl_from_amplitude(smooth, line, mode="dirac")[order]
+    ldiff = float(np.abs(weyl_from_amplitude(smooth, line[order], mode="dirac") - on_line).max()
+                  / np.abs(on_line).max())
+    yield "forward transform: line vs scattered", ldiff < 1e-12, f"max rel diff {ldiff:.2e}"
+
 
 def _cmd_check(args):
     rows = list(_run_checks())

@@ -8,6 +8,7 @@ integral carries a closed-form tail correction built from the constant
 value of phi at infinity, expressed through the exponential integral.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,6 +204,14 @@ def _linear_laplace(vals, x0, h, zs):
     interior node j carries h e^{iz x_{j-1}} (B + e^theta A), which is
     h e^{iz x_{j-1}} (A + B)^2.  Phases at x_{j-1} keep every weight bounded
     for any Im z h, and the interior is summed apart from the two edges.
+
+    For scattered z the m = N - 1 interior phases factor on the uniform grid
+    (the baby-step/giant-step split of Paterson and Stockmeyer, 1973): with
+    b = floor(sqrt m) and node j = k b + r, e^{iz x_j} = e^{iz(x0 + h b k)}
+    e^{izhr}.  That is b + ceil(m / b), about 2 sqrt(N), exponentials per z,
+    each computed directly (no recurrence), and O(N) multiply-adds per z and
+    matrix entry in two products.  A horizontal line of z is one chirp-z
+    transform instead.
     """
     n = vals.shape[0] - 1
     if n == 0:
@@ -212,12 +221,21 @@ def _linear_laplace(vals, x0, h, zs):
     edge = np.exp(1j * zs[:, None] * (x0 + h * np.array([0.0, n - 1.0])))
     step = _line_step(zs) if n > 1 else None
     if step is None:
-        # one exponential per z and interior node, in cache-sized blocks
-        xs = x0 + h * np.arange(n - 1)
-        inner = np.empty((zs.size, flat.shape[1]), dtype=complex)
-        chunk = max(1, 2 ** 15 // max(n - 1, 1))
+        # the factored phases above, in cache-sized chunks of z
+        m, cols = n - 1, flat.shape[1]
+        b = max(1, math.isqrt(m))
+        nk = -(-m // b)
+        blocks = np.zeros((nk * b, cols), dtype=complex)
+        blocks[:m] = flat[1:n]
+        blocks = blocks.reshape(nk, b, cols).transpose(1, 0, 2).reshape(b, nk * cols)
+        fine = h * np.arange(b)
+        coarse = x0 + h * b * np.arange(nk)
+        inner = np.empty((zs.size, cols), dtype=complex)
+        chunk = max(1, 2 ** 15 // (b + nk * (cols + 1)))
         for i0 in range(0, zs.size, chunk):
-            inner[i0:i0 + chunk] = np.exp(1j * zs[i0:i0 + chunk, None] * xs) @ flat[1:n]
+            zc = zs[i0:i0 + chunk, None]
+            part = (np.exp(1j * zc * fine) @ blocks).reshape(zc.shape[0], nk, cols)
+            inner[i0:i0 + chunk] = (np.exp(1j * zc * coarse)[:, None] @ part)[:, 0]
     else:
         # z_k = z_0 + k step: the interior sum is one chirp-z transform
         damp = np.exp(1j * zs[0] * h * np.arange(n - 1))
@@ -250,8 +268,10 @@ def weyl_from_amplitude(s, z, mode="dirac", d=None, gl_order=None):
 
     ``z`` may be a scalar or an array.  Every mode integrates the
     piecewise-linear model of the samples of ``s`` exactly, panel by panel
-    in closed form (Filon's rule): one exponential per z and grid node,
-    O(K N) for K points and N panels.  chi is integrated by parts,
+    in closed form (Filon's rule).  On the uniform grid the phases factor,
+    so K scattered points cost K (B + N / B) exponentials with B near
+    sqrt(N), about 2 K sqrt(N), and O(K N) multiply-adds per matrix entry
+    for N panels.  chi is integrated by parts,
     z^2 int e^{izx} chi = 2 z int e^{izx} s* - i z e^{izX} chi(X).  When the
     flattened ``z`` is a uniform horizontal line (Im z constant, constant
     real step) the sum over nodes is one chirp-z transform,
@@ -259,19 +279,13 @@ def weyl_from_amplitude(s, z, mode="dirac", d=None, gl_order=None):
     no longer changes the result.
     """
     zs = upper_half_plane(z, "weyl_from_amplitude")
-    if mode in ("dirac", "chi"):
-        vals = np.conj(np.swapaxes(s.values, 1, 2))
-        pref = 2.0 * zs
-    elif mode == "canonical":
-        if d is None:
-            raise StructuralError("canonical mode needs the weight diagonal d")
-        d = np.asarray(d, dtype=float).reshape(-1)
-        if np.any(d >= 0):
-            raise DomainError("canonical mode requires D < 0")
+    d = _amplitude_weights(mode, d)
+    if mode == "canonical":
         vals = s.values
         pref = -zs
     else:
-        raise StructuralError(f"unknown amplitude mode {mode!r}")
+        vals = np.conj(np.swapaxes(s.values, 1, 2))
+        pref = 2.0 * zs
     out = pref[:, None, None] * _linear_laplace(vals, s.x0, s.h, zs)
     if mode == "chi":
         chi_end = -1j * s.h * (vals[:-1] + vals[1:]).sum(axis=0)   # -2i times trapezoid of s*
@@ -283,19 +297,39 @@ def weyl_from_amplitude(s, z, mode="dirac", d=None, gl_order=None):
     return out.reshape(np.shape(z) + out.shape[1:])
 
 
+def _amplitude_weights(mode, d):
+    """The weight diagonal of an amplitude ``mode``: d as a 1-D float array
+    (all negative) for canonical mode, None for dirac and chi."""
+    if mode in ("dirac", "chi"):
+        return None
+    if mode != "canonical":
+        raise StructuralError(f"unknown amplitude mode {mode!r}")
+    if d is None:
+        raise StructuralError("canonical mode needs the weight diagonal d")
+    d = np.asarray(d, dtype=float).reshape(-1)
+    if np.any(d >= 0):
+        raise DomainError("canonical mode requires D < 0")
+    return d
+
+
 def amplitude_tail_bound(s, z, mode="dirac", d=None):
-    """Crude analytic bound on the neglected tail beyond the grid of s."""
-    z = complex(z)
+    """Crude analytic bound on the neglected tail beyond the grid of s, for
+    a scalar z or an array of z (same checks as :func:`weyl_from_amplitude`)."""
+    zs = upper_half_plane(z, "amplitude_tail_bound")
+    d = _amplitude_weights(mode, d)
     tail_scale = float(np.linalg.norm(s.values[-1], 2))
-    decay = np.exp(-z.imag * s.xmax) / z.imag
+    decay = np.exp(-zs.imag * s.xmax) / zs.imag
     if mode == "dirac":
-        coef = 2.0 * abs(z)
+        coef = 2.0 * np.abs(zs)
     elif mode == "canonical":
-        coef = abs(z) * float(np.abs(d).max())
+        coef = np.abs(zs) * float(np.abs(d).max())
     else:
         # chi accumulates the antiderivative, bounded by xmax * sup|s|
-        coef = abs(z) ** 2 * s.xmax
-    return coef * tail_scale * decay
+        coef = np.abs(zs) ** 2 * s.xmax
+    out = coef * tail_scale * decay
+    if np.ndim(z) == 0:
+        return out[0]
+    return out.reshape(np.shape(z))
 
 
 # ---------------------------------------------------------------------------

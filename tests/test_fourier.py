@@ -3,11 +3,14 @@ import re
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import weylkit as wk
 from weylkit.fourier import (
     WeylSampler,
     _chirp_z,
+    _line_step,
     _panel_weights,
     _pole_transform,
     _unit_chirp,
@@ -72,13 +75,14 @@ def reference_weyl(sg, zs, mode, d=None, order=16):
     return zs[:, None, None] ** 2 * model_integral(coefs, sg.x0, sg.h, zs, order)
 
 
-def wavy_grid(xmax, h=1 / 8):
-    """A smooth non-Hermitian 2 x 2 amplitude that does not decay."""
-    xs = np.arange(int(round(xmax / h)) + 1) * h
+def wavy_grid(xmax, h=1 / 8, x0=0.0):
+    """A smooth non-Hermitian 2 x 2 amplitude that does not decay, on
+    [x0, x0 + xmax]."""
+    xs = x0 + np.arange(int(round(xmax / h)) + 1) * h
     vals = 0.5 * np.eye(2)[None] + np.stack([
         np.stack([np.cos(3 * xs), 0.4j * np.sin(xs)], -1),
         np.stack([0.2 * xs, np.exp(-xs) + 0.1j], -1)], 1)
-    return GridFunction(h=h, values=vals, x0=0.0)
+    return GridFunction(h=h, values=vals, x0=x0)
 
 
 class TestForward:
@@ -174,6 +178,36 @@ class TestForward:
         assert np.all(np.abs(boundary).max(axis=(1, 2)) > 0.05 * np.abs(ref).max(axis=(1, 2)))
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("x0", [0.0, 0.3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 17, 100, 1025])
+    def test_factored_sum_exact_for_the_model(self, n, x0):
+        # n - 1 interior nodes: none, square and non-square counts, and a
+        # ragged last coarse block; scattered z take the factored sum
+        sg = wavy_grid(n / 8, x0=x0)
+        assert sg.m == n + 1
+        rng = np.random.default_rng(n)
+        zs = rng.uniform(-12.0, 12.0, 40) + 1j * rng.uniform(0.05, 8.0, 40)
+        for mode in ("dirac", "chi", "canonical"):
+            d = GAUSS_D if mode == "canonical" else None
+            ref = reference_weyl(sg, zs, mode, d)
+            got = weyl_from_amplitude(sg, zs, mode=mode, d=d)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [1, 17])
+    def test_factored_sum_shapes(self, n):
+        sg = wavy_grid(n / 8, x0=0.3)
+        zs = np.array([[1j, 2.0 + 1j, -1.0 + 0.5j], [0.2j, 3.0 + 2j, 1.5 + 0.1j]])
+        ref = reference_weyl(sg, zs.ravel(), "dirac")
+        grid = weyl_from_amplitude(sg, zs, mode="dirac")
+        assert grid.shape == (2, 3, 2, 2)
+        assert np.abs(grid.reshape(6, 2, 2) - ref).max() <= 1e-12 * np.abs(ref).max()
+        one = weyl_from_amplitude(sg, zs[1, 2], mode="dirac")
+        assert one.shape == (2, 2)
+        assert np.abs(one - ref[5]).max() <= 1e-12 * np.abs(ref[5]).max()
+        for mode in ("dirac", "chi", "canonical"):
+            none = weyl_from_amplitude(sg, np.zeros(0, dtype=complex), mode=mode, d=GAUSS_D)
+            assert none.shape == (0, 2, 2)
+
     def test_one_sample_grid_gives_zero(self):
         sg = GridFunction(h=0.1, values=0.5 * np.eye(2)[None], x0=0.0)
         for mode in ("dirac", "chi", "canonical"):
@@ -200,6 +234,70 @@ class TestForward:
         s = smooth_grid(xmax=10.0)
         bound = amplitude_tail_bound(s, 2j, mode="dirac")
         assert 0 < bound < 1e-7
+
+    def test_tail_bound_takes_an_array_of_z(self):
+        s = smooth_grid(xmax=10.0)
+        zs = np.array([[2j, 1.0 + 0.5j], [-3.0 + 1j, 0.1j]])
+        for mode, d in (("dirac", None), ("chi", None), ("canonical", [-2.0])):
+            bounds = amplitude_tail_bound(s, zs, mode=mode, d=d)
+            assert bounds.shape == (2, 2)
+            for z, b in zip(zs.ravel(), bounds.ravel()):
+                assert b == amplitude_tail_bound(s, z, mode=mode, d=d) > 0
+
+    def test_tail_bound_rejects_real_z(self):
+        with pytest.raises(wk.DomainError, match="finite z with Im z > 0"):
+            amplitude_tail_bound(smooth_grid(xmax=10.0), 0.5)
+
+    def test_tail_bound_rejects_lower_half_plane(self):
+        with pytest.raises(wk.DomainError, match="finite z with Im z > 0"):
+            amplitude_tail_bound(smooth_grid(xmax=10.0), 1.0 - 1.0j)
+
+    def test_tail_bound_rejects_nan_z(self):
+        with pytest.raises(wk.DomainError, match="finite z with Im z > 0"):
+            amplitude_tail_bound(smooth_grid(xmax=10.0), np.array([1j, complex(np.nan, 1.0)]))
+
+    def test_tail_bound_canonical_needs_weights(self):
+        with pytest.raises(wk.StructuralError, match="canonical mode needs the weight diagonal d"):
+            amplitude_tail_bound(smooth_grid(xmax=10.0), 1j, mode="canonical")
+
+    def test_tail_bound_rejects_unknown_mode(self):
+        with pytest.raises(wk.StructuralError, match="unknown amplitude mode 'laplace'"):
+            amplitude_tail_bound(smooth_grid(xmax=10.0), 1j, mode="laplace")
+
+
+@st.composite
+def amplitude_lines(draw):
+    """A random amplitude grid (n <= 300 panels, p <= 2) and a uniform
+    horizontal line of 3 to 200 points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 300))
+    p = draw(st.integers(1, 2))
+    h = draw(st.sampled_from([1 / 64, 1 / 16, 0.1, 0.25]))
+    x0 = draw(st.floats(0.0, 2.0))
+    vals = rng.normal(size=(n + 1, p, p)) + 1j * rng.normal(size=(n + 1, p, p))
+    k = draw(st.integers(3, 200))
+    start = draw(st.floats(-20.0, 20.0))
+    step = draw(st.floats(0.01, 0.2)) * draw(st.sampled_from([-1.0, 1.0]))
+    eta = draw(st.floats(0.05, 5.0))
+    line = start + step * np.arange(k) + 1j * eta
+    return GridFunction(h=h, values=vals, x0=x0), line, rng.permutation(k)
+
+
+class TestRouteProperties:
+    @seed(20261019)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(amplitude_lines(), st.sampled_from(["dirac", "chi", "canonical"]))
+    def test_line_route_matches_scattered_route(self, case, mode):
+        # the line takes the chirp-z transform; shuffled, the same points
+        # take the factored sum
+        sg, line, order = case
+        if _line_step(line[order]) is not None:
+            order = np.roll(order, 1)
+        assert _line_step(line) is not None and _line_step(line[order]) is None
+        d = -1.0 - np.arange(sg.values.shape[1]) if mode == "canonical" else None
+        on_line = weyl_from_amplitude(sg, line, mode=mode, d=d)[order]
+        scattered = weyl_from_amplitude(sg, line[order], mode=mode, d=d)
+        assert np.abs(scattered - on_line).max() <= 1e-12 * np.abs(on_line).max()
 
 
 class TestChirpZ:
