@@ -45,7 +45,6 @@ from .grids import GridFunction
 from .interpolation import InterpCoeffs, coeff_c, interpolate_series
 from .rational import params_from_realization, realization_from_params, validate_realization
 from .structured import (
-    _commensurate_operator,
     build_structured_operator,
     canonical_from_kernel,
     default_operator_length,
@@ -63,18 +62,31 @@ def _parse_complex(text):
 
 
 def _parse_zgrid(text):
-    """Grid spec 're0:re1:n x im0:im1:m' -> flat list of complex points."""
+    """Grid spec 're0:re1:n x im0:im1:m' -> flat list of complex points.
+
+    An unparsable axis raises StructuralError naming it, a non-finite point
+    or axis end DomainError naming it."""
     parts = text.replace("×", "x").split("x")
     if len(parts) != 2:
-        return [_parse_complex(text)]
+        z = _parse_complex(text)
+        if not np.isfinite(z):
+            raise DomainError(f"evaluation point z = {z} is not finite")
+        return [z]
 
     def axis(spec):
         bits = spec.split(":")
         if len(bits) != 3:
             raise StructuralError(f"bad grid axis {spec!r} (want start:stop:count)")
-        start, stop, num = float(bits[0]), float(bits[1]), int(bits[2])
+        try:
+            start, stop, num = float(bits[0]), float(bits[1]), int(bits[2])
+        except ValueError as exc:
+            raise StructuralError(
+                f"bad grid axis {spec!r} (start and stop must be numbers, count an integer)"
+            ) from exc
         if num < 1:
             raise StructuralError("grid axis needs at least one point")
+        if not np.isfinite([start, stop]).all():
+            raise DomainError(f"grid axis {spec!r} has a non-finite end")
         return np.linspace(start, stop, num)
 
     res, ims = axis(parts[0]), axis(parts[1])
@@ -132,8 +144,8 @@ def _cmd_direct(args):
     xs = _x_grid(args)
     params = io.load_params(args.params)
     require_valid(params)
-    outdir = _outdir(args)
     zs = np.array(_parse_zgrid(args.z))
+    outdir = _outdir(args)
     _write_hamiltonian(outdir, params, xs)
     pair = weyl_pair(params, validate=False)
     zcols = _z_columns(zs)
@@ -329,13 +341,12 @@ def _run_checks():
     # kernel k(x) U with |U| <= 1
     kern2 = DifferenceKernel(p=2, h=kern.h, samples=kern.samples[:, 0, 0, None, None]
                              * np.array([[0.6, 0.3 - 0.2j], [0.3 + 0.2j, -0.4]]))
-    # the fixture grid is too small for build_structured_operator to route
-    # these weights to the pass, so the pass is asked for by name
-    d2 = np.array([-1.0, -2.0])
-    op2 = build_structured_operator(kern2, d=d2)
-    cdiff = float(np.abs(factorize_triangular(_commensurate_operator(kern2, d2, op2.m)).winv
+    # distinct weights: the S-node pass against LAPACK on the dense X
+    op2 = build_structured_operator(kern2, d=np.array([-1.0, -np.sqrt(2.0)]))
+    xdiff = float(np.abs(factorize_triangular(op2).winv
                          - factorize_triangular(op2.unstructured()).winv).max())
-    yield ("commensurate pass vs LAPACK (d = -1, -2)", cdiff < 1e-10, f"max diff {cdiff:.2e}")
+    yield ("S-node pass vs LAPACK on dense X (d = -1, -sqrt 2)", xdiff < 1e-10,
+           f"max diff {xdiff:.2e}")
     rdiff = max(float(np.abs(recover_potential(kern, mode=mode).values
                              - recover_potential(kern, mode=mode, factor=fac).values).max())
                 for mode in ("endpoint", "kernel-edge"))

@@ -26,9 +26,6 @@ GL_ORDER = 6                 # forward-transform gl_order: accepted; no longer c
 DISK_LENGTH_FACTOR = 40.0    # default l = 40 / Im z
 DISK_STEPS_PER_UNIT = 256    # propagation steps per unit length
 
-# Schur-coefficient recovery
-SCHUR_ODE_TOL = 1e-8         # adaptive tolerance for Schur-coefficient recovery
-
 # Interpolation
 EPSILON = 0.1                # default offset of the sample lattice i(q + epsilon)
 SERIES_ORDER = 60            # default truncation order N

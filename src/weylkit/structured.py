@@ -2,8 +2,9 @@
 
 The continuous objects are operators S = I + integral operator whose kernel
 is k(x - t) (plain case) or, entrywise, k_ij(d_j t - d_i x) for a negative
-diagonal weight D.  A midpoint Nystroem rule on a uniform grid turns S into
-a Hermitian matrix; positivity is probed by Cholesky.  The Cholesky factor
+diagonal weight D.  On a uniform midpoint grid S becomes a Hermitian
+matrix: a Nystroem rule for the plain case and equal weights, the discrete
+S-node below for distinct weights; positivity is probed by Cholesky.  The Cholesky factor
 C (S = C C*) is kept; its inverse W = C^-1 = I + E is the discrete analog of
 the lower-triangular factorization S^-1 = (I + E)* (I + E) and is applied by
 triangular solves on C.
@@ -23,20 +24,22 @@ O(b p^3 M^2) work, in place of M steps of mostly fixed cost.  The padding
 is harmless, since the pass only moves data to the right and pivots its
 last step on the real rows only.
 
-Commensurate weights keep an exact displacement structure: entry (a, b) of
-block (i, j) depends only on |d_a| (i + 1/2) - |d_b| (j + 1/2), so for the
-shift F that moves component a by s_a blocks (|d_a| s_a the same for every
-a), S - F S F* has rank at most 2t, t = sum s_a.  For t <= 2p, p <= 3 and
-p M >= 1024 (where it was timed to beat LAPACK) the operator keeps only
-the t boundary rows, and the same pass, folding its t positive and t
-negative generator rows onto p of each before every step, yields C or
-W U in O(t^2 p M^2) work.  Other weights and smaller grids fill the dense
-S and take LAPACK.
+Distinct weights take the exact solution X of the discrete operator
+identity F X + X F* = h Pi J_s Pi*, the S-node of Sakhnovich's method of
+operator identities on the midpoint grid: F = h |D| (L + I/2) with L the
+strictly lower all-ones block matrix, J_s = -J and Pi the samples of
+[D s(|D| x)  I].  The operator keeps Pi only.  X has the rank-2p generator
+sqrt(h) Pi, and one pass of Gaussian elimination on that generator
+(Gohberg, Kailath and Olshevsky, Math. Comp. 64, 1995) yields C and
+W Pi in O(p^2 M^2) work; the dense X, formed only when read, follows
+from the same identity one block row at a time.  Equal weights keep the
+Toeplitz S and its pass: X equals that S to rounding only for |d| = 1,
+since S samples k at |d| h n and X never evaluates k off its grid; for
+other weights the two differ by O(h^2).
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -77,18 +80,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StructuredOperator:
-    """Nystroem discretization of S = I + integral operator.
+    """Discretization of S = I + integral operator on the midpoint grid.
 
     ``column`` is the first block column of S when S is exactly Hermitian
-    block Toeplitz (no weight, or all weights equal).  For commensurate
-    weights on a grid large enough for the pass to pay (see
-    :func:`build_structured_operator`) ``boundary`` holds the rows
-    S[(i, a), :], i < min(s_a, M), in row order, ``shifts`` the s_a and
-    ``kernel`` the kernel S is filled from.  Either routes
-    :func:`factorize_triangular` to the Schur pass.  ``dense`` is the
-    (p M, p M) matrix S when it was assembled entrywise (other weights) or
-    given; otherwise ``s`` forms it on first access, bit for bit as the
-    entrywise assembly would, and keeps it.
+    block Toeplitz (no weight, or all weights equal); it routes
+    :func:`factorize_triangular` to the Toeplitz pass.  ``pi`` holds the
+    samples of Pi (M, p, 2p) of a weighted operator; with distinct weights
+    it is all the operator keeps, the S-node X being defined by its
+    generator (:func:`_snode_pass`).  ``dense`` is the (p M, p M) matrix
+    when it was given; otherwise ``s`` forms it on first access (the
+    Toeplitz fill, or X by :func:`_snode_dense`) and keeps it.
     """
 
     h: float
@@ -96,9 +97,7 @@ class StructuredOperator:
     d: np.ndarray = None        # weight diagonal, all < 0, or None for the plain case
     column: np.ndarray = None   # (M, p, p) blocks S_{n0}, or None
     dense: np.ndarray = None    # (p M, p M) S, or None
-    boundary: np.ndarray = None  # (t, p M) rows S[(i, a), :] with i < min(s_a, M), or None
-    shifts: tuple = None        # s_a, the per-component shift of the displacement
-    kernel: DifferenceKernel = None  # the kernel ``boundary`` was read from
+    pi: np.ndarray = None       # (M, p, 2p) samples of Pi, or None for the plain case
 
     @cached_property
     def s(self):
@@ -106,7 +105,7 @@ class StructuredOperator:
         if self.dense is not None:
             return self.dense
         if self.column is None:
-            return _fill_weighted(self.kernel, self.d, self.m)
+            return _snode_dense(self)
         size = self.column.shape[0] * self.p
         s = np.empty((size, size), dtype=complex)
         _fill_toeplitz(s, self.column)
@@ -116,33 +115,14 @@ class StructuredOperator:
     def m(self):
         if self.column is not None:
             return self.column.shape[0]
-        if self.boundary is not None:
-            return self.boundary.shape[1] // self.p
+        if self.pi is not None:
+            return self.pi.shape[0]
         return self.dense.shape[0] // self.p
-
-    @property
-    def l(self):
-        return self.h * self.m
-
-    @cached_property
-    def generator(self):
-        """(rows, shifts) for :func:`_schur_pass`, or None when S has no
-        exact displacement structure.  For a Toeplitz S the rows are the
-        first b block rows (:func:`_toeplitz_block`) and the shifts b p
-        ones: S read as block Toeplitz with q = b p blocks, its column
-        padded with zero blocks to a multiple of b.  For commensurate
-        weights they are the boundary rows and the s_a."""
-        if self.column is not None:
-            b = _toeplitz_block(self.p, self.m)
-            return _toeplitz_rows(self.column, b), (1,) * (b * self.p)
-        if self.boundary is not None:
-            return self.boundary, self.shifts
-        return None
 
     def unstructured(self):
         """The same S with no structure recorded: dense, so that
         :func:`factorize_triangular` takes LAPACK's Cholesky."""
-        return StructuredOperator(h=self.h, p=self.p, d=self.d, dense=self.s)
+        return StructuredOperator(h=self.h, p=self.p, d=self.d, dense=self.s, pi=self.pi)
 
 
 def default_operator_length(kernel, d=None):
@@ -150,10 +130,6 @@ def default_operator_length(kernel, d=None):
     arguments max|d| * l stay on the stored kernel (l = kernel.l for d None)."""
     scale = 1.0 if d is None else float(np.abs(np.asarray(d, dtype=float)).max())
     return kernel.h * int(np.floor(kernel.l / (scale * kernel.h) + 1e-9))
-
-
-# complex entries of k evaluated per call while assembling distinct weights
-_ASSEMBLY_CHUNK = 1 << 16
 
 
 def _toeplitz_column(kernel, m, scale):
@@ -197,97 +173,75 @@ def _fill_toeplitz(out, col):
         out[i * q:(i + 1) * q] = wide[:, (m - 1 - i) * q:(2 * m - 1 - i) * q]
 
 
-def _pair_entries(kernel, d, rows, cols, a, b, k0):
-    """h k_ab(d_b x_j - d_a x_i) for grid indices i in ``rows`` down and j
-    in ``cols`` across.  Where the argument is 0, k is one-sided and the
-    entry takes the Hermitian average k0.  That is decided on the exact
-    relation |d_a| (2i + 1) = |d_b| (2j + 1), not on the rounded argument,
-    which a step h that is not a binary fraction can leave at +-1e-17."""
-    h = kernel.h
-    args = d[b] * (h * (cols + 0.5)) - d[a] * (h * (rows[:, None] + 0.5))
-    vals = kernel.entry(args, a, b)
-    vals[d[b] * (2 * cols + 1) == d[a] * (2 * rows[:, None] + 1)] = k0[a, b]
-    vals *= h
-    return vals
+def _pi_samples(kernel, d, xs):
+    """Samples of Pi(x) = [D {s_ij(|d_i| x)}  I_p] on the grid.
 
-
-def _fill_weighted(kernel, d, m):
-    """The dense S of distinct weights, entry by entry: components (a, a)
-    are Toeplitz in i - j; each pair a < b is evaluated once and mirrored
-    into (b, a) by conjugation."""
-    p, h = kernel.p, kernel.h
-    s = np.empty((m * p, m * p), dtype=complex)
-    for a in range(p):
-        _fill_toeplitz(s[a::p, a::p], _toeplitz_column(kernel, m, -d[a])[:, a:a + 1, a:a + 1])
-    grid = np.arange(m)
-    k0 = hermitize(kernel.at(0.0))
-    rows = max(1, _ASSEMBLY_CHUNK // (m * p * p))
-    for a in range(p):
-        for b in range(a + 1, p):
-            for i0 in range(0, m, rows):
-                i1 = min(m, i0 + rows)
-                vals = _pair_entries(kernel, d, grid[i0:i1], grid, a, b, k0)
-                s[i0 * p + a:i1 * p:p, b::p] = vals
-                s[b::p, i0 * p + a:i1 * p:p] = vals.conj().T
-    return s
-
-
-def _commensurate_shifts(d):
-    """The smallest positive integers s_a with |d_a| s_a all equal, from the
-    exact rational ratios of the float weights."""
-    inv = [1 / Fraction(-float(x)) for x in d]
-    den = math.lcm(*(f.denominator for f in inv))
-    ints = [int(f * den) for f in inv]
-    step = math.gcd(*ints)
-    return tuple(k // step for k in ints)
-
-
-def _boundary_index(shifts, m):
-    """Flat indices i p + a of the boundary rows (i, a), i < min(s_a, M), in
-    row order: the order of ``StructuredOperator.boundary``."""
-    p = len(shifts)
-    return sorted(i * p + a for a, s in enumerate(shifts) for i in range(min(s, m)))
-
-
-def _boundary_rows(kernel, d, m, shifts):
-    """The rows S[(i, a), :] with i < min(s_a, M), in row order, each entry
-    computed as :func:`_fill_weighted` computes it."""
+    Row a of the first block is d_a/2 on the diagonal minus the
+    antiderivative of k taken out to |d_a| x (entrywise in the row).
+    """
     p = kernel.p
-    grid = np.arange(m)
-    k0 = hermitize(kernel.at(0.0))
-    index = _boundary_index(shifts, m)
-    rows = np.empty((len(index), m * p), dtype=complex)
-    wide = [_toeplitz_wide(_toeplitz_column(kernel, m, -d[a])[:, a:a + 1, a:a + 1])[0]
-            for a in range(p)]
-    for row, (i, a) in zip(rows, (divmod(k, p) for k in index)):
-        row[a::p] = wide[a][m - 1 - i:2 * m - 1 - i]
-        for b in range(p):
-            if b > a:
-                row[b::p] = _pair_entries(kernel, d, grid[i:i + 1], grid, a, b, k0)[0]
-            elif b < a:
-                row[b::p] = _pair_entries(kernel, d, grid, grid[i:i + 1], b, a, k0)[:, 0].conj()
-    return rows
+    m = xs.size
+    first = np.empty((m, p, p), dtype=complex)
+    for a in range(p):
+        k1 = kernel.cumulative(np.abs(d[a]) * xs)   # (m, p, p)
+        first[:, a, :] = 0.5 * d[a] * np.eye(p)[a][None, :] - k1[:, a, :]
+    eye = np.tile(np.eye(p, dtype=complex)[None], (m, 1, 1))
+    return np.concatenate([first, eye], axis=2)     # (m, p, 2p)
 
 
-def _commensurate_operator(kernel, d, m):
-    """The operator of commensurate weights ``d`` on M = ``m`` blocks by its
-    boundary rows, whatever M: the Schur pass's route, which
-    :func:`build_structured_operator` takes only where it pays."""
-    d = np.asarray(d, dtype=float).reshape(-1)
-    shifts = _commensurate_shifts(d)
-    return StructuredOperator(h=kernel.h, p=kernel.p, d=d, shifts=shifts, kernel=kernel,
-                              boundary=_boundary_rows(kernel, d, m, shifts))
+def _snode_recurrence(d, h, m):
+    """Coefficients of the S-node recurrences on M = ``m`` blocks.
+
+    Multiplied on the left by T = I - N (N the block shift), F + (h/2)|d_b|
+    becomes alpha_ab (I + c_ab N) in component a, with
+    alpha_ab = (h/2)(|d_a| + |d_b|) and c_ab = (|d_a| - |d_b|)/(|d_a| + |d_b|),
+    |c_ab| < 1 and c_ab = -c_ba.  Returns 1/alpha and c as (p, p M) arrays,
+    entry [a, j p + b] for the pair (a, b), and for each row a the band
+    storage (p + 1, p M) of the unit lower triangular matrix with -c_ab at
+    entry (j p + b, (j - 1) p + b), which ``lapack.ztbtrs`` solves
+    (bandwidth p).  Band a serves both recurrences: column b = a of the
+    pass's block column and row a of :func:`_snode_dense`.
+    """
+    u = np.abs(d)
+    total = u[:, None] + u[None, :]
+    coef = np.tile((u[:, None] - u[None, :]) / total, m)
+    bands = np.zeros((u.size, u.size + 1, coef.shape[1]), dtype=complex)
+    bands[:, -1] = -coef
+    return np.tile(2.0 / (h * total), m), coef, [np.asfortranarray(b) for b in bands]
 
 
-# Commensurate weights take the Schur pass when p <= _PASS_MAX_P, t <= 2p and
-# p M >= _PASS_MIN_ORDER.  Timed against the entrywise fill plus LAPACK's
-# Cholesky, with and without a right-hand side (2 cores, 2 BLAS threads), for
-# p = 2 at t = 3, 4 and p = 3 at t = 4, 5, 6, p M from 256 to 2048: the pass
-# lost up to p M = 512 (about 20 ms against 15 ms there), broke about even
-# from 640 to 900 and won from 1024 on, by 5x and more at 2048.  Its fixed
-# cost per step sets the crossover.  Larger p was not timed.
-_PASS_MIN_ORDER = 1024
-_PASS_MAX_P = 3
+def _band_solve(band, v):
+    """Solve the unit lower banded system ``band`` for the row ``v`` in place."""
+    v[:] = lapack.ztbtrs(band, v[:, None], uplo="L", diag="U", overwrite_b=1)[0][:, 0]
+
+
+def _snode_dense(op):
+    """The dense S-node X of a weighted operator, one block row at a time.
+
+    With g = T (h Pi J_s Pi*) T*, entry (i, a; j, b) of T (F X + X F*) T*
+    = g reads alpha_ab (x_ij - x_{i-1,j-1})
+    + (h/2)(|d_a| - |d_b|)(x_{i-1,j} - x_{i,j-1}) = g_ij.  Given block
+    row i - 1, row (i, a) is one banded solve along j
+    (:func:`_snode_recurrence`); the block row above is all the recurrence
+    keeps besides X itself.
+    """
+    p, m, h = op.p, op.m, op.h
+    size = m * p
+    inv_alpha, coef, bands = _snode_recurrence(op.d, h, m)
+    diff = np.diff(op.pi, axis=0, prepend=0.0).reshape(size, 2 * p)    # T Pi
+    right = -h * (diff @ anti_diag_j(p)).conj().T                        # h J_s (T Pi)*
+    x = np.empty((size, size), dtype=complex)
+    prev = np.zeros((p, size), dtype=complex)
+    for i in range(0, size, p):
+        rows = x[i:i + p]
+        np.matmul(diff[i:i + p], right, out=rows)
+        rows *= inv_alpha
+        rows -= coef * prev
+        rows[:, p:] += prev[:, :-p]
+        for band, row in zip(bands, rows):
+            _band_solve(band, row)
+        prev = rows
+    return x
 
 
 def _block_count(kernel, l, scale):
@@ -305,19 +259,18 @@ def _block_count(kernel, l, scale):
 
 
 def build_structured_operator(kernel, d=None, l=None):
-    """Assemble S = I + h [kernel matrix] on the midpoint grid of [0, l].
+    """Assemble the operator S on the midpoint grid of [0, l].
 
-    Plain case (``d is None``): matrix block (i, j) is k(x_i - x_j).
-    Weighted case: entry (a, b) of block (i, j) is k_ab(d_b x_j - d_a x_i);
-    all weights must be negative, and the kernel must be stored out to
-    max|d| * l.  Entries at argument 0, where k is one-sided, take the
-    Hermitian average, so S is exactly Hermitian.  With no weight or equal
-    weights S is block Toeplitz: the result keeps its first block column.
-    Commensurate weights, whose smallest shifts s_a with |d_a| s_a all
-    equal add up to t <= 2p, keep the t boundary rows when p <= 3 and
-    p M >= 1024, where the Schur pass was measured to beat LAPACK (see
-    ``_PASS_MIN_ORDER``).  Either way the dense S is filled only when ``s``
-    is read; other weights, and smaller commensurate grids, assemble it here.
+    Plain case (``d is None``): S = I + h [kernel matrix], block (i, j)
+    k(x_i - x_j), block Toeplitz; the result keeps its first block column.
+    Weighted case: all weights must be negative, and the kernel must be
+    stored out to max|d| * l; the result keeps the samples of Pi.  Equal
+    weights also keep the Toeplitz column of S = I + h [k(d (x_j - x_i))].
+    Distinct weights keep Pi only: their operator is the S-node X, the
+    exact solution of F X + X F* = h Pi J_s Pi* (see the module
+    docstring).  Entries at argument 0, where k is one-sided, take the
+    Hermitian average, so a Toeplitz S is exactly Hermitian.  The dense
+    matrix is formed only when ``s`` is read.
     """
     p, h = kernel.p, kernel.h
     if d is not None:
@@ -332,12 +285,13 @@ def build_structured_operator(kernel, d=None, l=None):
     if l is None:
         l = default_operator_length(kernel, d)
     m = _block_count(kernel, l, scale)
-    if d is None or np.all(d == d[0]):
-        return StructuredOperator(h=h, p=p, d=d, column=_toeplitz_column(kernel, m, scale))
-    if (p <= _PASS_MAX_P and p * m >= _PASS_MIN_ORDER
-            and sum(_commensurate_shifts(d)) <= 2 * p):
-        return _commensurate_operator(kernel, d, m)
-    return StructuredOperator(h=h, p=p, d=d, dense=_fill_weighted(kernel, d, m))
+    if d is None:
+        return StructuredOperator(h=h, p=p, column=_toeplitz_column(kernel, m, scale))
+    pi = _pi_samples(kernel, d, h * (np.arange(m) + 0.5))
+    if np.all(d == d[0]):
+        return StructuredOperator(h=h, p=p, d=d, pi=pi,
+                                  column=_toeplitz_column(kernel, m, scale))
+    return StructuredOperator(h=h, p=p, d=d, pi=pi)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +372,8 @@ _THREAD_WORK_GEMV = 1 << 12
 
 
 def _panels(k, n):
-    """Column slices of an n-column product k @ b, each small enough that
-    OpenBLAS runs it on one thread."""
+    """Slices of the n columns of a product k @ b, or of the n rows of
+    b @ k, each small enough that OpenBLAS runs it on one thread."""
     work = _THREAD_WORK if k.shape[0] > 1 else _THREAD_WORK_GEMV
     width = max(1, (work - 1) // k.size)
     return [slice(j, j + width) for j in range(0, n, width)]
@@ -443,79 +397,6 @@ def _transform(c, p_f, delta):
     return k_f, k_b
 
 
-def _split_generator(rows, shifts, m):
-    """The 2t rows [(E + X); (E - X)] / sqrt 2 of S - F S F* = E* X + X* E,
-    for the t boundary rows R: E holds the unit rows at the boundary
-    indices B and X = R - (1/2) S_BB E."""
-    t = rows.shape[0]
-    index = _boundary_index(shifts, m)
-    x = rows.copy()
-    x[:, index] *= 0.5
-    gen = np.concatenate([x, -x])
-    gen[np.arange(t), index] += 1.0
-    gen[t + np.arange(t), index] += 1.0
-    gen *= np.sqrt(0.5)
-    return gen
-
-
-def _fold_step(gen, lo, hi, upper):
-    """One step of the pass on the 2t generator rows ``gen`` (t positive
-    rows, then t negative rows, all of metric I), pivot block [lo, hi).
-
-    One QR of blockdiag([Y+, 0], [Y-, 0]), Y the halves' pivot blocks,
-    yields Q = blockdiag(Q+, Q-): Q* folds each half onto its first p rows
-    (g with pivot block R+, f with Delta = R-).  g is scaled to P_b = R+* R+,
-    the 2p x 2p transform clears Delta, and g and f are normalized again;
-    all of it acts on the live rows as one 2t x 2t product, applied in
-    single-threaded column panels (:func:`_panels`).  Returns the
-    pivot's Cholesky factor c; the pivot rows are then c^-1 g.
-    """
-    t, p = gen.shape[0] // 2, hi - lo
-    square = np.zeros((2 * t, 2 * t), dtype=complex)
-    square[:t, :p] = gen[:t, lo:hi]
-    square[t:, t:t + p] = gen[t:, lo:hi]
-    qr, tau, _, _ = lapack.zgeqrf(square, overwrite_a=1)
-    # P_b = R+* R+ = c_b c_b*; zpotrs reads only c_b's lower triangle
-    c_b = qr[:p, :p].conj().T
-    delta = qr[t:t + p, t:t + p] * upper
-    q, _, _ = lapack.zungqr(qr, tau, overwrite_a=1)
-    step = q.conj().T
-    p_f = np.eye(p, dtype=complex)
-    k_f, k_b = _transform(c_b, p_f, delta)
-    # R+* times the folded pivot rows, Q+[:, :p] R+ = Y+, is Y+*
-    g = np.concatenate([gen[:t, lo:hi].conj().T, np.zeros((p, t), dtype=complex)], axis=1)
-    f = step[t:t + p]
-    g, f = g - k_b @ f, f - k_f @ g
-    c, info = lapack.zpotrf(g @ gen[:, lo:hi], lower=1, clean=1)
-    if info == 0:
-        # P_f > 0 exactly when the pivot is; only rounding can fail it
-        d_f, info = lapack.zpotrf(p_f, lower=1, clean=1)
-    if info > 0:
-        raise _not_positive(lo + info)
-    step[:p] = lapack.ztrtri(c, lower=1)[0] @ g
-    step[t:t + p] = lapack.ztrtri(d_f, lower=1)[0] @ f
-    live = gen[:, lo:]
-    for cols in _panels(step, live.shape[1]):
-        live[:, cols] = step @ live[:, cols]
-    return c
-
-
-def _shift_pivot_rows(g, shifts, n):
-    """Apply F to the pivot rows g (p, p M) at step n >= 1, in place: block
-    j of component a takes block j - s_a of the previous step's rows (live
-    from block n - 1 on) and zero where that lies before them."""
-    p = len(shifts)
-    blocks = g.reshape(p, -1, p)
-    m = blocks.shape[1]
-    for a, s in enumerate(shifts):
-        moved = m - (n - 1 + s)                    # blocks that take a live block
-        if moved > 0:
-            # numpy buffers the overlapping copy
-            blocks[:, n - 1 + s:, a] = blocks[:, n - 1:n - 1 + moved, a]
-        if s > 1:
-            blocks[:, n:n - 1 + s, a] = 0.0
-
-
 # The Toeplitz pass reads S as block Toeplitz with q = b p blocks: about
 # M / b fixed step costs against b p^3 M^2 multiply-adds, which balance at
 # b = sqrt(_BLOCK_WORK / (p^3 M)).  Timed for every b <= 16 / p at p = 1, 2,
@@ -536,16 +417,15 @@ def _toeplitz_block(p, m):
 
 
 def _schur_pass(op, rhs=None, chol=False, first_column=False):
-    """One block Schur pass over a Hermitian S with displacement structure,
-    from the operator's ``generator`` (rows, shifts), producing only the
-    outputs asked for: ``chol`` the dense Cholesky factor C (S = C C*),
-    ``rhs`` W U for stacked block samples U (M, p, r) with W = C^-1, and
-    ``first_column`` W's first block column (M, p, p; Toeplitz S only).
-    Returns (C, W U, W first column), None for each output not asked for.
+    """One block Schur pass over a Hermitian block Toeplitz S, from the
+    operator's first block column, producing only the outputs asked for:
+    ``chol`` the dense Cholesky factor C (S = C C*), ``rhs`` W U for
+    stacked block samples U (M, p, r) with W = C^-1, and ``first_column``
+    W's first block column (M, p, p).  Returns (C, W U, W first column),
+    None for each output not asked for.
 
-    F moves component a of block i to block i + s_a.  Step n keeps q pivot
-    rows g (metric P_b^-1) and q negative rows f (metric P_f^-1); in the
-    Toeplitz case (all s_a = 1) they are the backward and forward prediction
+    F is the block shift.  Step n keeps q pivot rows g (metric P_b^-1) and
+    q negative rows f (metric P_f^-1), the backward and forward prediction
     errors g_n(j) (j >= n) and f_n(j) (j > n): with predictors a_n
     (a_n(0) = I) and b_n (b_n(n) = I), a_n S = [P_f 0 ... 0 f_n(n+1) ...]
     and b_n S = [0 ... 0 P_b g_n(n+1) ...].  With P_b = g_n(n) = c c*
@@ -553,42 +433,28 @@ def _schur_pass(op, rhs=None, chol=False, first_column=False):
     pivot rows then move by F, and K_f = Delta P_b^-1 and
     K_b = Delta* P_f^-1, Delta = f(n+1), advance the pairs (f(j), F g(j))
     by the 2q x 2q transform [[I, -K_f], [-K_b, I]], which clears f(n+1).
-    The Toeplitz pivot rows keep block j at block j - n of ``bottom``, so
-    F costs nothing, and each step updates both in place.  No predictor is
+    The pivot rows keep block j at block j - n of ``bottom``, so F costs
+    nothing, and each step updates both in place.  No predictor is
     carried: W U is forward substitution with C's column blocks as they
     appear, and W's first block column is c_n^-1 b_n(0) with b_0(0) = I and
     b_{n+1}(0) = -K_b.
 
-    A Toeplitz S of M blocks of order p is read as block Toeplitz with
-    q = b p blocks (:func:`_toeplitz_block`), its first block column padded
-    with zero blocks to ceil(M / b) b: ceil(M / b) steps of O(b p^3 M)
-    work each, O(b p^3 M^2) in all, plus O(p^2 r M^2) for r right-hand
-    sides.  The padding is harmless: the transforms act column by column
-    and F moves g forward, so no padded column ever reaches a real one, and
-    the last step pivots on the leading r x r of its q x q pivot,
-    r = p M - n q.  A pivot that fails at its column info is then still
-    the leading minor n q + info of S that LAPACK names.  The products run
-    in single-threaded column panels (:func:`_sub_product`).
-
-    Commensurate weights (t > p boundary rows, q = p) start from the split
-    generator (:func:`_split_generator`), 2t rows [g, further positive,
-    f, further negative] of metric I in one array; the pivot rows of
-    component a move s_a blocks.  Each step (:func:`_fold_step`) folds the t
-    positive and the t negative rows by one unitary map each, so that only
-    g and f meet the pivot block, takes the same transform, and normalizes
-    g and f again; column block n of C is then g(j)*, j > n.
+    S of M blocks of order p is read as block Toeplitz with q = b p blocks
+    (:func:`_toeplitz_block`), its first block column padded with zero
+    blocks to ceil(M / b) b: ceil(M / b) steps of O(b p^3 M) work each,
+    O(b p^3 M^2) in all, plus O(p^2 r M^2) for r right-hand sides.  The
+    padding is harmless: the transforms act column by column and F moves g
+    forward, so no padded column ever reaches a real one, and the last step
+    pivots on the leading r x r of its q x q pivot, r = p M - n q.  A pivot
+    that fails at its column info is then still the leading minor
+    n q + info of S that LAPACK names.  The products run in single-threaded
+    column panels (:func:`_sub_product`).
     """
-    rows, shifts = op.generator
     p, size = op.p, op.m * op.p
-    t, width = rows.shape                           # width >= size: padded
-    q = len(shifts)
-    fold = t > q
-    if fold:
-        gen = _split_generator(rows, shifts, op.m)
-        upper = np.triu(np.ones((q, q)))
-    else:
-        top, bottom = rows.copy(), rows.copy()      # f and g
-        p_f = rows[:, :q].copy()
+    rows = _toeplitz_rows(op.column, _toeplitz_block(p, op.m))
+    q, width = rows.shape                           # width >= size: padded
+    top, bottom = rows.copy(), rows.copy()          # f and g
+    p_f = rows[:, :q].copy()
     c_out = np.zeros((size, size), dtype=complex, order="F") if chol else None
     if rhs is not None:
         # conjugate transpose of the substitution's running right-hand side
@@ -599,42 +465,32 @@ def _schur_pass(op, rhs=None, chol=False, first_column=False):
     b0 = np.eye(q, p, dtype=complex)                 # first p columns of b_n(0)
     for lo in range(0, size, q):
         hi = min(lo + q, size)
-        if fold:
-            if lo:
-                _shift_pivot_rows(gen[:q], shifts, lo // q)
-            c = _fold_step(gen, lo, hi, upper)
-            below = gen[:q, hi:]                               # c^-1 g(j), j > n
-        else:
-            if lo:
-                k_f, k_b = _transform(c, p_f, top[:, lo:lo + q])
-                b0 = -k_b[:, :p]
-                f, g = top[:, lo:], bottom[:, :width - lo]     # f(j), F g(j), j >= n
-                g_old = g.copy()
-                _sub_product(g, k_b, f)
-                _sub_product(f, k_f, g_old)
-            c, info = lapack.zpotrf(bottom[:hi - lo, :hi - lo], lower=1, clean=1)
-            if info > 0:
-                # a pivot that fails at its column info is the leading
-                # minor n q + info of S, the order zpotrf reports on S
-                raise _not_positive(lo + info)
-            below = bottom[:, q:size - lo]                     # g_n(j), j > n
+        if lo:
+            k_f, k_b = _transform(c, p_f, top[:, lo:lo + q])
+            b0 = -k_b[:, :p]
+            f, g = top[:, lo:], bottom[:, :width - lo]         # f(j), F g(j), j >= n
+            g_old = g.copy()
+            _sub_product(g, k_b, f)
+            _sub_product(f, k_f, g_old)
+        c, info = lapack.zpotrf(bottom[:hi - lo, :hi - lo], lower=1, clean=1)
+        if info > 0:
+            # a pivot that fails at its column info is the leading
+            # minor n q + info of S, the order zpotrf reports on S
+            raise _not_positive(lo + info)
+        below = bottom[:, q:size - lo]                         # g_n(j), j > n
         if chol:
             c_out[lo:hi, lo:hi] = c
-            if fold:
-                c_out[hi:, lo:hi] = below.conj().T
-            else:
-                # (c^-1 g)*, written through C's transpose
-                column = c_out.T[lo:hi, hi:]
-                _sub_product(column, -lapack.ztrtri(c, lower=1)[0], below)
-                np.conjugate(column, out=column)
+            # (c^-1 g)*, written through C's transpose
+            column = c_out.T[lo:hi, hi:]
+            _sub_product(column, -lapack.ztrtri(c, lower=1)[0], below)
+            np.conjugate(column, out=column)
         # c^-1 u as c* (P_b^-1 u): OpenBLAS's ztrtrs uses its thread pool
         # even for a q x q solve, which makes each step several times
         # slower for a while after any threaded BLAS call
         if rhs is not None:
             y, _ = lapack.zpotrs(c, rest[:, lo:hi].conj().T, lower=1)
             wu[lo:hi] = c.conj().T @ y
-            # fold: (c^-1 u)* (c^-1 g) with the rows already normalized
-            _sub_product(rest[:, hi:], wu[lo:hi].conj().T if fold else y.conj().T, below)
+            _sub_product(rest[:, hi:], y.conj().T, below)
         if first_column:
             y, _ = lapack.zpotrs(c, b0[:hi - lo], lower=1)
             w0[lo:hi] = c.conj().T @ y
@@ -642,19 +498,83 @@ def _schur_pass(op, rhs=None, chol=False, first_column=False):
             w0.reshape(op.m, p, p) if first_column else None)
 
 
+def _snode_pass(op, chol=False):
+    """Factor the S-node X of distinct weights from its generator: returns
+    (C, beta), C the dense Cholesky factor of X (None unless ``chol``) and
+    beta = W Pi (M, p, 2p), W = C^-1.
+
+    X solves F X + X F* = G J_s G* with G = sqrt(h) Pi and F lower
+    triangular, so its Schur complements solve the same identity on the
+    trailing blocks with the generator G - U P^-1 G0 (Gohberg, Kailath and
+    Olshevsky 1995).  Step n, with G0 the first block row of the current G
+    and R = G J_s G0*, takes the first block column U of the Schur
+    complement from F U + U F00 = R: multiplied by T = I - N, column b is
+    the first-order recurrence alpha_ab (u_i + c_ab u_{i-1}) = (T R)_i of
+    :func:`_snode_recurrence`, one banded solve.  The pivot P = U0 = c c*
+    fails at its column info exactly where the leading minor n p + info
+    of X does, the minor LAPACK names.  Column block n of C is U c^-*.
+    The update G <- G - U P^-1 G0 applies the unit lower factor of
+    X = L diag(P) L* to G by forward substitution, so G0 is row block n of
+    L^-1 G and beta_n = c^-1 G0 / sqrt h with no further solve.  O(p^2 M^2)
+    work in all, with no (pM)^2 array unless C is asked for; the products
+    run in single-threaded panels (:func:`_panels`).
+    """
+    p, m, h = op.p, op.m, op.h
+    size = m * p
+    inv_alpha, _, bands = _snode_recurrence(op.d, h, m)
+    gen = np.sqrt(h) * op.pi.reshape(size, 2 * p)          # G, reduced in place
+    beta = np.empty((size, 2 * p), dtype=complex)
+    c_out = np.zeros((size, size), dtype=complex, order="F") if chol else None
+    # R and U stored transposed, (p, n): column b of each is one contiguous row
+    r_buf, u_buf = np.empty((2, p, size), dtype=complex)
+    J = anti_diag_j(p)
+    for lo in range(0, size, p):
+        hi, n = lo + p, size - lo
+        live, g0 = gen[lo:], gen[lo:hi]
+        r, ut = r_buf[:, :n], u_buf[:, :n]
+        js_g0 = -(g0 @ J).conj().T                          # J_s G0*
+        for rows in _panels(js_g0, n):
+            np.matmul(live[rows], js_g0, out=r.T[rows])
+        ut[:, :p] = r[:, :p]
+        np.subtract(r[:, p:], r[:, :-p], out=ut[:, p:])       # T R
+        ut *= inv_alpha[:, :n]
+        for band, row in zip(bands, ut):
+            _band_solve(band[:, :n], row)
+        u = ut.T
+        c, info = lapack.zpotrf(u[:p], lower=1, clean=1)
+        if info > 0:
+            raise _not_positive(lo + info)
+        # c^-1 G0 as c* (P^-1 G0), as in the Toeplitz pass
+        y, _ = lapack.zpotrs(c, g0, lower=1)
+        beta[lo:hi] = c.conj().T @ y
+        below = u[p:]
+        if chol:
+            c_out[lo:hi, lo:hi] = c
+            c_inv_h = lapack.ztrtri(c, lower=1)[0].conj().T     # c^-*
+            for rows in _panels(c_inv_h, n - p):
+                np.matmul(below[rows], c_inv_h, out=c_out[hi:, lo:hi][rows])
+        rest = live[p:]
+        for rows in _panels(y, n - p):
+            rest[rows] -= below[rows] @ y
+    beta /= np.sqrt(h)
+    return c_out, beta.reshape(m, p, 2 * p)
+
+
 def factorize_triangular(op):
     """Triangular factorization S = C C*, W S W* = I with W = C^-1, of a
     positive operator; the factor keeps C only.
 
-    Operators with a generator (Toeplitz or commensurate weights) take the
-    block Schur pass (:func:`build_structured_operator` keeps the generator
-    of commensurate weights only where the pass pays); others take LAPACK's
-    Cholesky.  Raises PositivityError naming the offending leading minor
-    size when S is not positive definite; this doubles as the positivity
-    test.
+    A Toeplitz operator takes the block Schur pass, the S-node of distinct
+    weights its generator pass (:func:`_snode_pass`), and a dense one
+    (``op.unstructured()``) LAPACK's Cholesky.  Raises PositivityError
+    naming the offending leading minor size when S is not positive
+    definite; this doubles as the positivity test.
     """
-    if op.generator is not None:
-        c, _, _ = _schur_pass(op, chol=True)
+    if op.dense is None:
+        if op.column is not None:
+            c, _, _ = _schur_pass(op, chol=True)
+        else:
+            c, _ = _snode_pass(op, chol=True)
         return TriangularFactor(c, h=op.h, p=op.p)
     c, info = lapack.zpotrf(op.s, lower=1, clean=1)
     if info > 0:
@@ -695,7 +615,7 @@ def _plain_grid(kernel, l, factor):
 
 def _apply_w(op, factor, u):
     """W U: by the factor's triangular solve when one is given, else by one
-    Schur pass over the operator's generator."""
+    Schur pass over the Toeplitz operator's first block column."""
     if factor is not None:
         return factor.apply(u)
     return _schur_pass(op, rhs=u)[1]
@@ -796,42 +716,29 @@ def accelerant_from_potential(v, factor):
 # weighted kernels: canonical systems
 
 
-def _pi_samples(kernel, d, xs):
-    """Samples of Pi(x) = [D {s_ij(|d_i| x)}  I_p] on the grid.
-
-    Row a of the first block is d_a/2 on the diagonal minus the
-    antiderivative of k taken out to |d_a| x (entrywise in the row).
-    """
-    p = kernel.p
-    m = xs.size
-    first = np.empty((m, p, p), dtype=complex)
-    for a in range(p):
-        k1 = kernel.cumulative(np.abs(d[a]) * xs)   # (m, p, p)
-        first[:, a, :] = 0.5 * d[a] * np.eye(p)[a][None, :] - k1[:, a, :]
-    eye = np.tile(np.eye(p, dtype=complex)[None], (m, 1, 1))
-    return np.concatenate([first, eye], axis=2)     # (m, p, 2p)
-
-
 def canonical_from_kernel(kernel, d, l=None, return_factor=False):
     """Hamiltonian H = beta* beta of the canonical system generated by k.
 
-    beta is the triangular factor applied to Pi columnwise; requires the
-    weighted operator to be positive definite.  Equal weights, and
-    commensurate weights where :func:`build_structured_operator` keeps
-    their generator, take one Schur pass that yields W Pi; with
-    ``return_factor`` the caller needs C anyway, so the pass yields C and
-    W Pi is one triangular solve on it.  Other weights take LAPACK's
-    Cholesky.
+    beta = W Pi is the triangular factor applied to Pi columnwise; requires
+    the weighted operator to be positive definite.  Equal weights take one
+    Toeplitz Schur pass that yields W Pi; with ``return_factor`` the caller
+    needs C anyway, so the pass yields C and W Pi is one triangular solve
+    on it.  Distinct weights take the S-node pass (:func:`_snode_pass`),
+    which reads W Pi off the generator and yields C as well only with
+    ``return_factor``.
     """
     d = np.asarray(d, dtype=float).reshape(-1)
     op = build_structured_operator(kernel, d=d, l=l)
-    xs = op.h * (np.arange(op.m) + 0.5)
-    pi = _pi_samples(kernel, d, xs)
-    if op.generator is not None and not return_factor:
-        beta_vals = _schur_pass(op, rhs=pi)[1]
-    else:
+    fac = None
+    if op.column is None:
+        c, beta_vals = _snode_pass(op, chol=return_factor)
+        if return_factor:
+            fac = TriangularFactor(c, h=op.h, p=op.p)
+    elif return_factor:
         fac = factorize_triangular(op)
-        beta_vals = fac.apply(pi)
+        beta_vals = fac.apply(op.pi)
+    else:
+        beta_vals = _schur_pass(op, rhs=op.pi)[1]
     h_vals = np.einsum("mji,mjk->mik", beta_vals.conj(), beta_vals)
     h_vals = hermitize(h_vals)
     half = op.h
@@ -845,14 +752,13 @@ def canonical_from_kernel(kernel, d, l=None, return_factor=False):
 def hamiltonian_difference_quotient(kernel, d, indices, l=None):
     """dB/dl at l = m h by central differences of B(r) = h Pi* S_r^-1 Pi.
 
-    Dense solves on leading subblocks, independent of the Cholesky route;
+    Dense solves on leading subblocks of the operator's dense matrix (the
+    S-node X for distinct weights), independent of the factor routes;
     returns a list of (x, H_estimate) pairs.
     """
-    d = np.asarray(d, dtype=float).reshape(-1)
     op = build_structured_operator(kernel, d=d, l=l)
     m, p, h = op.m, op.p, op.h
-    xs = h * (np.arange(m) + 0.5)
-    pi = _pi_samples(kernel, d, xs).reshape(m * p, 2 * p)
+    pi = op.pi.reshape(m * p, 2 * p)
 
     def b_of(mm):
         sub = op.s[: mm * p, : mm * p]
@@ -893,8 +799,7 @@ def fundamental_from_kernel(kernel, d, l, z, op=None, factor=None):
     m, p, h = op.m, op.p, op.h
     zs = np.asarray(z, dtype=complex)
     zf = zs.reshape(-1)
-    xs = h * (np.arange(m) + 0.5)
-    pi = _pi_samples(kernel, d, xs)                      # (m, p, 2p)
+    pi = op.pi                                           # (m, p, 2p)
     dpi = np.diff(pi, axis=0, prepend=0.0)
     rhs = np.empty((m, p, zf.size, 2 * p), dtype=complex)
     band = np.empty((2, m), dtype=complex)
@@ -1086,41 +991,32 @@ def disk_radius_estimate(hamiltonian, z, l, steps_per_unit=None):
 # Schur-coefficient recovery
 
 
-def schur_recover(rho, ode_tol=None):
+def schur_recover(rho):
     """Recover the factor blocks from the continuous Schur coefficient.
 
-    Integrates beta2' = -beta2 rho' (rho + rho*)^-1 with beta2(0) = I and
-    returns (beta1, beta2) on the grid of rho, with beta1 = beta2 rho.
+    Integrates beta2' = beta2 M, M = -rho' (rho + rho*)^-1, beta2(0) = I,
+    by midpoint exponential steps from 0 over the nodes of rho: each step
+    multiplies by exp(dx M) with M at the step's midpoint (O(h^2)).
+    Returns (beta1, beta2) on the grid of rho, with beta1 = beta2 rho.
     Requires Re rho > 0 at every sample.
     """
-    # imported here: scipy.integrate costs about 0.27 s and 24 MB resident
-    # to import, and nothing else in weylkit needs it
-    from scipy.integrate import solve_ivp
-
-    if ode_tol is None:
-        ode_tol = defaults.SCHUR_ODE_TOL
     p = rho.rows
     if rho.cols != p:
         raise StructuralError("Schur coefficient must be square")
     for x, val in zip(rho.xs, rho.values):
         if np.linalg.eigvalsh(hermitize(val)).min() <= 0:
             raise DomainError(f"Re rho not positive definite at x = {x:.6g}")
-    drho = rho.derivative()
-
-    def rhs(x, y):
-        b2 = y.reshape(p, p)
-        r = rho.at(x)
-        rp = drho.at(x)
-        return (-b2 @ rp @ np.linalg.inv(r + r.conj().T)).ravel()
-
-    xf = rho.xs[-1]
-    sol = solve_ivp(
-        rhs, (0.0, xf), np.eye(p, dtype=complex).ravel(),
-        t_eval=rho.xs, rtol=ode_tol, atol=ode_tol, method="RK45",
-    )
-    if not sol.success:  # pragma: no cover
-        raise DomainError(f"Schur recovery integration failed: {sol.message}")
-    beta2_vals = sol.y.T.reshape(-1, p, p)
+    nodes = rho.xs
+    starts = np.concatenate([[0.0], nodes[:-1]])
+    mids = 0.5 * (starts + nodes)
+    r = rho.at(mids)
+    gen = -rho.derivative().at(mids) @ np.linalg.inv(r + np.conj(np.swapaxes(r, -1, -2)))
+    steps = expm_stack((nodes - starts)[:, None, None] * gen)
+    beta2_vals = np.empty_like(steps)
+    run = np.eye(p, dtype=complex)
+    for k, step in enumerate(steps):
+        run = run @ step
+        beta2_vals[k] = run
     beta1_vals = np.einsum("mij,mjk->mik", beta2_vals, rho.values)
     beta1 = GridFunction(h=rho.h, values=beta1_vals, x0=rho.x0)
     beta2 = GridFunction(h=rho.h, values=beta2_vals, x0=rho.x0)

@@ -405,6 +405,30 @@ class TestNonFiniteInput:
                      "--out", str(tmp_path / "o")]) == 1
         assert "finite eta > 0, got eta = nan" in capsys.readouterr().err
 
+    def test_non_numeric_grid_axis_exits_2(self, tmp_path, capsys):
+        path = os.path.join(FIXTURES, "scalar_params.json")
+        out = tmp_path / "o"
+        assert main(["direct", "--params", path, "--z", "1:2:ax1:2:3", "--out", str(out)]) == 2
+        assert "bad grid axis '1:2:a'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["direct", "inverse", "fundamental"])
+    def test_non_finite_z_exits_1(self, command, tmp_path, capsys):
+        source = {"direct": ["--params", os.path.join(FIXTURES, "scalar_params.json")],
+                  "inverse": ["--realization", os.path.join(FIXTURES, "realization.json")],
+                  "fundamental": ["--kernel", os.path.join(FIXTURES, "kernel.csv"), "--d=-1"]}
+        out = tmp_path / "o"
+        assert main([command, *source[command], "--z", "nan+1j", "--out", str(out)]) == 1
+        assert "z = (nan+1j) is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_grid_axis_exits_1(self, tmp_path, capsys):
+        path = os.path.join(FIXTURES, "scalar_params.json")
+        out = tmp_path / "o"
+        assert main(["direct", "--params", path, "--z", "1:inf:2x0.5:1:2", "--out", str(out)]) == 1
+        assert "grid axis '1:inf:2' has a non-finite end" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # cells that 17 significant digits must carry exactly: signed zeros, the
 # smallest subnormal, the largest double, inexact decimals and whole numbers

@@ -2,9 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm, lapack, solve_triangular
+from scipy.linalg import expm, lapack, solve_sylvester, solve_triangular
 
 import weylkit as wk
 from weylkit._linalg import anti_diag_j, hermitize
@@ -14,10 +14,9 @@ from weylkit.grids import DifferenceKernel, GridFunction
 from weylkit.structured import (
     StructuredOperator,
     TriangularFactor,
-    _boundary_index,
-    _commensurate_operator,
     _pi_samples,
     _schur_pass,
+    _snode_pass,
     _sub_product,
     _toeplitz_block,
     accelerant_from_potential,
@@ -237,14 +236,14 @@ class TestOnePassMemory:
                 tracemalloc.stop()
             assert peak < 4e6
 
-    def test_commensurate_canonical_forms_no_dense_matrix(self, monkeypatch):
-        # d = (-1, -2), M = 1024, p = 2: a (pM)^2 complex matrix is 67 MB
-        kern = DifferenceKernel.from_function(gauss_kernel, p=2, l=2.0, h=1 / 1024)
+    def test_distinct_canonical_forms_no_dense_matrix(self, monkeypatch):
+        # d = (-1, -sqrt 2), M = 1024, p = 2: a (pM)^2 complex matrix is 67 MB
+        kern = DifferenceKernel.from_function(gauss_kernel, p=2, l=1.5, h=1 / 1024)
         monkeypatch.setattr(StructuredOperator, "s", property(
             lambda op: pytest.fail("the canonical read-off formed the dense S")))
         tracemalloc.start()
         try:
-            beta, _ = canonical_from_kernel(kern, d=GAUSS_D, l=1.0)
+            beta, _ = canonical_from_kernel(kern, d=[-1.0, -np.sqrt(2.0)], l=1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -763,38 +762,57 @@ def dense_plain_reference(kernel, m):
     return 0.5 * (s + s.conj().T)
 
 
-def entrywise_reference(kernel, d, m):
-    """S entry by entry: k_ab(d_b x_j - d_a x_i) from kernel.at, then the
-    Hermitian average of I + h K."""
+def nystrom_reference(kernel, d, m):
+    """The Nystroem S of weights d, any d: entry (i, a; j, b) is
+    delta + h k_ab(d_b x_j - d_a x_i), Hermitian-averaged."""
     p, h = kernel.p, kernel.h
     xs = h * (np.arange(m) + 0.5)
-    s = np.empty((m * p, m * p), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            for a in range(p):
-                for b in range(p):
-                    s[i * p + a, j * p + b] = kernel.at(d[b] * xs[j] - d[a] * xs[i])[a, b]
-    s = np.eye(m * p) + h * s
-    return 0.5 * (s + s.conj().T)
-
-
-def at_fill_reference(kernel, d, m):
-    """The distinct-weight S with its off-diagonal component pairs filled
-    from ``kernel.at``, all p^2 entries evaluated and one kept."""
-    p, h = kernel.p, kernel.h
-    s = build_structured_operator(kernel, d=d, l=m * h).s.copy()
-    xs = h * (np.arange(m) + 0.5)
-    k0 = hermitize(kernel.at(0.0))
+    s = np.empty((m, p, m, p), dtype=complex)
     for a in range(p):
-        for b in range(a + 1, p):
-            s[a::p, b::p] = s[b::p, a::p] = np.nan
-            args = d[b] * xs - d[a] * xs[:, None]
-            vals = kernel.at(args)[..., a, b]
-            vals[args == 0.0] = k0[a, b]
-            vals *= h
-            s[a::p, b::p] = vals
-            s[b::p, a::p] = vals.conj().T
-    return s
+        for b in range(p):
+            s[:, a, :, b] = kernel.at(d[b] * xs[None, :] - d[a] * xs[:, None])[..., a, b]
+    return hermitize(np.eye(m * p) + h * s.reshape(m * p, m * p))
+
+
+class TestSnodeOperator:
+    """The S-node X of distinct weights: its dense form against the
+    identity F X + X F* = h Pi J_s Pi* that defines it, and against the
+    Nystroem S it replaces."""
+
+    @pytest.mark.parametrize("d", [(-1.0, -2.0), (-1.0, -np.sqrt(2.0)), (-0.5, -1.0, -3.0)])
+    def test_dense_solves_the_identity(self, d):
+        d = np.array(d)
+        p, m, h = d.size, 24, 1 / 32
+        kern = positive_kernel(np.random.default_rng(p), p, 2, 0.05, h, 3 * m + 1)
+        op = build_structured_operator(kern, d=d, l=m * h)
+        assert op.column is None and op.dense is None
+        low = np.tril(np.ones((m, m)), -1) + 0.5 * np.eye(m)
+        f = h * np.kron(low, np.diag(np.abs(d)))
+        pi = op.pi.reshape(m * p, 2 * p)
+        ref = solve_sylvester(f, f.conj().T, -h * pi @ anti_diag_j(p) @ pi.conj().T)
+        assert np.abs(op.s - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_unit_weights_give_the_toeplitz_s(self):
+        op = build_structured_operator(toy_kernel(2, l=1.0, h=1 / 64), d=[-1.0, -1.0])
+        x = StructuredOperator(h=op.h, p=op.p, d=op.d, pi=op.pi).s     # the S-node X
+        assert np.abs(x - op.s).max() <= 1e-15
+
+    @pytest.mark.parametrize("d", [GAUSS_D, np.array([-1.0, -np.sqrt(2.0)])])
+    def test_hamiltonian_approaches_nystroem_at_second_order(self, d):
+        # measured ratios 3.9 to 4.1 per halving of h
+        diffs = []
+        for h in (1 / 32, 1 / 64, 1 / 128):
+            kern = DifferenceKernel.from_function(gauss_kernel, p=2, l=1.25, h=h)
+            _, ham = canonical_from_kernel(kern, d=d, l=0.5)
+            m = ham.m
+            pi = build_structured_operator(kern, d=d, l=0.5).pi.reshape(2 * m, 4)
+            c = lapack_factor(nystrom_reference(kern, d, m))[1]
+            beta = solve_triangular(c, pi, lower=True).reshape(m, 2, 4)
+            ham_s = hermitize(np.einsum("mji,mjk->mik", beta.conj(), beta))
+            diffs.append(np.abs(ham.values - ham_s).max())
+        assert diffs[-1] < 1e-5
+        for coarse, fine in zip(diffs, diffs[1:]):
+            assert coarse / fine >= 3.5, diffs
 
 
 class TestStripAssembly:
@@ -807,13 +825,6 @@ class TestStripAssembly:
         with pytest.raises(wk.DomainError):
             kern.entry(-2.5, 0, 1)
 
-    @pytest.mark.parametrize("d", [[-1.0, -2.0], [-1.0, -3.0], [-2.0, -0.75]])
-    def test_distinct_weights_bitwise_equal_to_at_fill(self, d):
-        kern = toy_kernel(2, l=3.0, h=1 / 32)
-        m = 30
-        op = build_structured_operator(kern, d=d, l=m * kern.h)
-        np.testing.assert_array_equal(op.s, at_fill_reference(kern, np.array(d), m))
-
     @pytest.mark.parametrize("p", [1, 2])
     def test_plain_case_bitwise_equal_to_dense_builder(self, p):
         kern = toy_kernel(p, l=1.0, h=1 / 64)
@@ -821,61 +832,16 @@ class TestStripAssembly:
         assert op.s.tobytes() == dense_plain_reference(kern, kern.m).tobytes()
         assert op.column.shape == (kern.m, p, p)
 
-    @pytest.mark.parametrize("d", [[-1.5], [-1.5, -1.5], [-1.0, -2.0], [-1.0, -3.0]])
+    @pytest.mark.parametrize("d", [[-1.5], [-1.5, -1.5]])
     def test_weighted_entries_match_kernel_at(self, d):
-        # d = (-1, -3) puts arguments exactly at 0 off the block diagonal,
-        # where k is one-sided and S takes the Hermitian average
         p = len(d)
         kern = toy_kernel(p, l=2.0, h=1 / 32)
         m = 20
         op = build_structured_operator(kern, d=d, l=m * kern.h)
-        ref = entrywise_reference(kern, d, m)
+        ref = nystrom_reference(kern, np.array(d), m)
         assert np.abs(op.s - ref).max() <= 1e-14 * np.abs(ref).max()
         assert np.abs(op.s - op.s.conj().T).max() == 0.0
-        assert (op.column is not None) == (len(set(d)) == 1)
-
-    @pytest.mark.parametrize("d,shifts", [((-1.0, -2.0), (2, 1)), ((-2.0, -1.0), (1, 2)),
-                                          ((-1.0, -3.0), (3, 1)), ((-0.5, -1.5), (3, 1))])
-    def test_commensurate_boundary_rows_are_rows_of_s(self, d, shifts):
-        kern = toy_kernel(2, l=4.0, h=1 / 32)
-        for m in (1, 2, 30):
-            op = _commensurate_operator(kern, d, m)
-            assert op.shifts == shifts and op.dense is None
-            index = sorted(i * 2 + a for a in range(2) for i in range(min(shifts[a], m)))
-            assert _boundary_index(shifts, m) == index
-            np.testing.assert_array_equal(op.boundary, op.s[index])
-
-    @pytest.mark.parametrize("d,takes_pass", [((-1.0, -2.0), True), ((-2.0, -1.0), True),
-                                              ((-1.0, -3.0), True), ((-1.0, -1.5), False),
-                                              ((-1.0, -1.3), False)])
-    def test_commensurate_route_from_p_m_1024(self, d, takes_pass):
-        # t <= 2p keeps the boundary rows from p M = 1024 on, where the pass
-        # was timed to beat LAPACK; (-1, -1.5) has shifts (3, 2) (t = 5) and
-        # -1.3 no exact small ratio, so both stay dense at any size
-        kern = toy_kernel(2, l=32.0, h=1 / 64)
-        for m, big in ((511, False), (512, True)):
-            op = build_structured_operator(kern, d=d, l=m * kern.h)
-            assert (op.boundary is not None) == (takes_pass and big)
-            assert (op.dense is None) == (takes_pass and big)
-
-    def test_commensurate_route_needs_p_at_most_3(self):
-        d = [-1.0, -2.0, -2.0, -2.0]        # t = 5 <= 2p, but p = 4 was not timed
-        kern = DifferenceKernel(p=4, h=1 / 64, samples=np.zeros((1024, 4, 4), dtype=complex))
-        assert build_structured_operator(kern, d=d, l=8.0).dense is not None
-        p3 = DifferenceKernel(p=3, h=1 / 64, samples=np.zeros((1024, 3, 3), dtype=complex))
-        assert build_structured_operator(p3, d=d[:3], l=6.0).boundary is not None
-
-    def test_zero_argument_off_a_binary_grid(self):
-        # h = 0.2 rounds d_b x_j - d_a x_i to 5.6e-17 at (i, j) = (1, 4),
-        # where 1.5 (2i + 1) = 0.5 (2j + 1): the entry still takes the average
-        kern = toy_kernel(2, l=2.0, h=0.2)
-        op = build_structured_operator(kern, d=[-1.5, -0.5], l=1.0)
-        k0 = hermitize(kern.at(0.0))[0, 1] * kern.h
-        for i, j in ((0, 1), (1, 4)):
-            assert op.s[2 * i, 2 * j + 1] == k0
-        c = lapack_factor(op.s)[1]
-        assert np.abs(factorize_triangular(op).winv - c).max() <= 1e-12 * np.abs(c).max()
-
+        assert op.column is not None
 
 class TestSchurFactor:
     @pytest.mark.parametrize("m", [1, 2, 200])
@@ -891,21 +857,13 @@ class TestSchurFactor:
         assert np.abs(np.triu(fac.w, 1)).max(initial=0.0) == 0.0
         assert np.abs(np.triu(fac.winv, 1)).max(initial=0.0) == 0.0
 
-    def test_distinct_weights_keep_lapack(self):
-        # incommensurate weights: 1.3 has no small exact ratio to 1
-        kern = toy_kernel(2)
-        op = build_structured_operator(kern, d=[-1.0, -1.3], l=0.5)
-        assert op.generator is None and op.dense is not None
-        fac = factorize_triangular(op)
-        w, _ = lapack_factor(op.s)
-        np.testing.assert_array_equal(fac.w, w)
-
     @pytest.mark.parametrize("m", [1, 2, 3, 200])
     @pytest.mark.parametrize("d", [(-1.0, -2.0), (-2.0, -1.0), (-1.0, -3.0)])
     def test_commensurate_matches_lapack(self, d, m):
+        # commensurate weights take the S-node pass, as any distinct weights
         kern = toy_kernel(2, l=7.0)
-        op = _commensurate_operator(kern, d, m)
-        assert op.boundary is not None and op.dense is None
+        op = build_structured_operator(kern, d=d, l=m * kern.h)
+        assert op.column is None and op.dense is None and op.pi.shape == (m, 2, 4)
         fac = factorize_triangular(op)
         w, c = lapack_factor(op.s)
         assert np.abs(fac.w - w).max() <= 1e-12 * np.abs(w).max()
@@ -913,20 +871,10 @@ class TestSchurFactor:
         assert np.abs(np.triu(fac.w, 1)).max(initial=0.0) == 0.0
         assert np.abs(np.triu(fac.winv, 1)).max(initial=0.0) == 0.0
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-    def test_shift_longer_than_the_grid(self, m):
-        # p = 3, shifts (4, 1, 1): for M < 4 the first component's pivot rows
-        # move past the end of the grid
-        kern = positive_kernel(np.random.default_rng(m), 3, 2, 0.05, 1 / 16, 4 * m + 1)
-        op = _commensurate_operator(kern, [-1.0, -4.0, -4.0], m)
-        assert op.shifts == (4, 1, 1) and op.boundary is not None
-        c = lapack_factor(op.s)[1]
-        assert np.abs(factorize_triangular(op).winv - c).max() <= 1e-12 * np.abs(c).max()
-
     def test_unstructured_takes_lapack(self):
         kern = toy_kernel(2)
-        op = _commensurate_operator(kern, GAUSS_D, 64).unstructured()
-        assert op.generator is None and op.boundary is None and op.kernel is None
+        op = build_structured_operator(kern, d=[-1.0, -np.sqrt(2.0)], l=0.5).unstructured()
+        assert op.column is None and op.dense is not None
         np.testing.assert_array_equal(factorize_triangular(op).winv, lapack_factor(op.s)[1])
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 9, 13, 17, 33, 200])
@@ -994,18 +942,17 @@ class TestSchurFactor:
                     lambda kern=kern: canonical_from_kernel(kern, d=-np.ones(p)), info),
             })
         if p == 2:
-            op_c = _commensurate_operator(toy_kernel(p, c=c, l=1.0, h=1 / 64), GAUSS_D, 32)
-            _, info_c = lapack.zpotrf(op_c.s, lower=1)
-            assert info_c > p
-            routes["commensurate"] = (lambda: factorize_triangular(op_c), info_c)
-            # canonical_from_kernel routes d = (-1, -2) to the pass from
-            # p M = 1024 on: M = 512 blocks, stored out to 2 l = 16
-            long_kern = toy_kernel(p, c=c, l=16.0, h=1 / 64)
-            op_l = build_structured_operator(long_kern, d=GAUSS_D, l=8.0)
-            _, info_l = lapack.zpotrf(op_l.s, lower=1)
-            assert op_l.boundary is not None and info_l > p
-            routes["commensurate canonical"] = (
-                lambda: canonical_from_kernel(long_kern, d=GAUSS_D, l=8.0), info_l)
+            # distinct weights: the S-node X fails inside block 31 for
+            # M = 32 and 64 alike
+            for m in (32, 64):
+                kern = toy_kernel(p, c=c, l=2 * m / 64, h=1 / 64)
+                op = build_structured_operator(kern, d=GAUSS_D, l=m / 64)
+                _, info = lapack.zpotrf(op.s, lower=1)
+                assert info > p and op.column is None
+                routes[(m, "S-node factor")] = (lambda op=op: factorize_triangular(op), info)
+                routes[(m, "S-node canonical")] = (
+                    lambda kern=kern, m=m: canonical_from_kernel(kern, d=GAUSS_D, l=m / 64),
+                    info)
         for name, (route, minor) in routes.items():
             with pytest.raises(wk.PositivityError) as err:
                 route()
@@ -1138,20 +1085,16 @@ def positive_operators(draw):
 
 
 @st.composite
-def commensurate_operators(draw):
-    """A positive kernel (:func:`positive_kernel`) with commensurate weights
-    |d_a| = u or u r, r in {2, 3, 1/2}, whose shifts add up to t <= 2p.
-
-    u is a short binary fraction, so u r is exact and the ratio r exact.
-    """
+def distinct_operators(draw):
+    """A positive kernel (:func:`positive_kernel`) with p = 2 or 3 weights
+    that are not all equal, in commensurate ratios (2, 3, 1/2) or any."""
     p = draw(st.sampled_from([2, 3]))
     m = draw(st.integers(1, 48))
     l = draw(st.floats(0.25, 1.5))
-    r = draw(st.sampled_from([2.0, 3.0, 0.5]))
-    u = draw(st.sampled_from([0.5, 0.75, 1.0, 1.25]))
-    # with r = 3 every unit weight has shift 3, so only one fits t <= 2p
-    k = p - 1 if r == 3.0 else draw(st.integers(1, p - 1))
-    d = -u * np.array(draw(st.permutations([r] * k + [1.0] * (p - k))))
+    u = draw(st.floats(0.5, 1.5))
+    ratio = st.one_of(st.sampled_from([1.0, 2.0, 3.0, 0.5]), st.floats(0.3, 3.0))
+    d = -u * np.array([1.0] + [draw(ratio) for _ in range(p - 1)])
+    assume(len(set(d)) > 1)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_terms = draw(st.integers(1, 3))
     eps = draw(st.floats(0.0, 0.1))
@@ -1213,32 +1156,31 @@ class TestFactorProperties:
 
     @seed(20261019)
     @settings(max_examples=40, deadline=None, database=None)
-    @given(commensurate_operators())
-    def test_commensurate_pass(self, case):
+    @given(distinct_operators())
+    def test_snode_pass(self, case):
         kern, d, l = case
-        op = _commensurate_operator(kern, d, int(round(l / kern.h)))
+        op = build_structured_operator(kern, d=d, l=l)
+        assert op.column is None
         chol, info = lapack.zpotrf(op.s, lower=1, clean=1)
         if info:
-            # coarse grids (M = 1, h > 1) interpolate k too roughly for the
-            # design to keep S positive: the pass must then name LAPACK's minor
-            with pytest.raises(wk.PositivityError) as err:
-                factorize_triangular(op)
-            assert err.value.minor == info
+            # coarse grids (M = 1, h > 1) can lose positivity: the pass
+            # must then name the minor LAPACK names on the dense X
+            for route in (lambda: factorize_triangular(op),
+                          lambda: canonical_from_kernel(kern, d, l=l)):
+                with pytest.raises(wk.PositivityError) as err:
+                    route()
+                assert err.value.minor == info
             return
-        fac = factorize_triangular(op)
-        n = op.s.shape[0]
-        w, c = fac.w, fac.winv
-        assert np.linalg.norm(w @ op.s @ w.conj().T - np.eye(n), 2) <= 1e-10
+        m, p = op.m, op.p
+        c, beta = _snode_pass(op, chol=True)
         assert np.abs(c - chol).max() <= 1e-12 * np.abs(chol).max()
+        beta_ref = solve_triangular(chol, op.pi.reshape(m * p, 2 * p), lower=True)
+        assert np.abs(beta.reshape(m * p, 2 * p) - beta_ref).max() <= 1e-12 * np.abs(beta_ref).max()
+        np.testing.assert_array_equal(_snode_pass(op)[1], beta)
 
+        fac = factorize_triangular(op)
         zs = np.array([0.7 + 0.5j, -1.0 + 2.0j])
         vals = fundamental_from_kernel(kern, d, l, zs, op=op)
         for z, val in zip(zs, vals):
             ref = kron_reference(kern, d, z, op, fac)
             assert np.abs(val - ref).max() <= 1e-12 * np.abs(ref).max()
-
-        m, p = op.m, op.p
-        pi = _pi_samples(kern, d, op.h * (np.arange(m) + 0.5)).reshape(m * p, 2 * p)
-        beta_ref = (w @ pi).reshape(m, p, 2 * p)
-        beta = _schur_pass(op, rhs=pi.reshape(m, p, 2 * p))[1]
-        assert np.abs(beta - beta_ref).max() <= 1e-12 * np.abs(beta_ref).max()
