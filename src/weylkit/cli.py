@@ -14,6 +14,7 @@ parameters.  The output directory may be overridden with the
 """
 
 import argparse
+import functools
 import os
 import sys
 from importlib import resources
@@ -491,9 +492,15 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser of :func:`main`, built once per process; parsing leaves it
+    unchanged, so every call sees the same tree."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, PositivityError, DomainError, SingularityError) as exc:

@@ -176,23 +176,6 @@ class DifferenceKernel:
             vals[neg] = np.conj(np.transpose(vals[neg], (0, 2, 1)))
         return vals.reshape(x.shape + (self.p, self.p))
 
-    def entry(self, x, a, b):
-        """Entry (a, b) of k at arbitrary arguments: ``at(x)[..., a, b]``,
-        bit for bit, without interpolating the other entries.
-
-        A negative argument reads k_ba through the reflection
-        k_ab(-x) = conj k_ba(x).  Raises DomainError when |x| exceeds the
-        stored domain.
-        """
-        x = np.asarray(x, dtype=float)
-        lo, hi, w = self._stencil(self._checked_abs(x))
-        neg = x < 0.0
-        # k_ab in the first m rows of the table, k_ba in the next m
-        table = np.concatenate([self.samples[:, a, b], self.samples[:, b, a]])
-        shift = self.m * neg
-        vals = (1.0 - w) * table[lo + shift] + w * table[hi + shift]
-        return np.where(neg, np.conj(vals), vals)
-
     def cumulative(self, y):
         """Antiderivative int_0^y k(t) dt by midpoint panels, vectorized."""
         y = np.asarray(y, dtype=float)

@@ -2,12 +2,15 @@ import dataclasses
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import weylkit as wk
 import weylkit.io as wio
+from weylkit import cli
 from weylkit.cli import main
 from weylkit.grids import DifferenceKernel, GridFunction
 
@@ -253,6 +256,55 @@ class TestCli:
         np.testing.assert_array_equal(rows[:, 0], np.tile(xs, zs.size))
         np.testing.assert_array_equal(rows[:, 1] + 1j * rows[:, 2], np.repeat(zs, xs.size))
         np.testing.assert_array_equal(rows[:, 3::2] + 1j * rows[:, 4::2], w.reshape(-1, 16))
+
+    def test_one_parser_per_process(self, tmp_path, capsys):
+        """Consecutive calls through the shared parser, one after a parse
+        error, write the same bytes as calls that each build a fresh one."""
+        wio.write_lattice_samples_json(tmp_path / "s.json", np.full(21, 1j, dtype=complex))
+        runs = [
+            (["direct", "--params", os.path.join(FIXTURES, "scalar_params.json"),
+              "--nx", "5", "--z=-1:1:3x0.5:1.5:2"], 0),
+            (["interpolate", "--samples", str(tmp_path / "s.json"), "--z", "3j",
+              "--n", "20", "--truncation", "auto"], 0),
+            (["direct", "--nx", "5"], 2),          # --params is missing
+            (["interpolate", "--samples", str(tmp_path / "s.json"), "--z", "2+3j",
+              "--n", "20", "--mode", "general"], 0),
+            (["check"], 0),
+        ]
+
+        def run_all(tag, fresh):
+            for k, (argv, code) in enumerate(runs):
+                if fresh:
+                    cli._parser.cache_clear()
+                try:
+                    got = main(argv + ["--out", str(tmp_path / tag / str(k))])
+                except SystemExit as exc:
+                    got = exc.code
+                assert got == code, argv
+            return capsys.readouterr()
+
+        shared, fresh = run_all("shared", False), run_all("fresh", True)
+        assert shared == fresh
+        for k in (0, 1, 3, 4):
+            a, b = tmp_path / "shared" / str(k), tmp_path / "fresh" / str(k)
+            names = sorted(os.listdir(a))
+            assert names == sorted(os.listdir(b)) and "run-manifest.json" in names
+            for name in names:
+                assert filecmp.cmp(a / name, b / name, shallow=False), (k, name)
+
+    def test_no_mpmath_at_run_time(self, tmp_path):
+        code = (
+            "import sys, numpy as np, weylkit\n"
+            "weylkit.interpolate_series(np.full(21, 1j), 3j, n_terms=20, mode='weyl-dirac')\n"
+            "from weylkit.cli import main\n"
+            "assert main(['check']) == 0\n"
+            "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n"
+        )
+        src = os.path.dirname(os.path.dirname(wk.__file__))
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_manifest_version_is_the_package_version(self, tmp_path):
         out = tmp_path / "o"

@@ -816,15 +816,6 @@ class TestSnodeOperator:
 
 
 class TestStripAssembly:
-    def test_kernel_entry_is_at_entry(self):
-        kern = toy_kernel(2, l=2.0, h=1 / 32)
-        x = np.linspace(-2.0, 2.0, 97).reshape(1, 97) * np.array([[1.0], [-1.0]])
-        for a in range(2):
-            for b in range(2):
-                np.testing.assert_array_equal(kern.entry(x, a, b), kern.at(x)[..., a, b])
-        with pytest.raises(wk.DomainError):
-            kern.entry(-2.5, 0, 1)
-
     @pytest.mark.parametrize("p", [1, 2])
     def test_plain_case_bitwise_equal_to_dense_builder(self, p):
         kern = toy_kernel(p, l=1.0, h=1 / 64)
