@@ -225,9 +225,8 @@ def _cmd_fundamental(args):
     zs = _parse_zgrid(args.z)
     l = args.l if args.l is not None else default_operator_length(kernel, d)
     op = build_structured_operator(kernel, d=d, l=l)
-    fac = factorize_triangular(op)
     outdir = _outdir(args)
-    vals = fundamental_from_kernel(kernel, d, l, np.array(zs), op=op, factor=fac)
+    vals = fundamental_from_kernel(kernel, d, l, np.array(zs), op=op)
     io.write_rows(os.path.join(outdir, "w.csv"), _Z_LABELS, _z_columns(zs), vals)
     _manifest(outdir, "fundamental", {
         "kernel": os.path.basename(args.kernel), "d": [float(v) for v in d],
@@ -352,6 +351,17 @@ def _run_checks():
                              - recover_potential(kern, mode=mode, factor=fac).values).max())
                 for mode in ("endpoint", "kernel-edge"))
     yield "one-pass read-off vs factor route", rdiff < 1e-12, f"max diff {rdiff:.2e}"
+    # Pi* S^-1 U from one pass on [Pi U] against the factor's Cholesky solve,
+    # on the Toeplitz route (d = -1) and the S-node route
+    zf = np.array([0.7 + 0.5j, -1.0 + 2.0j, 3.0])
+    fdiff = 0.0
+    for kk, dd in ((kern, np.array([-1.0])), (kern2, np.array([-1.0, -np.sqrt(2.0)]))):
+        lf = default_operator_length(kk, dd)
+        opf = build_structured_operator(kk, d=dd, l=lf)
+        ref = fundamental_from_kernel(kk, dd, lf, zf, op=opf, factor=factorize_triangular(opf))
+        got = fundamental_from_kernel(kk, dd, lf, zf, op=opf)
+        fdiff = max(fdiff, float(np.abs(got - ref).max() / np.abs(ref).max()))
+    yield "one-pass fundamental vs factor route", fdiff < 1e-12, f"max rel diff {fdiff:.2e}"
 
     # scipy's exponential is the reference here only; weylkit computes with its own
     from scipy.linalg import expm

@@ -15,12 +15,13 @@ reads it.  One block Schur-Levinson pass over that column, told up front
 which outputs to produce, serves every Toeplitz caller: C for
 :func:`factorize_triangular`, W U for the read-offs (the kernel samples for
 the endpoint potential, [2s I k] for the theta functions, Pi for the
-canonical factor beta) and W's first block column for the kernel-edge
-potential.  The read-offs thus store no (pM)^2 matrix; passed a factor,
-they apply it instead.  The pass reads S as block Toeplitz with q = b p
-blocks, b from the shape (:func:`_toeplitz_block`), its first block column
-padded with zero blocks to a multiple of b: ceil(M/b) steps and
-O(b p^3 M^2) work, in place of M steps of mostly fixed cost.  The padding
+canonical factor beta, [Pi U] for the fundamental solution) and W's first
+block column for the kernel-edge potential.  The read-offs thus store no
+(pM)^2 matrix; passed a factor, they apply it instead.  The pass reads S
+as block Toeplitz with q = b p blocks, b from the shape
+(:func:`_toeplitz_block`), its first block column padded with zero blocks
+to a multiple of b: ceil(M/b) steps and O(b p^3 M^2) work, in place of M
+steps of mostly fixed cost.  The padding
 is harmless, since the pass only moves data to the right and pivots its
 last step on the real rows only.
 
@@ -30,8 +31,9 @@ operator identities on the midpoint grid: F = h |D| (L + I/2) with L the
 strictly lower all-ones block matrix, J_s = -J and Pi the samples of
 [D s(|D| x)  I].  The operator keeps Pi only.  X has the rank-2p generator
 sqrt(h) Pi, and one pass of Gaussian elimination on that generator
-(Gohberg, Kailath and Olshevsky, Math. Comp. 64, 1995) yields C and
-W Pi in O(p^2 M^2) work; the dense X, formed only when read, follows
+(Gohberg, Kailath and Olshevsky, Math. Comp. 64, 1995) yields C, W Pi
+and W U for columns U carried along the generator in O(p^2 M^2) work,
+C only when asked for.  The dense X, formed only when read, follows
 from the same identity one block row at a time.  Equal weights keep the
 Toeplitz S and its pass: X equals that S to rounding only for |d| = 1,
 since S samples k at |d| h n and X never evaluates k off its grid; for
@@ -244,10 +246,17 @@ def _snode_dense(op):
     return x
 
 
+def _check_length(l):
+    """An operator length must be a finite positive number."""
+    if not (math.isfinite(l) and l > 0.0):
+        raise DomainError(f"operator length l = {l} must be finite and positive")
+
+
 def _block_count(kernel, l, scale):
     """Number of grid blocks M = l / h of an operator on [0, l] whose kernel
     arguments reach scale * l; h must divide l and the kernel must be stored
     out to scale * l."""
+    _check_length(l)
     m = int(round(l / kernel.h))
     if m < 1 or abs(m * kernel.h - l) > 1e-9 * max(1.0, l):
         raise StructuralError("grid step must divide the operator length")
@@ -498,10 +507,11 @@ def _schur_pass(op, rhs=None, chol=False, first_column=False):
             w0.reshape(op.m, p, p) if first_column else None)
 
 
-def _snode_pass(op, chol=False):
+def _snode_pass(op, chol=False, rhs=None):
     """Factor the S-node X of distinct weights from its generator: returns
     (C, beta), C the dense Cholesky factor of X (None unless ``chol``) and
-    beta = W Pi (M, p, 2p), W = C^-1.
+    beta = W Pi (M, p, 2p), W = C^-1.  With stacked block samples ``rhs``
+    U (M, p, r), beta is W [Pi U] (M, p, 2p + r) instead.
 
     X solves F X + X F* = G J_s G* with G = sqrt(h) Pi and F lower
     triangular, so its Schur complements solve the same identity on the
@@ -515,15 +525,20 @@ def _snode_pass(op, chol=False):
     of X does, the minor LAPACK names.  Column block n of C is U c^-*.
     The update G <- G - U P^-1 G0 applies the unit lower factor of
     X = L diag(P) L* to G by forward substitution, so G0 is row block n of
-    L^-1 G and beta_n = c^-1 G0 / sqrt h with no further solve.  O(p^2 M^2)
-    work in all, with no (pM)^2 array unless C is asked for; the products
-    run in single-threaded panels (:func:`_panels`).
+    L^-1 G and beta_n = c^-1 G0 / sqrt h with no further solve.  Columns U
+    carried along [G | U] through the same update come out as c^-1 U0 =
+    (W U)_n; R reads the generator columns only.  O(p^2 M^2) work in all,
+    plus O(p r M^2) for r carried columns, with no (pM)^2 array unless C
+    is asked for; the products run in single-threaded panels
+    (:func:`_panels`).
     """
     p, m, h = op.p, op.m, op.h
     size = m * p
     inv_alpha, _, bands = _snode_recurrence(op.d, h, m)
     gen = np.sqrt(h) * op.pi.reshape(size, 2 * p)          # G, reduced in place
-    beta = np.empty((size, 2 * p), dtype=complex)
+    if rhs is not None:
+        gen = np.concatenate([gen, rhs.reshape(size, -1)], axis=1)
+    beta = np.empty_like(gen)
     c_out = np.zeros((size, size), dtype=complex, order="F") if chol else None
     # R and U stored transposed, (p, n): column b of each is one contiguous row
     r_buf, u_buf = np.empty((2, p, size), dtype=complex)
@@ -532,9 +547,9 @@ def _snode_pass(op, chol=False):
         hi, n = lo + p, size - lo
         live, g0 = gen[lo:], gen[lo:hi]
         r, ut = r_buf[:, :n], u_buf[:, :n]
-        js_g0 = -(g0 @ J).conj().T                          # J_s G0*
+        js_g0 = -(g0[:, :2 * p] @ J).conj().T               # J_s G0*
         for rows in _panels(js_g0, n):
-            np.matmul(live[rows], js_g0, out=r.T[rows])
+            np.matmul(live[rows, :2 * p], js_g0, out=r.T[rows])
         ut[:, :p] = r[:, :p]
         np.subtract(r[:, p:], r[:, :-p], out=ut[:, p:])       # T R
         ut *= inv_alpha[:, :n]
@@ -556,8 +571,8 @@ def _snode_pass(op, chol=False):
         rest = live[p:]
         for rows in _panels(y, n - p):
             rest[rows] -= below[rows] @ y
-    beta /= np.sqrt(h)
-    return c_out, beta.reshape(m, p, 2 * p)
+    beta[:, :2 * p] /= np.sqrt(h)
+    return c_out, beta.reshape(m, p, -1)
 
 
 def factorize_triangular(op):
@@ -586,7 +601,9 @@ def factorize_triangular(op):
 
 def _check_grid(name, given, kernel, l):
     """A passed operator or factor must be one of the kernel's: same p and
-    h, and M h = l when l is given."""
+    h, and M h = l when l is given (a finite positive l, else DomainError)."""
+    if l is not None:
+        _check_length(l)
     if given.p != kernel.p or abs(given.h - kernel.h) > 1e-12 * kernel.h:
         raise StructuralError(
             f"{name} grid (p = {given.p}, h = {given.h:.6g}) does not match "
@@ -720,32 +737,29 @@ def canonical_from_kernel(kernel, d, l=None, return_factor=False):
     """Hamiltonian H = beta* beta of the canonical system generated by k.
 
     beta = W Pi is the triangular factor applied to Pi columnwise; requires
-    the weighted operator to be positive definite.  Equal weights take one
-    Toeplitz Schur pass that yields W Pi; with ``return_factor`` the caller
-    needs C anyway, so the pass yields C and W Pi is one triangular solve
-    on it.  Distinct weights take the S-node pass (:func:`_snode_pass`),
-    which reads W Pi off the generator and yields C as well only with
-    ``return_factor``.
+    the weighted operator to be positive definite.  One pass yields W Pi,
+    and C too with ``return_factor``: the Toeplitz Schur pass for equal
+    weights, the S-node pass (:func:`_snode_pass`) for distinct ones.  Its
+    W Pi does not depend on whether C is asked for, and its C is the one
+    :func:`factorize_triangular` forms.  At equal weights the C pass and
+    one triangular solve on C are faster by themselves (23.5 against
+    26.4 ms at pM = 1024, 2 cores, 2 BLAS threads), but the solve runs on
+    OpenBLAS's thread pool, and the Schur pass that came next in a
+    benchmark round ran about 14 ms slower after it.
     """
     d = np.asarray(d, dtype=float).reshape(-1)
     op = build_structured_operator(kernel, d=d, l=l)
-    fac = None
     if op.column is None:
         c, beta_vals = _snode_pass(op, chol=return_factor)
-        if return_factor:
-            fac = TriangularFactor(c, h=op.h, p=op.p)
-    elif return_factor:
-        fac = factorize_triangular(op)
-        beta_vals = fac.apply(op.pi)
     else:
-        beta_vals = _schur_pass(op, rhs=op.pi)[1]
+        c, beta_vals, _ = _schur_pass(op, rhs=op.pi, chol=return_factor)
     h_vals = np.einsum("mji,mjk->mik", beta_vals.conj(), beta_vals)
     h_vals = hermitize(h_vals)
     half = op.h
     beta = GridFunction(h=half, values=beta_vals, x0=half / 2.0)
     ham = GridFunction(h=half, values=h_vals, x0=half / 2.0)
     if return_factor:
-        return beta, ham, op, fac
+        return beta, ham, op, TriangularFactor(c, h=op.h, p=op.p)
     return beta, ham
 
 
@@ -781,9 +795,14 @@ def fundamental_from_kernel(kernel, d, l, z, op=None, factor=None):
     stack).  A = i D int_0^x on the midpoint grid is block lower triangular
     with half weight on the diagonal; differencing its rows turns
     (I - z A) u = Pi into one bidiagonal system per z and component a, with
-    diagonal 1 - c/2 and subdiagonal -(1 + c/2), c = i z d_a h.  A given
-    ``op`` must be built from the kernel's grid for this ``d`` and ``l``, and
-    a given ``factor`` must match that grid; otherwise StructuralError.
+    diagonal 1 - c/2 and subdiagonal -(1 + c/2), c = i z d_a h.  With U
+    those solutions, Pi* S^-1 U = (W Pi)* (W U): without ``factor`` one pass
+    over the structured operator on the right-hand side [Pi U] gives both
+    (the Toeplitz pass for equal weights, the S-node pass carrying U along
+    its generator for distinct ones), and no factor is formed.  A given ``factor`` (or a
+    dense ``op``) applies S^-1 by its Cholesky solve instead.  A given
+    ``op`` must be built from the kernel's grid for this ``d`` and ``l``,
+    and a given ``factor`` must match that grid; otherwise StructuralError.
     """
     d = np.asarray(d, dtype=float).reshape(-1)
     if op is None:
@@ -792,10 +811,10 @@ def fundamental_from_kernel(kernel, d, l, z, op=None, factor=None):
         _check_grid("operator", op, kernel, l)
         if op.d is None or not np.array_equal(op.d, d):
             raise StructuralError(f"operator built for d = {op.d}, not d = {d}")
-    if factor is None:
-        factor = factorize_triangular(op)
-    else:
+    if factor is not None:
         _check_grid("factor", factor, kernel, l)
+    elif op.dense is not None:
+        factor = factorize_triangular(op)
     m, p, h = op.m, op.p, op.h
     zs = np.asarray(z, dtype=complex)
     zf = zs.reshape(-1)
@@ -808,8 +827,15 @@ def fundamental_from_kernel(kernel, d, l, z, op=None, factor=None):
             c = 1j * zk * d[a] * h
             band[0], band[1] = 1.0 - 0.5 * c, -(1.0 + 0.5 * c)
             rhs[:, a, k] = solve_banded((1, 0), band, dpi[:, a])
-    u = factor.solve(rhs.reshape(m, p, zf.size * 2 * p)).reshape(m * p, -1)
-    proj = h * pi.reshape(m * p, 2 * p).conj().T @ u     # (2p, K 2p)
+    rhs = rhs.reshape(m, p, zf.size * 2 * p)
+    if factor is not None:
+        left, right = pi, factor.solve(rhs)
+    elif op.column is None:
+        left, right = np.split(_snode_pass(op, rhs=rhs)[1], [2 * p], axis=2)
+    else:
+        applied = _schur_pass(op, rhs=np.concatenate([pi, rhs], axis=2))[1]
+        left, right = np.split(applied, [2 * p], axis=2)
+    proj = h * left.reshape(m * p, 2 * p).conj().T @ right.reshape(m * p, -1)  # (2p, K 2p)
     proj = proj.reshape(2 * p, zf.size, 2 * p).transpose(1, 0, 2)
     J = anti_diag_j(p)
     w = np.eye(2 * p, dtype=complex) + 1j * zf[:, None, None] * (J @ proj)

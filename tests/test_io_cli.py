@@ -474,6 +474,15 @@ class TestNonFiniteInput:
         assert "z = (nan+1j) is not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("length", ["nan", "inf", "0", "-1"])
+    def test_bad_operator_length_exits_1(self, length, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["fundamental", "--kernel", os.path.join(FIXTURES, "kernel.csv"),
+                     "--d=-1", "--l", length, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: operator length l = {float(length)} must be finite and positive\n")
+        assert not out.exists()
+
     def test_infinite_grid_axis_exits_1(self, tmp_path, capsys):
         path = os.path.join(FIXTURES, "scalar_params.json")
         out = tmp_path / "o"

@@ -123,6 +123,19 @@ class TestFactorize:
         assert np.abs(fac.winv - c).max() <= 1e-12 * np.abs(c).max()
         assert fac.w is not fac.w          # formed anew on each request
 
+    @pytest.mark.parametrize("d", [(-1.0, -np.sqrt(2.0)), (-1.25, -1.25)],
+                             ids=["S-node", "Toeplitz"])
+    def test_canonical_factor_is_the_eager_factor(self, d):
+        # one pass yields C and W Pi: C as factorize_triangular forms it,
+        # W Pi as the same pass yields it without C
+        kern = DifferenceKernel.from_function(gauss_kernel, p=2, l=1.5, h=1 / 128)
+        beta, ham, op, fac = canonical_from_kernel(kern, d=d, l=1.0, return_factor=True)
+        assert fac.m == op.m
+        np.testing.assert_array_equal(fac.winv, factorize_triangular(op).winv)
+        beta0, ham0 = canonical_from_kernel(kern, d=d, l=1.0)
+        np.testing.assert_array_equal(beta.values, beta0.values)
+        np.testing.assert_array_equal(ham.values, ham0.values)
+
     def test_not_positive_names_minor(self):
         kern = DifferenceKernel.from_function(
             lambda x: -3.0 * np.exp(-x) * np.ones((1, 1)), p=1, l=1.0, h=1 / 64)
@@ -219,6 +232,43 @@ class TestPassedFactorIsChecked:
             readoff(exp_kernel(l=0.5, h=1 / 64), factor=long)
 
 
+@pytest.mark.parametrize("l", [np.nan, np.inf, 0.0, -1.0])
+class TestOperatorLength:
+    """A non-finite or non-positive l is a DomainError naming l, with or
+    without a passed operator or factor."""
+
+    def _raises(self, call, l):
+        with pytest.raises(wk.DomainError, match=f"operator length l = {l} must be finite"):
+            call()
+
+    def test_without_factor(self, l):
+        kern = exp_kernel(l=1.0, h=1 / 32)
+        for call in (lambda: build_structured_operator(kern, l=l),
+                     lambda: build_structured_operator(kern, d=[-1.0], l=l),
+                     lambda: recover_potential(kern, l=l),
+                     lambda: recover_potential(kern, l=l, mode="kernel-edge"),
+                     lambda: theta_functions(kern, l=l),
+                     lambda: recover_potential_at_edge(kern, l=l),
+                     lambda: canonical_from_kernel(kern, d=[-1.0], l=l),
+                     lambda: canonical_from_kernel(kern, d=[-1.0], l=l, return_factor=True),
+                     lambda: hamiltonian_difference_quotient(kern, [-1.0], [4], l=l),
+                     lambda: fundamental_from_kernel(kern, [-1.0], l, 0.5j)):
+            self._raises(call, l)
+
+    def test_with_factor(self, l):
+        kern = exp_kernel(l=1.0, h=1 / 32)
+        fac = factorize_triangular(build_structured_operator(kern))
+        op = build_structured_operator(kern, d=[-1.0])
+        weighted = factorize_triangular(op)
+        for call in (lambda: recover_potential(kern, l=l, factor=fac),
+                     lambda: recover_potential(kern, l=l, mode="kernel-edge", factor=fac),
+                     lambda: theta_functions(kern, l=l, factor=fac),
+                     lambda: fundamental_from_kernel(kern, [-1.0], l, 0.5j, op=op),
+                     lambda: fundamental_from_kernel(kern, [-1.0], l, 0.5j, op=op,
+                                                     factor=weighted)):
+            self._raises(call, l)
+
+
 class TestOnePassMemory:
     def test_readoffs_form_no_dense_matrix(self, monkeypatch):
         # M = 2048, p = 1: a (pM)^2 complex matrix is 67 MB
@@ -249,6 +299,25 @@ class TestOnePassMemory:
             tracemalloc.stop()
         assert beta.m == 1024
         assert peak < 4e6
+
+    @pytest.mark.parametrize("d", [(-1.0, -np.sqrt(2.0)), (-1.25, -1.25)],
+                             ids=["S-node", "Toeplitz"])
+    def test_fundamental_forms_no_dense_matrix(self, d, monkeypatch):
+        # M = 1024, p = 2: C or S, a (pM)^2 complex matrix, is 67 MB
+        kern = DifferenceKernel.from_function(gauss_kernel, p=2, l=1.5, h=1 / 1024)
+        monkeypatch.setattr(StructuredOperator, "s", property(
+            lambda op: pytest.fail("the call formed the dense S")))
+        zs = np.array([0.7 + 0.5j, -1.0 + 2.0j])
+        for call in (lambda: canonical_from_kernel(kern, d=d, l=1.0),
+                     lambda: fundamental_from_kernel(kern, d, 1.0, zs)):
+            tracemalloc.start()
+            try:
+                out = call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4e6
+        assert out.shape == (2, 4, 4)
 
 
 class TestReadOffOrder:
@@ -1115,10 +1184,12 @@ class TestFactorProperties:
 
         if d is not None:
             zs = np.array([0.7 + 0.5j, -1.0 + 2.0j])
-            vals = fundamental_from_kernel(kern, d, l, zs, op=op, factor=fac)
-            for z, val in zip(zs, vals):
-                ref = kron_reference(kern, d, z, op, fac)
-                assert np.abs(val - ref).max() <= 1e-12 * np.abs(ref).max()
+            # the factor's Cholesky solve, and one pass on [Pi U] with no factor
+            for vals in (fundamental_from_kernel(kern, d, l, zs, op=op, factor=fac),
+                         fundamental_from_kernel(kern, d, l, zs, op=op)):
+                for z, val in zip(zs, vals):
+                    ref = kron_reference(kern, d, z, op, fac)
+                    assert np.abs(val - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @seed(20261018)
     @settings(max_examples=40, deadline=None, database=None)
@@ -1145,6 +1216,28 @@ class TestFactorProperties:
             close(beta.values, beta_ref)
             close(ham.values, hermitize(np.einsum("mji,mjk->mik", beta_ref.conj(), beta_ref)))
 
+    @seed(20261020)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(positive_operators().filter(lambda case: case[1] is not None),
+           st.floats(-8.0, -0.5))
+    def test_factor_of_canonical_names_the_same_minor(self, case, c):
+        # -c times a positive kernel: S loses positivity for some draws
+        kern, d, l = case
+        kern = DifferenceKernel(p=kern.p, h=kern.h, samples=c * kern.samples)
+        op = build_structured_operator(kern, d=d, l=l)
+        _, info = lapack.zpotrf(op.s, lower=1, clean=1)
+        if not info:
+            _, _, _, fac = canonical_from_kernel(kern, d, l=l, return_factor=True)
+            np.testing.assert_array_equal(fac.winv, factorize_triangular(op).winv)
+            return
+        minors = []
+        for route in (lambda: factorize_triangular(op),
+                      lambda: canonical_from_kernel(kern, d, l=l, return_factor=True)):
+            with pytest.raises(wk.PositivityError) as err:
+                route()
+            minors.append(err.value.minor)
+        assert minors[0] == minors[1]
+
     @seed(20261019)
     @settings(max_examples=40, deadline=None, database=None)
     @given(distinct_operators())
@@ -1157,7 +1250,8 @@ class TestFactorProperties:
             # coarse grids (M = 1, h > 1) can lose positivity: the pass
             # must then name the minor LAPACK names on the dense X
             for route in (lambda: factorize_triangular(op),
-                          lambda: canonical_from_kernel(kern, d, l=l)):
+                          lambda: canonical_from_kernel(kern, d, l=l),
+                          lambda: canonical_from_kernel(kern, d, l=l, return_factor=True)):
                 with pytest.raises(wk.PositivityError) as err:
                     route()
                 assert err.value.minor == info
