@@ -20,6 +20,7 @@ import sys
 from importlib import resources
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import __version__, defaults, io, rational
 from ._linalg import anti_diag_j, expm_stack
@@ -188,11 +189,11 @@ def _cmd_recover(args):
     d = _parse_diag(args.d) if args.d else None
     if args.mode == "canonical" and d is None:
         raise StructuralError("canonical mode requires --d")
-    outdir = _outdir(args)
     s_grid, kernel, report = amplitude_from_weyl(
         sampler, eta=args.eta, a=args.a, h=args.step, xmax=args.xmax,
         mode=args.mode, d=d,
     )
+    outdir = _outdir(args)
     io.write_grid_csv(os.path.join(outdir, "s.csv"), s_grid)
     io.write_kernel_csv(os.path.join(outdir, "k.csv"), kernel)
     outputs = ["s.csv", "k.csv"]
@@ -224,9 +225,8 @@ def _cmd_fundamental(args):
     d = _parse_diag(args.d)
     zs = _parse_zgrid(args.z)
     l = args.l if args.l is not None else default_operator_length(kernel, d)
-    op = build_structured_operator(kernel, d=d, l=l)
+    vals = fundamental_from_kernel(kernel, d, l, np.array(zs))
     outdir = _outdir(args)
-    vals = fundamental_from_kernel(kernel, d, l, np.array(zs), op=op)
     io.write_rows(os.path.join(outdir, "w.csv"), _Z_LABELS, _z_columns(zs), vals)
     _manifest(outdir, "fundamental", {
         "kernel": os.path.basename(args.kernel), "d": [float(v) for v in d],
@@ -329,13 +329,12 @@ def _run_checks():
     yield "factorization residual", fres < defaults.FACTOR_RESIDUAL_TOL, f"{fres:.2e}"
     ires = np.linalg.norm(w @ fac.winv - eye, 2)
     yield "factor inverse pair", ires < 1e-10, f"{ires:.2e}"
-    dense = factorize_triangular(op.unstructured())
-    sdiff = float(np.abs(fac.winv - dense.winv).max())
+    sdiff = float(np.abs(fac.winv - lapack.zpotrf(op.s, lower=1, clean=1)[0]).max())
     yield "Schur factor vs LAPACK", sdiff < 1e-10, f"max diff {sdiff:.2e}"
     # one block short, the pass's last q-block is a partial one
     short = build_structured_operator(kern, l=(kern.m - 1) * kern.h)
     gdiff = float(np.abs(factorize_triangular(short).winv
-                         - factorize_triangular(short.unstructured()).winv).max())
+                         - lapack.zpotrf(short.s, lower=1, clean=1)[0]).max())
     yield f"Schur factor vs LAPACK (M = {short.m})", gdiff < 1e-10, f"max diff {gdiff:.2e}"
     # the fixture's int |k| is 0.063, so S stays positive for any weight of a
     # kernel k(x) U with |U| <= 1
@@ -344,24 +343,33 @@ def _run_checks():
     # distinct weights: the S-node pass against LAPACK on the dense X
     op2 = build_structured_operator(kern2, d=np.array([-1.0, -np.sqrt(2.0)]))
     xdiff = float(np.abs(factorize_triangular(op2).winv
-                         - factorize_triangular(op2.unstructured()).winv).max())
+                         - lapack.zpotrf(op2.s, lower=1, clean=1)[0]).max())
     yield ("S-node pass vs LAPACK on dense X (d = -1, -sqrt 2)", xdiff < 1e-10,
            f"max diff {xdiff:.2e}")
     rdiff = max(float(np.abs(recover_potential(kern, mode=mode).values
                              - recover_potential(kern, mode=mode, factor=fac).values).max())
                 for mode in ("endpoint", "kernel-edge"))
     yield "one-pass read-off vs factor route", rdiff < 1e-12, f"max diff {rdiff:.2e}"
-    # Pi* S^-1 U from one pass on [Pi U] against the factor's Cholesky solve,
-    # on the Toeplitz route (d = -1) and the S-node route
+    # w = I + i z J h Pi* S^-1 U from one pass on [Pi U] against U from the
+    # dense integration matrix and S^-1 from LAPACK's factor, on the
+    # Toeplitz route (d = -1) and the S-node route
     zf = np.array([0.7 + 0.5j, -1.0 + 2.0j, 3.0])
     fdiff = 0.0
     for kk, dd in ((kern, np.array([-1.0])), (kern2, np.array([-1.0, -np.sqrt(2.0)]))):
         lf = default_operator_length(kk, dd)
         opf = build_structured_operator(kk, d=dd, l=lf)
-        ref = fundamental_from_kernel(kk, dd, lf, zf, op=opf, factor=factorize_triangular(opf))
-        got = fundamental_from_kernel(kk, dd, lf, zf, op=opf)
+        m, p, h = opf.m, opf.p, opf.h
+        pi = opf.pi.reshape(m * p, 2 * p)
+        amat = np.kron(np.tril(np.ones((m, m)), -1) * h + np.eye(m) * (h / 2.0),
+                       1j * np.diag(dd))
+        chol = lapack.zpotrf(opf.s, lower=1, clean=1)[0]
+        ref = np.array([
+            np.eye(2 * p) + 1j * zk * anti_diag_j(p) @ (h * pi.conj().T @ lapack.zpotrs(
+                chol, np.linalg.solve(np.eye(m * p) - zk * amat, pi), lower=1)[0])
+            for zk in zf])
+        got = fundamental_from_kernel(kk, dd, lf, zf)
         fdiff = max(fdiff, float(np.abs(got - ref).max() / np.abs(ref).max()))
-    yield "one-pass fundamental vs factor route", fdiff < 1e-12, f"max rel diff {fdiff:.2e}"
+    yield "one-pass fundamental vs dense solve", fdiff < 1e-12, f"max rel diff {fdiff:.2e}"
 
     # scipy's exponential is the reference here only; weylkit computes with its own
     from scipy.linalg import expm

@@ -62,6 +62,10 @@ class WeylSampler:
                     f"tabulated sampler queried outside its zeta range at z = {zs[out][0]}"
                 )
         vals = np.asarray(self.fn(zs), dtype=complex)
+        if vals.size != zs.size * self.p ** 2:
+            raise StructuralError(
+                f"Weyl function returned shape {vals.shape} for {zs.size} points; "
+                f"expected ({zs.size}, {self.p}, {self.p})")
         return vals.reshape(z.shape + (self.p, self.p))
 
     @classmethod
@@ -105,6 +109,10 @@ class WeylSampler:
             values = values[:, None, None]
         if zetas.ndim != 1 or values.shape[0] != zetas.size:
             raise StructuralError("need one p x p sample per zeta")
+        if values.ndim != 3 or values.shape[1] != values.shape[2]:
+            raise StructuralError(
+                f"Weyl samples must be square p x p blocks; got "
+                f"{' x '.join(map(str, values.shape[1:]))}")
         if zetas.size < 2:
             raise StructuralError("a tabulated sampler needs at least two zetas")
         bad = ~np.isfinite(zetas)
@@ -407,8 +415,7 @@ def amplitude_from_weyl(
             raise DomainError("canonical mode requires D < 0")
         p = d.size
     else:
-        d = None
-        p = getattr(phi, "p", None)
+        d = p = None
 
     n_side = max(1, int(round(a / dzeta)))
     zetas = np.linspace(-a, a, 2 * n_side + 1)
@@ -419,8 +426,16 @@ def amplitude_from_weyl(
 
     zw = zetas + 1j * eta
     samples = np.asarray(phi(zw), dtype=complex)
+    q = getattr(phi, "p", None) or (samples.shape[-1] if samples.ndim > 1 else 1)
     if p is None:
-        p = samples.shape[-1]
+        p = q
+    elif q != p:
+        raise StructuralError(
+            f"the weight diagonal d has {p} entries but the Weyl samples are {q} x {q}")
+    if samples.size != zetas.size * p * p:
+        raise StructuralError(
+            f"Weyl function returned shape {samples.shape} for {zetas.size} points; "
+            f"expected ({zetas.size}, {p}, {p})")
     samples = samples.reshape(zetas.size, p, p)
     bad = ~np.isfinite(samples).all(axis=(1, 2))
     if bad.any():

@@ -4,26 +4,27 @@ The continuous objects are operators S = I + integral operator whose kernel
 is k(x - t) (plain case) or, entrywise, k_ij(d_j t - d_i x) for a negative
 diagonal weight D.  On a uniform midpoint grid S becomes a Hermitian
 matrix: a Nystroem rule for the plain case and equal weights, the discrete
-S-node below for distinct weights; positivity is probed by Cholesky.  The Cholesky factor
-C (S = C C*) is kept; its inverse W = C^-1 = I + E is the discrete analog of
-the lower-triangular factorization S^-1 = (I + E)* (I + E) and is applied by
-triangular solves on C.
+S-node below for distinct weights; positivity is probed by the
+factorization itself.  The Cholesky factor C (S = C C*) is the discrete
+analog of the lower-triangular factorization S^-1 = (I + E)* (I + E): its
+inverse W = C^-1 = I + E.  Every read-off is W applied to data, by one
+pass over the operator's structure, chosen by its kind; the dense S is
+formed only when something reads it (the checks and reference routes).
 
 Without a weight, or with equal weights, S is block Toeplitz: the operator
-keeps its first block column and forms the dense S only when something
-reads it.  One block Schur-Levinson pass over that column, told up front
-which outputs to produce, serves every Toeplitz caller: C for
-:func:`factorize_triangular`, W U for the read-offs (the kernel samples for
-the endpoint potential, [2s I k] for the theta functions, Pi for the
-canonical factor beta, [Pi U] for the fundamental solution) and W's first
-block column for the kernel-edge potential.  The read-offs thus store no
-(pM)^2 matrix; passed a factor, they apply it instead.  The pass reads S
-as block Toeplitz with q = b p blocks, b from the shape
-(:func:`_toeplitz_block`), its first block column padded with zero blocks
-to a multiple of b: ceil(M/b) steps and O(b p^3 M^2) work, in place of M
-steps of mostly fixed cost.  The padding
-is harmless, since the pass only moves data to the right and pivots its
-last step on the real rows only.
+keeps its first block column.  One block Schur-Levinson pass over that
+column, told up front which outputs to produce, serves every Toeplitz
+caller: C for :func:`factorize_triangular`, W U for the read-offs (the
+kernel samples for the endpoint potential, [2s I k] for the theta
+functions, Pi for the canonical factor beta, [Pi U] for the fundamental
+solution) and W's first block column for the kernel-edge potential.  The
+read-offs thus store no (pM)^2 matrix; :func:`recover_potential`, passed
+a factor, applies it instead.  The pass reads S as block Toeplitz with
+q = b p blocks, b from the shape (:func:`_toeplitz_block`), its first
+block column padded with zero blocks to a multiple of b: ceil(M/b) steps
+and O(b p^3 M^2) work, in place of M steps of mostly fixed cost.  The
+padding is harmless, since the pass only moves data to the right and
+pivots its last step on the real rows only.
 
 Distinct weights take the exact solution X of the discrete operator
 identity F X + X F* = h Pi J_s Pi*, the S-node of Sakhnovich's method of
@@ -89,42 +90,27 @@ class StructuredOperator:
     :func:`factorize_triangular` to the Toeplitz pass.  ``pi`` holds the
     samples of Pi (M, p, 2p) of a weighted operator; with distinct weights
     it is all the operator keeps, the S-node X being defined by its
-    generator (:func:`_snode_pass`).  ``dense`` is the (p M, p M) matrix
-    when it was given; otherwise ``s`` forms it on first access (the
-    Toeplitz fill, or X by :func:`_snode_dense`) and keeps it.
+    generator (:func:`_snode_pass`).  ``s`` forms the dense (p M, p M)
+    matrix on first access (the Toeplitz rows, or X by
+    :func:`_snode_dense`) and keeps it.
     """
 
     h: float
     p: int
     d: np.ndarray = None        # weight diagonal, all < 0, or None for the plain case
     column: np.ndarray = None   # (M, p, p) blocks S_{n0}, or None
-    dense: np.ndarray = None    # (p M, p M) S, or None
     pi: np.ndarray = None       # (M, p, 2p) samples of Pi, or None for the plain case
 
     @cached_property
     def s(self):
         """The dense Hermitian S, (p M, p M)."""
-        if self.dense is not None:
-            return self.dense
         if self.column is None:
             return _snode_dense(self)
-        size = self.column.shape[0] * self.p
-        s = np.empty((size, size), dtype=complex)
-        _fill_toeplitz(s, self.column)
-        return s
+        return _toeplitz_rows(self.column, self.m)
 
     @property
     def m(self):
-        if self.column is not None:
-            return self.column.shape[0]
-        if self.pi is not None:
-            return self.pi.shape[0]
-        return self.dense.shape[0] // self.p
-
-    def unstructured(self):
-        """The same S with no structure recorded: dense, so that
-        :func:`factorize_triangular` takes LAPACK's Cholesky."""
-        return StructuredOperator(h=self.h, p=self.p, d=self.d, dense=self.s, pi=self.pi)
+        return (self.pi if self.column is None else self.column).shape[0]
 
 
 def default_operator_length(kernel, d=None):
@@ -143,36 +129,21 @@ def _toeplitz_column(kernel, m, scale):
     return col
 
 
-def _toeplitz_wide(col):
-    """The (q, (2m - 1) q) row [S_{m-1}, ..., S_1, S_0, S_1*, ..., S_{m-1}*]
-    of the Hermitian block Toeplitz matrix with first block column ``col``
-    (m, q, q): its block row i is the window starting at block m - 1 - i."""
+def _toeplitz_rows(col, b):
+    """The first b block rows (b q, n q), n = ceil(m / b) b, of the Hermitian
+    block Toeplitz matrix with first block column ``col`` (m, q, q) padded
+    with zero blocks to n: block row i is the window starting at block
+    n - 1 - i of the wide row [S_{n-1}, ..., S_1, S_0, S_1*, ..., S_{n-1}*]."""
     m, q, _ = col.shape
+    n = -(-m // b) * b
+    col = np.concatenate([col, np.zeros((n - m, q, q), dtype=complex)])
     # adding +0.0 clears the negative zeros that conjugation leaves, as a
     # Hermitian average would
     blocks = np.concatenate([col[::-1], np.conj(col[1:]).transpose(0, 2, 1)]) + 0.0
-    return blocks.transpose(1, 0, 2).reshape(q, (2 * m - 1) * q)
-
-
-def _toeplitz_rows(col, b):
-    """The first b block rows (b q, m' b q), m' = ceil(m / b), of the
-    Hermitian block Toeplitz matrix with first block column ``col``
-    (m, q, q) padded with zero blocks to m' b."""
-    m, q, _ = col.shape
-    padded = -(-m // b) * b
-    col = np.concatenate([col, np.zeros((padded - m, q, q), dtype=complex)])
-    wide = _toeplitz_wide(col)
-    return np.concatenate([wide[:, (padded - 1 - i) * q:(2 * padded - 1 - i) * q]
-                           for i in range(b)])
-
-
-def _fill_toeplitz(out, col):
-    """Write the Hermitian block Toeplitz matrix with first block column
-    ``col`` (m, q, q) into ``out``: block row i is a window of one wide row."""
-    m, q, _ = col.shape
-    wide = _toeplitz_wide(col)
-    for i in range(m):
-        out[i * q:(i + 1) * q] = wide[:, (m - 1 - i) * q:(2 * m - 1 - i) * q]
+    wide = blocks.transpose(1, 0, 2).reshape(q, (2 * n - 1) * q)
+    windows = np.lib.stride_tricks.sliding_window_view(wide, n * q, axis=1)
+    rows = np.ascontiguousarray(windows[:, ::-q][:, :b].transpose(1, 0, 2))
+    return rows.reshape(b * q, n * q)
 
 
 def _pi_samples(kernel, d, xs):
@@ -353,12 +324,6 @@ class TriangularFactor:
     def apply_inverse(self, grid_values):
         """C = W^-1 times stacked block samples (m, p, cols)."""
         return (self._winv @ self._flat(grid_values)).reshape(grid_values.shape)
-
-    def solve(self, grid_values):
-        """S^-1 = W* W times stacked block samples (m, p, cols): one Cholesky
-        solve on C."""
-        out, _ = lapack.zpotrs(self._winv, self._flat(grid_values), lower=1)
-        return out.reshape(grid_values.shape)
 
 
 def _not_positive(minor):
@@ -580,62 +545,47 @@ def factorize_triangular(op):
     positive operator; the factor keeps C only.
 
     A Toeplitz operator takes the block Schur pass, the S-node of distinct
-    weights its generator pass (:func:`_snode_pass`), and a dense one
-    (``op.unstructured()``) LAPACK's Cholesky.  Raises PositivityError
-    naming the offending leading minor size when S is not positive
-    definite; this doubles as the positivity test.
+    weights its generator pass (:func:`_snode_pass`).  Raises
+    PositivityError naming the offending leading minor size when S is not
+    positive definite; this doubles as the positivity test.
     """
-    if op.dense is None:
-        if op.column is not None:
-            c, _, _ = _schur_pass(op, chol=True)
-        else:
-            c, _ = _snode_pass(op, chol=True)
-        return TriangularFactor(c, h=op.h, p=op.p)
-    c, info = lapack.zpotrf(op.s, lower=1, clean=1)
-    if info > 0:
-        raise _not_positive(info)
-    if info < 0:  # pragma: no cover
-        raise StructuralError(f"illegal value in Cholesky argument {-info}")
+    if op.column is not None:
+        c, _, _ = _schur_pass(op, chol=True)
+    else:
+        c, _ = _snode_pass(op, chol=True)
     return TriangularFactor(c, h=op.h, p=op.p)
 
 
-def _check_grid(name, given, kernel, l):
-    """A passed operator or factor must be one of the kernel's: same p and
-    h, and M h = l when l is given (a finite positive l, else DomainError)."""
+def _w_pi(op, chol=False, rhs=None):
+    """One pass over a weighted operator: returns (C, W Pi), C the dense
+    Cholesky factor (None unless ``chol``) and W Pi (M, p, 2p); with
+    stacked block samples ``rhs`` U (M, p, r), W [Pi U] (M, p, 2p + r)
+    instead.  Distinct weights take the S-node pass, equal weights the
+    Toeplitz pass on [Pi U]."""
+    if op.column is None:
+        return _snode_pass(op, chol=chol, rhs=rhs)
+    u = op.pi if rhs is None else np.concatenate([op.pi, rhs], axis=2)
+    c, wu, _ = _schur_pass(op, rhs=u, chol=chol)
+    return c, wu
+
+
+def _check_factor(factor, kernel, l):
+    """A passed factor must be one of the kernel's operators: same p and h,
+    at most the kernel's M blocks, and M h = l when l is given (a finite
+    positive l, else DomainError)."""
     if l is not None:
         _check_length(l)
-    if given.p != kernel.p or abs(given.h - kernel.h) > 1e-12 * kernel.h:
+    if factor.p != kernel.p or abs(factor.h - kernel.h) > 1e-12 * kernel.h:
         raise StructuralError(
-            f"{name} grid (p = {given.p}, h = {given.h:.6g}) does not match "
+            f"factor grid (p = {factor.p}, h = {factor.h:.6g}) does not match "
             f"the kernel grid (p = {kernel.p}, h = {kernel.h:.6g})"
         )
-    if l is not None and abs(given.m * given.h - l) > 1e-9 * max(1.0, l):
+    if l is not None and abs(factor.m * factor.h - l) > 1e-9 * max(1.0, l):
         raise StructuralError(
-            f"{name} length {given.m * given.h:.6g} differs from l = {l:.6g}")
-
-
-def _plain_grid(kernel, l, factor):
-    """Block count M of a plain read-off on [0, l], and the Toeplitz
-    operator S_l when no factor is given (None otherwise).  A given factor
-    must be one of the kernel's operators (:func:`_check_grid`), with M at
-    most the kernel's."""
-    if factor is None:
-        m = _block_count(kernel, kernel.l if l is None else l, 1.0)
-        return m, StructuredOperator(h=kernel.h, p=kernel.p,
-                                     column=_toeplitz_column(kernel, m, 1.0))
-    _check_grid("factor", factor, kernel, l)
+            f"factor length {factor.m * factor.h:.6g} differs from l = {l:.6g}")
     if factor.m > kernel.m:
         raise StructuralError(
             f"factor has {factor.m} grid blocks but the kernel only {kernel.m}")
-    return factor.m, None
-
-
-def _apply_w(op, factor, u):
-    """W U: by the factor's triangular solve when one is given, else by one
-    Schur pass over the Toeplitz operator's first block column."""
-    if factor is not None:
-        return factor.apply(u)
-    return _schur_pass(op, rhs=u)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -650,14 +600,20 @@ def recover_potential(kernel, l=None, mode="endpoint", factor=None):
     continuous potentials.  Both are O(h)-accurate.  Without ``factor`` one
     Schur pass produces W k (endpoint) or W's first block column
     (kernel-edge); a given factor, checked against the kernel's grid and
-    ``l``, is applied instead.
+    ``l`` (:func:`_check_factor`), is applied instead.
     """
     if mode not in ("endpoint", "kernel-edge"):
         raise StructuralError(f"unknown recovery mode {mode!r}")
-    m, op = _plain_grid(kernel, l, factor)
+    if factor is None:
+        op = build_structured_operator(kernel, l=l)
+        m = op.m
+    else:
+        _check_factor(factor, kernel, l)
+        m = factor.m
     p, h = kernel.p, kernel.h
     if mode == "endpoint":
-        vals = 2j * _apply_w(op, factor, kernel.samples[:m])
+        u = kernel.samples[:m]
+        vals = 2j * (_schur_pass(op, rhs=u)[1] if factor is None else factor.apply(u))
     else:
         if factor is None:
             w0 = _schur_pass(op, first_column=True)[2]
@@ -685,22 +641,21 @@ def recover_potential_at_edge(kernel, l=None):
     return 2j * u[(m - 1) * p:, :]
 
 
-def theta_functions(kernel, l=None, factor=None):
+def theta_functions(kernel, l=None):
     """The two p x 2p rows of the zero-energy fundamental solution.
 
     theta1(x/2) = (1/sqrt 2) ((I+E) [2s  I])(x) with s = I/2 + int k;
     theta2 follows from the structured-operator formula with S_{2x}^-1
-    applied columnwise, evaluated via the causal triangular factor.  W is
-    applied to [2s I k] at once: by one Schur pass, or by ``factor`` when
-    one is given (checked as in :func:`recover_potential`).
+    applied columnwise, evaluated via the causal triangular factor.  One
+    Schur pass applies W to [2s I k] at once.
     """
-    m, op = _plain_grid(kernel, l, factor)
-    p, h = kernel.p, kernel.h
+    op = build_structured_operator(kernel, l=l)
+    m, p, h = op.m, kernel.p, kernel.h
     xs = kernel.xs[:m]
     s_vals = 0.5 * np.eye(p)[None] + kernel.cumulative(xs)
     stack = np.concatenate([2.0 * s_vals, np.tile(np.eye(p)[None], (m, 1, 1)),
                             kernel.samples[:m]], axis=2)
-    applied = _apply_w(op, factor, stack)
+    applied = _schur_pass(op, rhs=stack)[1]
     big = applied[:, :, :2 * p]                 # (m, p, 2p) samples of (I+E)[2s I]
     ek = applied[:, :, 2 * p:]                  # (m, p, p) samples of (I+E)k
     theta1 = big / np.sqrt(2.0)
@@ -738,8 +693,8 @@ def canonical_from_kernel(kernel, d, l=None, return_factor=False):
 
     beta = W Pi is the triangular factor applied to Pi columnwise; requires
     the weighted operator to be positive definite.  One pass yields W Pi,
-    and C too with ``return_factor``: the Toeplitz Schur pass for equal
-    weights, the S-node pass (:func:`_snode_pass`) for distinct ones.  Its
+    and C too with ``return_factor`` (:func:`_w_pi`): the Toeplitz Schur
+    pass for equal weights, the S-node pass for distinct ones.  Its
     W Pi does not depend on whether C is asked for, and its C is the one
     :func:`factorize_triangular` forms.  At equal weights the C pass and
     one triangular solve on C are faster by themselves (23.5 against
@@ -749,10 +704,7 @@ def canonical_from_kernel(kernel, d, l=None, return_factor=False):
     """
     d = np.asarray(d, dtype=float).reshape(-1)
     op = build_structured_operator(kernel, d=d, l=l)
-    if op.column is None:
-        c, beta_vals = _snode_pass(op, chol=return_factor)
-    else:
-        c, beta_vals, _ = _schur_pass(op, rhs=op.pi, chol=return_factor)
+    c, beta_vals = _w_pi(op, chol=return_factor)
     h_vals = np.einsum("mji,mjk->mik", beta_vals.conj(), beta_vals)
     h_vals = hermitize(h_vals)
     half = op.h
@@ -767,7 +719,7 @@ def hamiltonian_difference_quotient(kernel, d, indices, l=None):
     """dB/dl at l = m h by central differences of B(r) = h Pi* S_r^-1 Pi.
 
     Dense solves on leading subblocks of the operator's dense matrix (the
-    S-node X for distinct weights), independent of the factor routes;
+    S-node X for distinct weights), independent of the passes;
     returns a list of (x, H_estimate) pairs.
     """
     op = build_structured_operator(kernel, d=d, l=l)
@@ -788,7 +740,7 @@ def hamiltonian_difference_quotient(kernel, d, indices, l=None):
     return out
 
 
-def fundamental_from_kernel(kernel, d, l, z, op=None, factor=None):
+def fundamental_from_kernel(kernel, d, l, z):
     """Fundamental solution w(l, z) = I + i z J Pi* S^-1 (I - z A)^-1 Pi.
 
     ``z`` is a scalar (a 2p x 2p result) or an array (a z.shape + (2p, 2p)
@@ -796,30 +748,18 @@ def fundamental_from_kernel(kernel, d, l, z, op=None, factor=None):
     with half weight on the diagonal; differencing its rows turns
     (I - z A) u = Pi into one bidiagonal system per z and component a, with
     diagonal 1 - c/2 and subdiagonal -(1 + c/2), c = i z d_a h.  With U
-    those solutions, Pi* S^-1 U = (W Pi)* (W U): without ``factor`` one pass
-    over the structured operator on the right-hand side [Pi U] gives both
-    (the Toeplitz pass for equal weights, the S-node pass carrying U along
-    its generator for distinct ones), and no factor is formed.  A given ``factor`` (or a
-    dense ``op``) applies S^-1 by its Cholesky solve instead.  A given
-    ``op`` must be built from the kernel's grid for this ``d`` and ``l``,
-    and a given ``factor`` must match that grid; otherwise StructuralError.
+    those solutions, Pi* S^-1 U = (W Pi)* (W U): one pass over the
+    structured operator on the right-hand side [Pi U] gives both
+    (:func:`_w_pi`: the Toeplitz pass for equal weights, the S-node pass
+    carrying U along its generator for distinct ones), and no factor is
+    formed.
     """
     d = np.asarray(d, dtype=float).reshape(-1)
-    if op is None:
-        op = build_structured_operator(kernel, d=d, l=l)
-    else:
-        _check_grid("operator", op, kernel, l)
-        if op.d is None or not np.array_equal(op.d, d):
-            raise StructuralError(f"operator built for d = {op.d}, not d = {d}")
-    if factor is not None:
-        _check_grid("factor", factor, kernel, l)
-    elif op.dense is not None:
-        factor = factorize_triangular(op)
+    op = build_structured_operator(kernel, d=d, l=l)
     m, p, h = op.m, op.p, op.h
     zs = np.asarray(z, dtype=complex)
     zf = zs.reshape(-1)
-    pi = op.pi                                           # (m, p, 2p)
-    dpi = np.diff(pi, axis=0, prepend=0.0)
+    dpi = np.diff(op.pi, axis=0, prepend=0.0)           # (m, p, 2p)
     rhs = np.empty((m, p, zf.size, 2 * p), dtype=complex)
     band = np.empty((2, m), dtype=complex)
     for k, zk in enumerate(zf):
@@ -828,13 +768,7 @@ def fundamental_from_kernel(kernel, d, l, z, op=None, factor=None):
             band[0], band[1] = 1.0 - 0.5 * c, -(1.0 + 0.5 * c)
             rhs[:, a, k] = solve_banded((1, 0), band, dpi[:, a])
     rhs = rhs.reshape(m, p, zf.size * 2 * p)
-    if factor is not None:
-        left, right = pi, factor.solve(rhs)
-    elif op.column is None:
-        left, right = np.split(_snode_pass(op, rhs=rhs)[1], [2 * p], axis=2)
-    else:
-        applied = _schur_pass(op, rhs=np.concatenate([pi, rhs], axis=2))[1]
-        left, right = np.split(applied, [2 * p], axis=2)
+    left, right = np.split(_w_pi(op, rhs=rhs)[1], [2 * p], axis=2)
     proj = h * left.reshape(m * p, 2 * p).conj().T @ right.reshape(m * p, -1)  # (2p, K 2p)
     proj = proj.reshape(2 * p, zf.size, 2 * p).transpose(1, 0, 2)
     J = anti_diag_j(p)

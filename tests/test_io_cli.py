@@ -575,6 +575,50 @@ class TestCsvContract:
         assert _same_bits(wio.params_from_json(obj).alpha, alpha)
 
 
+class TestWeylSampleShape:
+    """Weyl samples whose blocks do not fit the run stop with StructuralError
+    naming both sizes: in the library, and as exit 2 from ``recover``."""
+
+    zetas = np.linspace(-50, 50, 2001)
+
+    def _recover(self, tmp_path, vals, *mode):
+        path = tmp_path / "s.csv"
+        wio.write_weyl_samples_csv(path, self.zetas, vals)
+        return main(["recover", "--samples", str(path), "--eta", "1.0", "--a", "50",
+                     "--step", "0.015625", "--xmax", "1.0", *mode,
+                     "--out", str(tmp_path / "o")])
+
+    def test_scalar_samples_with_two_weights(self, tmp_path, capsys):
+        vals = np.tile(1j * np.eye(1)[None], (self.zetas.size, 1, 1))
+        message = "d has 2 entries but the Weyl samples are 1 x 1"
+        sampler = wk.WeylSampler.from_table(self.zetas, vals, eta=1.0)
+        with pytest.raises(wk.StructuralError, match=message):
+            wk.amplitude_from_weyl(sampler, eta=1.0, a=50.0, h=1 / 64, xmax=1.0,
+                                   mode="canonical", d=[-1.0, -2.0])
+        assert self._recover(tmp_path, vals, "--mode", "canonical", "--d=-1,-2") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("mode", [["--mode", "dirac"], ["--mode", "canonical", "--d=-1"]],
+                             ids=["dirac", "canonical"])
+    def test_non_square_blocks(self, tmp_path, capsys, mode):
+        vals = np.tile(np.array([[1j, 0.0]]), (self.zetas.size, 1, 1))
+        message = "must be square p x p blocks; got 1 x 2"
+        with pytest.raises(wk.StructuralError, match=message):
+            wk.WeylSampler.from_table(self.zetas, vals, eta=1.0)
+        assert self._recover(tmp_path, vals, *mode) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_callable_of_the_wrong_shape(self):
+        sampler = wk.WeylSampler(fn=lambda zs: np.ones((zs.size, 1, 1)), p=2)
+        with pytest.raises(wk.StructuralError, match=r"expected \(1, 2, 2\)"):
+            sampler(1j)
+        with pytest.raises(wk.StructuralError, match=r"shape \(2001, 1, 2\) for 2001 points"):
+            wk.amplitude_from_weyl(lambda zs: np.ones((zs.size, 1, 2)), eta=1.0, a=50.0,
+                                   h=1 / 64, xmax=1.0, mode="dirac")
+
+
 _CSV_HEADER = "zeta,Re_0_0,Im_0_0"
 
 

@@ -151,13 +151,15 @@ class TestFactorize:
             lambda x: c * np.exp(-x) * np.ones((1, 1)), p=1, l=1.0, h=1 / 128)
         op = build_structured_operator(kern)
         pd = np.linalg.eigvalsh(op.s).min() > 0
-        # the Schur pass and LAPACK's Cholesky of the dense S
-        for route in (op, op.unstructured()):
-            if pd:
-                factorize_triangular(route)
-            else:
-                with pytest.raises(wk.PositivityError):
-                    factorize_triangular(route)
+        # the Schur pass against LAPACK's Cholesky of the dense S
+        _, info = lapack.zpotrf(op.s, lower=1)
+        assert (info == 0) == pd
+        if pd:
+            factorize_triangular(op)
+        else:
+            with pytest.raises(wk.PositivityError) as err:
+                factorize_triangular(op)
+            assert err.value.minor == info
 
 
 class TestRecoverPotential:
@@ -207,7 +209,6 @@ class TestRecoverPotential:
 FACTOR_READOFFS = {
     "endpoint": lambda k, **kw: recover_potential(k, **kw).values,
     "kernel-edge": lambda k, **kw: recover_potential(k, mode="kernel-edge", **kw).values,
-    "theta": lambda k, **kw: theta_functions(k, **kw)[0].values,
 }
 
 
@@ -235,7 +236,7 @@ class TestPassedFactorIsChecked:
 @pytest.mark.parametrize("l", [np.nan, np.inf, 0.0, -1.0])
 class TestOperatorLength:
     """A non-finite or non-positive l is a DomainError naming l, with or
-    without a passed operator or factor."""
+    without a passed factor."""
 
     def _raises(self, call, l):
         with pytest.raises(wk.DomainError, match=f"operator length l = {l} must be finite"):
@@ -258,14 +259,8 @@ class TestOperatorLength:
     def test_with_factor(self, l):
         kern = exp_kernel(l=1.0, h=1 / 32)
         fac = factorize_triangular(build_structured_operator(kern))
-        op = build_structured_operator(kern, d=[-1.0])
-        weighted = factorize_triangular(op)
         for call in (lambda: recover_potential(kern, l=l, factor=fac),
-                     lambda: recover_potential(kern, l=l, mode="kernel-edge", factor=fac),
-                     lambda: theta_functions(kern, l=l, factor=fac),
-                     lambda: fundamental_from_kernel(kern, [-1.0], l, 0.5j, op=op),
-                     lambda: fundamental_from_kernel(kern, [-1.0], l, 0.5j, op=op,
-                                                     factor=weighted)):
+                     lambda: recover_potential(kern, l=l, mode="kernel-edge", factor=fac)):
             self._raises(call, l)
 
 
@@ -854,7 +849,7 @@ class TestSnodeOperator:
         p, m, h = d.size, 24, 1 / 32
         kern = positive_kernel(np.random.default_rng(p), p, 2, 0.05, h, 3 * m + 1)
         op = build_structured_operator(kern, d=d, l=m * h)
-        assert op.column is None and op.dense is None
+        assert op.column is None
         low = np.tril(np.ones((m, m)), -1) + 0.5 * np.eye(m)
         f = h * np.kron(low, np.diag(np.abs(d)))
         pi = op.pi.reshape(m * p, 2 * p)
@@ -923,19 +918,13 @@ class TestSchurFactor:
         # commensurate weights take the S-node pass, as any distinct weights
         kern = toy_kernel(2, l=7.0)
         op = build_structured_operator(kern, d=d, l=m * kern.h)
-        assert op.column is None and op.dense is None and op.pi.shape == (m, 2, 4)
+        assert op.column is None and op.pi.shape == (m, 2, 4)
         fac = factorize_triangular(op)
         w, c = lapack_factor(op.s)
         assert np.abs(fac.w - w).max() <= 1e-12 * np.abs(w).max()
         assert np.abs(fac.winv - c).max() <= 1e-12 * np.abs(c).max()
         assert np.abs(np.triu(fac.w, 1)).max(initial=0.0) == 0.0
         assert np.abs(np.triu(fac.winv, 1)).max(initial=0.0) == 0.0
-
-    def test_unstructured_takes_lapack(self):
-        kern = toy_kernel(2)
-        op = build_structured_operator(kern, d=[-1.0, -np.sqrt(2.0)], l=0.5).unstructured()
-        assert op.column is None and op.dense is not None
-        np.testing.assert_array_equal(factorize_triangular(op).winv, lapack_factor(op.s)[1])
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 9, 13, 17, 33, 200])
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -1019,15 +1008,33 @@ class TestSchurFactor:
             assert err.value.minor == minor, name
 
 
-def kron_reference(kernel, d, z, op, fac):
-    """w(l, z) through the dense integration matrix and a triangular solve."""
+def kron_reference(kernel, d, z, op):
+    """w(l, z) through the dense integration matrix and a dense solve on S."""
     m, p, h = op.m, op.p, op.h
     pi = _pi_samples(kernel, d, h * (np.arange(m) + 0.5)).reshape(m * p, 2 * p)
     low = np.tril(np.ones((m, m)), -1) * h + np.eye(m) * (h / 2.0)
     amat = np.kron(low, 1j * np.diag(d))
     rhs = solve_triangular(np.eye(m * p) - z * amat, pi, lower=True)
-    u = fac.w.conj().T @ (fac.w @ rhs)
+    u = np.linalg.solve(op.s, rhs)
     return np.eye(2 * p) + 1j * z * anti_diag_j(p) @ (h * pi.conj().T @ u)
+
+
+def theta_reference(kernel, w):
+    """theta1 and theta2 from the dense W: W [2s I k] by a product, and the
+    trapezoid integral of (W k)* W [2s I] by a running sum."""
+    p, h = kernel.p, kernel.h
+    m = w.shape[0] // p
+    s_vals = 0.5 * np.eye(p) + kernel.cumulative(kernel.xs[:m])
+    big = np.concatenate([2.0 * s_vals, np.tile(np.eye(p), (m, 1, 1))], axis=2)
+    big = (w @ big.reshape(m * p, 2 * p)).reshape(m, p, 2 * p)
+    ek = (w @ kernel.samples[:m].reshape(m * p, p)).reshape(m, p, p)
+    base = np.concatenate([-np.eye(p), np.eye(p)], axis=1)
+    run, theta2 = np.zeros((p, 2 * p), dtype=complex), []
+    for e, b in zip(ek, big):
+        prod = e.conj().T @ b
+        theta2.append(base - run - 0.5 * h * prod)
+        run = run + h * prod
+    return big / np.sqrt(2.0), np.array(theta2) / np.sqrt(2.0)
 
 
 class TestBatchedFundamental:
@@ -1037,56 +1044,18 @@ class TestBatchedFundamental:
         kern = toy_kernel(d.size, l=2.0, h=1 / 64)
         l = 0.75
         op = build_structured_operator(kern, d=d, l=l)
-        fac = factorize_triangular(op)
         zs = np.array([0.0, 0.7 + 0.5j, -1.0 + 2.0j, 3.0, 2.0 - 0.3j])
-        batch = fundamental_from_kernel(kern, d, l, zs, op=op, factor=fac)
+        batch = fundamental_from_kernel(kern, d, l, zs)
         assert batch.shape == (zs.size, 2 * d.size, 2 * d.size)
         for z, val in zip(zs, batch):
-            one = fundamental_from_kernel(kern, d, l, z, op=op, factor=fac)
+            one = fundamental_from_kernel(kern, d, l, z)
             assert one.shape == (2 * d.size, 2 * d.size)
             assert np.abs(val - one).max() <= 1e-12 * np.abs(one).max()
-            ref = kron_reference(kern, d, z, op, fac)
+            ref = kron_reference(kern, d, z, op)
             assert np.abs(val - ref).max() <= 1e-12 * np.abs(ref).max()
-        flat = fundamental_from_kernel(kern, d, l, zs[1:], op=op, factor=fac)
-        grid = fundamental_from_kernel(kern, d, l, zs[1:].reshape(2, 2), op=op, factor=fac)
+        flat = fundamental_from_kernel(kern, d, l, zs[1:])
+        grid = fundamental_from_kernel(kern, d, l, zs[1:].reshape(2, 2))
         np.testing.assert_array_equal(grid.reshape(flat.shape), flat)
-
-
-class TestPassedOperatorIsChecked:
-    """fundamental_from_kernel refuses an operator or factor that is not the
-    one its kernel, d and l define."""
-
-    kern = toy_kernel(1, l=4.0, h=1 / 32)
-
-    def test_operator_weight_must_equal_d(self):
-        op = build_structured_operator(self.kern, d=[-1.5], l=1.0)
-        with pytest.raises(wk.StructuralError):
-            fundamental_from_kernel(self.kern, [-1.0], 1.0, 0.5j, op=op)
-
-    def test_operator_length_must_equal_l(self):
-        op = build_structured_operator(self.kern, d=[-1.0], l=1.0)
-        with pytest.raises(wk.StructuralError):
-            fundamental_from_kernel(self.kern, [-1.0], 2.0, 0.5j, op=op)
-        fundamental_from_kernel(self.kern, [-1.0], 1.0, 0.5j, op=op)
-
-    def test_operator_step_must_equal_kernel_step(self):
-        op = build_structured_operator(toy_kernel(1, l=4.0, h=1 / 64), d=[-1.0], l=1.0)
-        with pytest.raises(wk.StructuralError):
-            fundamental_from_kernel(self.kern, [-1.0], 1.0, 0.5j, op=op)
-
-    def test_factor_length_must_equal_l(self):
-        short = factorize_triangular(build_structured_operator(self.kern, d=[-1.0], l=0.5))
-        with pytest.raises(wk.StructuralError):
-            fundamental_from_kernel(self.kern, [-1.0], 1.0, 0.5j, factor=short)
-        op = build_structured_operator(self.kern, d=[-1.0], l=1.0)
-        with pytest.raises(wk.StructuralError):
-            fundamental_from_kernel(self.kern, [-1.0], 1.0, 0.5j, op=op, factor=short)
-
-    def test_factor_step_must_equal_kernel_step(self):
-        fine = toy_kernel(1, l=4.0, h=1 / 64)
-        fac = factorize_triangular(build_structured_operator(fine, d=[-1.0], l=1.0))
-        with pytest.raises(wk.StructuralError):
-            fundamental_from_kernel(self.kern, [-1.0], 1.0, 0.5j, factor=fac)
 
 
 # ---------------------------------------------------------------------------
@@ -1184,12 +1153,11 @@ class TestFactorProperties:
 
         if d is not None:
             zs = np.array([0.7 + 0.5j, -1.0 + 2.0j])
-            # the factor's Cholesky solve, and one pass on [Pi U] with no factor
-            for vals in (fundamental_from_kernel(kern, d, l, zs, op=op, factor=fac),
-                         fundamental_from_kernel(kern, d, l, zs, op=op)):
-                for z, val in zip(zs, vals):
-                    ref = kron_reference(kern, d, z, op, fac)
-                    assert np.abs(val - ref).max() <= 1e-12 * np.abs(ref).max()
+            # one pass on [Pi U] against a dense solve on S
+            vals = fundamental_from_kernel(kern, d, l, zs)
+            for z, val in zip(zs, vals):
+                ref = kron_reference(kern, d, z, op)
+                assert np.abs(val - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @seed(20261018)
     @settings(max_examples=40, deadline=None, database=None)
@@ -1198,6 +1166,7 @@ class TestFactorProperties:
         kern, d, l = case
         op = build_structured_operator(kern, d=d, l=l)
         fac = factorize_triangular(op)
+        w = lapack_factor(op.s)[0]
 
         def close(got, ref):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -1206,12 +1175,12 @@ class TestFactorProperties:
             for mode in ("endpoint", "kernel-edge"):
                 close(recover_potential(kern, l=l, mode=mode).values,
                       recover_potential(kern, l=l, mode=mode, factor=fac).values)
-            for got, ref in zip(theta_functions(kern, l=l), theta_functions(kern, l=l, factor=fac)):
-                close(got.values, ref.values)
+            for got, ref in zip(theta_functions(kern, l=l), theta_reference(kern, w)):
+                close(got.values, ref)
         else:
             m, p = op.m, op.p
             pi = _pi_samples(kern, d, op.h * (np.arange(m) + 0.5)).reshape(m * p, 2 * p)
-            beta_ref = (fac.w @ pi).reshape(m, p, 2 * p)
+            beta_ref = (w @ pi).reshape(m, p, 2 * p)
             beta, ham = canonical_from_kernel(kern, d, l=l)
             close(beta.values, beta_ref)
             close(ham.values, hermitize(np.einsum("mji,mjk->mik", beta_ref.conj(), beta_ref)))
@@ -1263,9 +1232,8 @@ class TestFactorProperties:
         assert np.abs(beta.reshape(m * p, 2 * p) - beta_ref).max() <= 1e-12 * np.abs(beta_ref).max()
         np.testing.assert_array_equal(_snode_pass(op)[1], beta)
 
-        fac = factorize_triangular(op)
         zs = np.array([0.7 + 0.5j, -1.0 + 2.0j])
-        vals = fundamental_from_kernel(kern, d, l, zs, op=op)
+        vals = fundamental_from_kernel(kern, d, l, zs)
         for z, val in zip(zs, vals):
-            ref = kron_reference(kern, d, z, op, fac)
+            ref = kron_reference(kern, d, z, op)
             assert np.abs(val - ref).max() <= 1e-12 * np.abs(ref).max()
