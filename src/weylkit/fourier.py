@@ -79,10 +79,6 @@ class WeylSampler:
         return cls(fn=pair.phi, p=pair.p, source="gbdt")
 
     @classmethod
-    def from_realization(cls, r):
-        return cls(fn=r.phi, p=r.p, source="realization")
-
-    @classmethod
     def from_disk_oracle(cls, hamiltonian, p, length_factor=None, steps_per_unit=None):
         """Brute-force sampler: truncated-interval Moebius value at each z,
         with one batched oracle call per distinct Im z (length factor / Im z)."""

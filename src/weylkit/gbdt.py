@@ -19,7 +19,6 @@ import numpy as np
 from . import defaults
 from ._linalg import (
     anti_diag_j,
-    eigmin_hermitian,
     expm_stack,
     hermitize,
     pole_gaps,
@@ -134,9 +133,6 @@ class GbdtState:
     psi2: np.ndarray      # n x p, constant in x
     lam: np.ndarray       # n x 2p
     sigma: np.ndarray     # n x n, Hermitian, >= I
-
-    def sigma_eigmin(self):
-        return eigmin_hermitian(self.sigma)
 
 
 def _z_matrix(d):

@@ -32,9 +32,10 @@ operator identities on the midpoint grid: F = h |D| (L + I/2) with L the
 strictly lower all-ones block matrix, J_s = -J and Pi the samples of
 [D s(|D| x)  I].  The operator keeps Pi only.  X has the rank-2p generator
 sqrt(h) Pi, and one pass of Gaussian elimination on that generator
-(Gohberg, Kailath and Olshevsky, Math. Comp. 64, 1995) yields C, W Pi
-and W U for columns U carried along the generator in O(p^2 M^2) work,
-C only when asked for.  The dense X, formed only when read, follows
+(Gohberg, Kailath and Olshevsky, Math. Comp. 64, 1995), b grid blocks per
+round as in the blocked Schur algorithm, yields C, W Pi and W U for
+columns U carried along the generator in O(p^2 M^2) work, C only when
+asked for.  The dense X, formed only when read, follows
 from the same identity one block row at a time.  Equal weights keep the
 Toeplitz S and its pass: X equals that S to rounding only for |d| = 1,
 since S samples k at |d| h n and X never evaluates k off its grid; for
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lapack, solve_banded, solve_triangular
+from scipy.linalg import blas, lapack, solve_banded, solve_triangular
 
 from . import defaults
 from ._linalg import anti_diag_j, expm_stack, hermitize, upper_half_plane
@@ -162,30 +163,18 @@ def _pi_samples(kernel, d, xs):
     return np.concatenate([first, eye], axis=2)     # (m, p, 2p)
 
 
-def _snode_recurrence(d, h, m):
-    """Coefficients of the S-node recurrences on M = ``m`` blocks.
+def _snode_recurrence(d, h):
+    """Coefficients of the S-node recurrences, (p, p) arrays indexed [a, b].
 
     Multiplied on the left by T = I - N (N the block shift), F + (h/2)|d_b|
     becomes alpha_ab (I + c_ab N) in component a, with
     alpha_ab = (h/2)(|d_a| + |d_b|) and c_ab = (|d_a| - |d_b|)/(|d_a| + |d_b|),
-    |c_ab| < 1 and c_ab = -c_ba.  Returns 1/alpha and c as (p, p M) arrays,
-    entry [a, j p + b] for the pair (a, b), and for each row a the band
-    storage (p + 1, p M) of the unit lower triangular matrix with -c_ab at
-    entry (j p + b, (j - 1) p + b), which ``lapack.ztbtrs`` solves
-    (bandwidth p).  Band a serves both recurrences: column b = a of the
-    pass's block column and row a of :func:`_snode_dense`.
+    |c_ab| < 1 and c_ab = -c_ba.  Returns 1/alpha and c; a pair of equal
+    weights has c_ab = 0, and its recurrence needs no solve.
     """
     u = np.abs(d)
     total = u[:, None] + u[None, :]
-    coef = np.tile((u[:, None] - u[None, :]) / total, m)
-    bands = np.zeros((u.size, u.size + 1, coef.shape[1]), dtype=complex)
-    bands[:, -1] = -coef
-    return np.tile(2.0 / (h * total), m), coef, [np.asfortranarray(b) for b in bands]
-
-
-def _band_solve(band, v):
-    """Solve the unit lower banded system ``band`` for the row ``v`` in place."""
-    v[:] = lapack.ztbtrs(band, v[:, None], uplo="L", diag="U", overwrite_b=1)[0][:, 0]
+    return 2.0 / (h * total), (u[:, None] - u[None, :]) / total
 
 
 def _snode_dense(op):
@@ -194,13 +183,19 @@ def _snode_dense(op):
     With g = T (h Pi J_s Pi*) T*, entry (i, a; j, b) of T (F X + X F*) T*
     = g reads alpha_ab (x_ij - x_{i-1,j-1})
     + (h/2)(|d_a| - |d_b|)(x_{i-1,j} - x_{i,j-1}) = g_ij.  Given block
-    row i - 1, row (i, a) is one banded solve along j
-    (:func:`_snode_recurrence`); the block row above is all the recurrence
-    keeps besides X itself.
+    row i - 1, row (i, a) is one bidiagonal solve along j for each column
+    component b with c_ab != 0 (:func:`_snode_recurrence`); the block row
+    above is all the recurrence keeps besides X itself.
     """
     p, m, h = op.p, op.m, op.h
     size = m * p
-    inv_alpha, coef, bands = _snode_recurrence(op.d, h, m)
+    inv_alpha, coef = _snode_recurrence(op.d, h)
+    solves = []
+    for a, b in zip(*np.nonzero(coef)):
+        band = np.zeros((2, m), dtype=complex, order="F")
+        band[1] = -coef[a, b]
+        solves.append((a, b, band))
+    inv_alpha, coef = np.tile(inv_alpha, m), np.tile(coef, m)     # [a, j p + b]
     diff = np.diff(op.pi, axis=0, prepend=0.0).reshape(size, 2 * p)    # T Pi
     right = -h * (diff @ anti_diag_j(p)).conj().T                        # h J_s (T Pi)*
     x = np.empty((size, size), dtype=complex)
@@ -211,8 +206,8 @@ def _snode_dense(op):
         rows *= inv_alpha
         rows -= coef * prev
         rows[:, p:] += prev[:, :-p]
-        for band, row in zip(bands, rows):
-            _band_solve(band, row)
+        for a, b, band in solves:
+            blas.ztbsv(1, band, rows[a], offx=b, incx=p, lower=1, diag=1, overwrite_x=1)
         prev = rows
     return x
 
@@ -454,9 +449,11 @@ def _schur_pass(op, rhs=None, chol=False, first_column=False):
         below = bottom[:, q:size - lo]                         # g_n(j), j > n
         if chol:
             c_out[lo:hi, lo:hi] = c
-            # (c^-1 g)*, written through C's transpose
+            # (c^-1 g)*, written through C's transpose into its zero block
             column = c_out.T[lo:hi, hi:]
-            _sub_product(column, -lapack.ztrtri(c, lower=1)[0], below)
+            c_inv = lapack.ztrtri(c, lower=1)[0]
+            for cols in _panels(c_inv, column.shape[1]):
+                np.matmul(c_inv, below[:, cols], out=column[:, cols])
             np.conjugate(column, out=column)
         # c^-1 u as c* (P_b^-1 u): OpenBLAS's ztrtrs uses its thread pool
         # even for a q x q solve, which makes each step several times
@@ -472,6 +469,25 @@ def _schur_pass(op, rhs=None, chol=False, first_column=False):
             w0.reshape(op.m, p, p) if first_column else None)
 
 
+# The S-node pass takes b grid blocks per round: about M / b fixed round
+# costs (some thirty numpy and LAPACK calls) against C's column blocks,
+# whose q = b p columns cost q multiply-adds per entry of C.  Timed for
+# b = 1 ... 32 at p = 2 and 2 ... 10 at p = 3, pM = 64 ... 2048, with and
+# without C (2 cores, 2 BLAS threads), the best b fell as M grew and hardly
+# depended on p; round(sqrt(2^16 / M)) was within the run-to-run spread of
+# the best at every size (the README has the table).  q stays at most 32,
+# beyond which C's products split into narrow panels and slow down.
+_SNODE_WORK = 1 << 16
+_MAX_SNODE_ORDER = 32
+
+
+def _snode_block(p, m):
+    """Grid blocks b per round of the S-node pass on M = ``m`` blocks of
+    order p: round(sqrt(2^16 / M)), at most M and at most q = b p = 32."""
+    b = round(math.sqrt(_SNODE_WORK / m))
+    return max(1, min(b, _MAX_SNODE_ORDER // p, m))
+
+
 def _snode_pass(op, chol=False, rhs=None):
     """Factor the S-node X of distinct weights from its generator: returns
     (C, beta), C the dense Cholesky factor of X (None unless ``chol``) and
@@ -481,61 +497,125 @@ def _snode_pass(op, chol=False, rhs=None):
     X solves F X + X F* = G J_s G* with G = sqrt(h) Pi and F lower
     triangular, so its Schur complements solve the same identity on the
     trailing blocks with the generator G - U P^-1 G0 (Gohberg, Kailath and
-    Olshevsky 1995).  Step n, with G0 the first block row of the current G
-    and R = G J_s G0*, takes the first block column U of the Schur
-    complement from F U + U F00 = R: multiplied by T = I - N, column b is
-    the first-order recurrence alpha_ab (u_i + c_ab u_{i-1}) = (T R)_i of
-    :func:`_snode_recurrence`, one banded solve.  The pivot P = U0 = c c*
-    fails at its column info exactly where the leading minor n p + info
-    of X does, the minor LAPACK names.  Column block n of C is U c^-*.
-    The update G <- G - U P^-1 G0 applies the unit lower factor of
+    Olshevsky 1995).  Each round eliminates b grid blocks
+    (:func:`_snode_block`), q = b p rows, as the blocked Schur algorithm
+    does (Gallivan, Thirumalai, Van Dooren and Vermaut 1996): with G0 the
+    first q rows of the current G and R = G J_s G0*, the first q columns U
+    of the Schur complement solve F U + U F00* = R, F00 the leading q x q
+    of F.  F00 couples column k of U (block k of the round, component b)
+    to the columns before it, so the round solves for the partial sums
+    s_k = u_0 + ... + u_k instead: multiplied by T = I - N, component a
+    of column k reads (I + c_ab N) s_k = (c_ab I + N) s_{k-1}
+    + (T R)_k / alpha_ab (:func:`_snode_recurrence`), and U = S Delta, Delta
+    the q x q differencing of the columns.  G and S are kept
+    component-major: T acts along contiguous rows, T R is (T G) J_s G0*
+    with 1/alpha folded into J_s G0* for each row component, and each
+    block column k takes one unit bidiagonal solve (``ztbsv``) over the
+    rows from the first to the last with c_ab != 0, so that rows whose
+    weight equals their column's (c_ab = 0) need none at p = 2.
+
+    The pivot P = S0 Delta = c c* fails at its column info exactly where
+    the leading minor n q + info of X does, the minor LAPACK names.  C's
+    column block is U c^-* = S (Delta c^-*), and the update
+    G <- G - S (Delta P^-1 G0) applies the unit lower factor of
     X = L diag(P) L* to G by forward substitution, so G0 is row block n of
-    L^-1 G and beta_n = c^-1 G0 / sqrt h with no further solve.  Columns U
-    carried along [G | U] through the same update come out as c^-1 U0 =
+    L^-1 G and beta's rows are c^-1 G0 / sqrt h with no further solve.
+    Columns U carried along [G | U] through the same update come out as
     (W U)_n; R reads the generator columns only.  O(p^2 M^2) work in all,
-    plus O(p r M^2) for r carried columns, with no (pM)^2 array unless C
-    is asked for; the products run in single-threaded panels
-    (:func:`_panels`).
+    plus O(p r M^2) for r carried columns and O(q p^2 M^2) for C, with no
+    (pM)^2 array unless C is asked for; the products run in
+    single-threaded panels (:func:`_panels`).
     """
     p, m, h = op.p, op.m, op.h
     size = m * p
-    inv_alpha, _, bands = _snode_recurrence(op.d, h, m)
-    gen = np.sqrt(h) * op.pi.reshape(size, 2 * p)          # G, reduced in place
+    b = _snode_block(p, m)
+    q = b * p
+    inv_alpha, coef = _snode_recurrence(op.d, h)
+    # a block column of S is p^2 segments of the remaining blocks, segment
+    # b p + a holding column component b in component a; each block
+    # column's solve spans the segments from the first to the last c != 0
+    cseg = coef.T.reshape(-1).astype(complex)
+    nonzero = np.flatnonzero(cseg)
+    first, last = nonzero[0], nonzero[-1] + 1
+    width = 2 * p + (0 if rhs is None else rhs.shape[2])
+    gen = np.empty((p, m, width), dtype=complex)   # G, component-major, reduced in place
+    gen[:, :, :2 * p] = np.sqrt(h) * op.pi.transpose(1, 0, 2)
     if rhs is not None:
-        gen = np.concatenate([gen, rhs.reshape(size, -1)], axis=1)
-    beta = np.empty_like(gen)
+        gen[:, :, 2 * p:] = rhs.transpose(1, 0, 2)
+    beta = np.empty((size, width), dtype=complex)
     c_out = np.zeros((size, size), dtype=complex, order="F") if chol else None
-    # R and U stored transposed, (p, n): column b of each is one contiguous row
-    r_buf, u_buf = np.empty((2, p, size), dtype=complex)
+    s_buf = np.empty(q * size, dtype=complex)      # S stored transposed: (q, p, nb)
+    dg_buf = np.empty((p, m, 2 * p), dtype=complex)
+    band_buf = np.zeros((2, (last - first) * m), dtype=complex, order="F")
+    tmp_buf = np.empty((last - first) * m, dtype=complex)
+    c_buf = np.empty((p, q, m), dtype=complex) if chol else None
+    # 1/alpha_ab for row component a and column (k, b) of a round
+    scale = np.tile(inv_alpha[:, None, :], (1, b, 1)).reshape(p, 1, q)
     J = anti_diag_j(p)
-    for lo in range(0, size, p):
-        hi, n = lo + p, size - lo
-        live, g0 = gen[lo:], gen[lo:hi]
-        r, ut = r_buf[:, :n], u_buf[:, :n]
+    for k0 in range(0, m, b):
+        bb, nb = min(b, m - k0), m - k0
+        lo, hi = k0 * p, (k0 + bb) * p
+        qq = hi - lo
+        live = gen[:, k0:]
+        g0 = live[:, :bb].transpose(1, 0, 2).reshape(qq, width)
+        s = s_buf[:qq * p * nb].reshape(qq, p, nb)
+        rows_s = s.transpose(1, 2, 0)                       # (p, nb, qq): S by row component
         js_g0 = -(g0[:, :2 * p] @ J).conj().T               # J_s G0*
-        for rows in _panels(js_g0, n):
-            np.matmul(live[rows, :2 * p], js_g0, out=r.T[rows])
-        ut[:, :p] = r[:, :p]
-        np.subtract(r[:, p:], r[:, :-p], out=ut[:, p:])       # T R
-        ut *= inv_alpha[:, :n]
-        for band, row in zip(bands, ut):
-            _band_solve(band[:, :n], row)
-        u = ut.T
-        c, info = lapack.zpotrf(u[:p], lower=1, clean=1)
+        js = js_g0[None] * scale[:, :, :qq]                 # per row component a
+        dg = dg_buf[:, :nb]                                  # T G
+        dg[:, 0] = live[:, 0, :2 * p]
+        np.subtract(live[:, 1:, :2 * p], live[:, :-1, :2 * p], out=dg[:, 1:])
+        for rows in _panels(js[0], nb):
+            np.matmul(dg[:, rows], js, out=rows_s[:, rows])
+        # OpenBLAS's zgemm kernels return without clearing the upper halves
+        # of the AVX registers, and the SSE code of ztbsv then runs about 30
+        # times slower (300 against 10 ns per unknown, 2 cores); any numpy
+        # complex ufunc clears them
+        np.multiply(js, 1.0, out=js)
+        span = np.repeat(cseg[first:last], nb)
+        band = band_buf[:, :span.size]
+        band[1, :-1] = span[1:]
+        band[1, nb - 1::nb] = 0.0                       # segments do not couple
+        flat, step = s.reshape(-1), p * p * nb
+        lo_e, hi_e = first * nb, last * nb
+        tmp = tmp_buf[:span.size]
+        for k in range(bb):
+            at = k * step
+            if k:
+                # N s_{k-1} as one shift of the block column, which must not
+                # carry a segment's last entry into the next one's first
+                head = s[k * p:(k + 1) * p, :, 0].copy()
+                flat[at + 1:at + step] += flat[at - step:at - 1]
+                s[k * p:(k + 1) * p, :, 0] = head
+                np.multiply(span, flat[at - step + lo_e:at - step + hi_e], out=tmp)
+                flat[at + lo_e:at + hi_e] += tmp                          # c s_{k-1}
+            blas.ztbsv(1, band, flat, offx=at + lo_e, lower=1, diag=1, overwrite_x=1)
+        top = s[:, :, :bb].transpose(2, 1, 0).reshape(qq, qq)   # S0, rows (i, a)
+        piv = top.copy()
+        piv[:, p:] -= top[:, :-p]                               # P = S0 Delta
+        c, info = lapack.zpotrf(piv, lower=1, clean=1)
         if info > 0:
             raise _not_positive(lo + info)
         # c^-1 G0 as c* (P^-1 G0), as in the Toeplitz pass
         y, _ = lapack.zpotrs(c, g0, lower=1)
-        beta[lo:hi] = c.conj().T @ y
-        below = u[p:]
+        below = s[:, :, bb:].transpose(1, 0, 2)                 # (p, qq, nb - bb)
         if chol:
+            # (S E)^T = E^T S^T with E = Delta c^-*, written through C's
+            # transpose, whose rows interleave the row components
+            e_t = lapack.ztrtri(c, lower=1)[0].conj()
+            e_t[:, :-p] -= e_t[:, p:]
             c_out[lo:hi, lo:hi] = c
-            c_inv_h = lapack.ztrtri(c, lower=1)[0].conj().T     # c^-*
-            for rows in _panels(c_inv_h, n - p):
-                np.matmul(below[rows], c_inv_h, out=c_out[hi:, lo:hi][rows])
-        rest = live[p:]
-        for rows in _panels(y, n - p):
-            rest[rows] -= below[rows] @ y
+            out = c_buf[:, :qq, :nb - bb]
+            for cols in _panels(e_t, nb - bb):
+                np.matmul(e_t, below[:, :, cols], out=out[:, :, cols])
+            column = c_out.T[lo:hi, hi:].reshape(qq, nb - bb, p)
+            for a in range(p):
+                column[:, :, a] = out[a]
+        beta[lo:hi] = c.conj().T @ y
+        y[:-p] -= y[p:]                                         # Delta P^-1 G0
+        rest = live[:, bb:]
+        for rows in _panels(y, nb - bb):
+            rest[:, rows] -= below[:, :, rows].transpose(0, 2, 1) @ y
     beta[:, :2 * p] /= np.sqrt(h)
     return c_out, beta.reshape(m, p, -1)
 

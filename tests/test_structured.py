@@ -15,7 +15,9 @@ from weylkit.structured import (
     StructuredOperator,
     TriangularFactor,
     _pi_samples,
+    _panels,
     _schur_pass,
+    _snode_block,
     _snode_pass,
     _sub_product,
     _toeplitz_block,
@@ -991,21 +993,85 @@ class TestSchurFactor:
                     lambda kern=kern: canonical_from_kernel(kern, d=-np.ones(p)), info),
             })
         if p == 2:
-            # distinct weights: the S-node X fails inside block 31 for
-            # M = 32 and 64 alike
-            for m in (32, 64):
-                kern = toy_kernel(p, c=c, l=2 * m / 64, h=1 / 64)
+            # distinct weights: the S-node X of -6.5 times the kernel fails
+            # inside block 28 for M = 64, inside a full round of the blocked
+            # pass, and for M = 30, inside the partial last round
+            for m, last in ((64, False), (30, True)):
+                kern = toy_kernel(p, c=-6.5, l=2 * m / 64, h=1 / 64)
                 op = build_structured_operator(kern, d=GAUSS_D, l=m / 64)
                 _, info = lapack.zpotrf(op.s, lower=1)
                 assert info > p and op.column is None
+                q = _snode_block(p, m) * p
+                step, column = divmod(info - 1, q)
+                assert column > 0 and ((step + 1) * q > m * p) == last
                 routes[(m, "S-node factor")] = (lambda op=op: factorize_triangular(op), info)
                 routes[(m, "S-node canonical")] = (
                     lambda kern=kern, m=m: canonical_from_kernel(kern, d=GAUSS_D, l=m / 64),
+                    info)
+                routes[(m, "S-node fundamental")] = (
+                    lambda kern=kern, m=m: fundamental_from_kernel(kern, GAUSS_D, m / 64, 0.5j),
                     info)
         for name, (route, minor) in routes.items():
             with pytest.raises(wk.PositivityError) as err:
                 route()
             assert err.value.minor == minor, name
+
+
+def snode_pass_reference(op, chol=False, rhs=None):
+    """The S-node pass one grid block per step, kept as the oracle of the
+    blocked :func:`_snode_pass`: returns (C, beta) as it does.
+
+    Step n takes the first block column U of the Schur complement from
+    F U + U F00* = R, R = G J_s G0*: multiplied by T = I - N, column b is
+    the recurrence alpha_ab (u_i + c_ab u_{i-1}) = (T R)_i, one banded solve
+    along the interleaved rows.  The pivot U0 = c c* gives C's column block
+    U c^-* and beta_n = c^-1 G0, and G <- G - U U0^-1 G0.
+    """
+    p, m, h = op.p, op.m, op.h
+    size = m * p
+    u = np.abs(op.d)
+    total = u[:, None] + u[None, :]
+    inv_alpha = np.tile(2.0 / (h * total), m)                  # [a, j p + b]
+    bands = np.zeros((p, p + 1, size), dtype=complex)
+    bands[:, -1] = -np.tile((u[:, None] - u[None, :]) / total, m)
+    bands = [np.asfortranarray(band) for band in bands]
+    gen = np.sqrt(h) * op.pi.reshape(size, 2 * p)
+    if rhs is not None:
+        gen = np.concatenate([gen, rhs.reshape(size, -1)], axis=1)
+    beta = np.empty_like(gen)
+    c_out = np.zeros((size, size), dtype=complex, order="F") if chol else None
+    r_buf, u_buf = np.empty((2, p, size), dtype=complex)
+    J = anti_diag_j(p)
+    for lo in range(0, size, p):
+        hi, n = lo + p, size - lo
+        live, g0 = gen[lo:], gen[lo:hi]
+        r, ut = r_buf[:, :n], u_buf[:, :n]
+        js_g0 = -(g0[:, :2 * p] @ J).conj().T
+        for rows in _panels(js_g0, n):
+            np.matmul(live[rows, :2 * p], js_g0, out=r.T[rows])
+        ut[:, :p] = r[:, :p]
+        np.subtract(r[:, p:], r[:, :-p], out=ut[:, p:])       # T R
+        ut *= inv_alpha[:, :n]
+        for band, row in zip(bands, ut):
+            row[:] = lapack.ztbtrs(band[:, :n], row[:, None], uplo="L", diag="U",
+                                   overwrite_b=1)[0][:, 0]
+        u = ut.T
+        c, info = lapack.zpotrf(u[:p], lower=1, clean=1)
+        if info > 0:
+            raise wk.PositivityError("not positive definite", minor=lo + info)
+        y, _ = lapack.zpotrs(c, g0, lower=1)
+        beta[lo:hi] = c.conj().T @ y
+        below = u[p:]
+        if chol:
+            c_out[lo:hi, lo:hi] = c
+            c_inv_h = lapack.ztrtri(c, lower=1)[0].conj().T
+            for rows in _panels(c_inv_h, n - p):
+                np.matmul(below[rows], c_inv_h, out=c_out[hi:, lo:hi][rows])
+        rest = live[p:]
+        for rows in _panels(y, n - p):
+            rest[rows] -= below[rows] @ y
+    beta[:, :2 * p] /= np.sqrt(h)
+    return c_out, beta.reshape(m, p, -1)
 
 
 def kron_reference(kernel, d, z, op):
@@ -1130,6 +1196,28 @@ def distinct_operators(draw):
     return positive_kernel(rng, p, n_terms, eps, l / m, _stored_blocks(d, m)), d, l
 
 
+@st.composite
+def blocked_snode_cases(draw):
+    """A positive kernel (:func:`positive_kernel`) and weights for the
+    blocked S-node pass: p = 2 or 3, distinct weights or, at p = 3, one
+    weight repeated (as d = (-1, -1, -2)), which gives c = 0 for two
+    distinct components; M often not a multiple of the pass's b, and zero
+    to three carried columns."""
+    p = draw(st.sampled_from([3, 2]))
+    m = draw(st.integers(17, 80) | st.integers(1, 16))
+    l = draw(st.floats(0.25, 1.5))
+    u = draw(st.floats(0.5, 1.5))
+    if p == 3 and draw(st.booleans()):
+        d = -u * np.array(draw(st.permutations([1.0, 1.0, draw(st.sampled_from([0.5, 2.0]))])))
+    else:
+        d = -u * np.array([1.0] + [draw(st.floats(0.3, 3.0)) for _ in range(p - 1)])
+        assume(len(set(d)) == p)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kern = positive_kernel(rng, p, draw(st.integers(1, 3)), draw(st.floats(0.0, 0.1)),
+                           l / m, _stored_blocks(d, m))
+    return kern, d, l, draw(st.integers(0, 3))
+
+
 class TestFactorProperties:
     @seed(20261018)
     @settings(max_examples=40, deadline=None, database=None)
@@ -1206,6 +1294,42 @@ class TestFactorProperties:
                 route()
             minors.append(err.value.minor)
         assert minors[0] == minors[1]
+
+    @seed(20261021)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(blocked_snode_cases())
+    def test_blocked_snode_pass_matches_oracle(self, case):
+        kern, d, l, r = case
+        op = build_structured_operator(kern, d=d, l=l)
+        assert op.column is None
+        rhs = None
+        if r:
+            rng = np.random.default_rng(op.m)
+            rhs = rng.normal(size=(op.m, op.p, r)) + 1j * rng.normal(size=(op.m, op.p, r))
+        c_ref, beta_ref = snode_pass_reference(op, chol=True, rhs=rhs)
+        c, beta = _snode_pass(op, chol=True, rhs=rhs)
+        for got, ref in ((c, c_ref), (beta[..., :2 * op.p], beta_ref[..., :2 * op.p]),
+                         (beta[..., 2 * op.p:], beta_ref[..., 2 * op.p:])):
+            if ref.size:
+                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        np.testing.assert_array_equal(_snode_pass(op, rhs=rhs)[1], beta)
+
+    def test_snode_pass_takes_the_rules_rounds(self, monkeypatch):
+        # pM = 2048: one zpotrf per round of b grid blocks, not per block
+        m = 1024
+        kern = toy_kernel(2, l=4.0, h=1 / 512)
+        op = build_structured_operator(kern, d=GAUSS_D, l=m / 512)
+        calls = []
+        zpotrf = lapack.zpotrf
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return zpotrf(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, "zpotrf", counted)
+        _snode_pass(op)
+        b = _snode_block(2, m)
+        assert b > 1 and len(calls) == -(-m // b)
 
     @seed(20261019)
     @settings(max_examples=40, deadline=None, database=None)
