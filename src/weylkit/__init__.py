@@ -1,6 +1,6 @@
 """weylkit: direct and inverse spectral problems via Weyl functions.
 
-Subpackages cover four routes between a system and its Weyl function:
+Five modules cover the routes between a system and its Weyl function:
 
 * :mod:`weylkit.gbdt` -- explicit (closed-form) direct problem from
   parameter matrices, including the rational Weyl-function pair;
@@ -65,7 +65,6 @@ from .fourier import (
     weyl_from_amplitude,
 )
 from .interpolation import (
-    InterpCoeffs,
     coeff_a,
     coeff_c,
     decay_estimate,

@@ -4,8 +4,9 @@ Forward direction: Laplace-type integrals of the amplitude s along the
 positive axis give the Weyl function in the upper half-plane.  Inverse
 direction: a regularized Fourier integral of phi along a horizontal line
 Im z = eta recovers s (and k by differentiation).  The truncated line
-integral carries a closed-form tail correction built from the constant
-value of phi at infinity, expressed through the exponential integral.
+integral subtracts the pole model m0 + m1/(zeta + i eta), m0 the value of
+phi at infinity fixed by the class of system and m1 fitted at the window
+edges, and adds back the model's full-line transforms by residues.
 """
 
 import math
@@ -22,7 +23,6 @@ from .grids import DifferenceKernel, GridFunction, _stencil_derivative
 __all__ = [
     "WeylSampler",
     "weyl_from_amplitude",
-    "amplitude_tail_bound",
     "amplitude_from_weyl",
     "herglotz_check",
 ]
@@ -267,20 +267,23 @@ def weyl_from_amplitude(s, z, mode="dirac", d=None, gl_order=None):
     Modes
     -----
     dirac      phi(z) = 2 z  int e^{izx} s(x)* dx
-    chi        phi(z) = z^2  int e^{izx} chi(x) dx,  chi = -2i int_0^x s*
     canonical  phi(z) = -z D int e^{izx} s(x) dx   (D the negative diagonal)
 
-    ``z`` may be a scalar or an array.  Every mode integrates the
+    ``z`` may be a scalar or an array.  Both modes integrate the
     piecewise-linear model of the samples of ``s`` exactly, panel by panel
     in closed form (Filon's rule).  On the uniform grid the phases factor,
     so K scattered points cost K (B + N / B) exponentials with B near
     sqrt(N), about 2 K sqrt(N), and O(K N) multiply-adds per matrix entry
-    for N panels.  chi is integrated by parts,
-    z^2 int e^{izx} chi = 2 z int e^{izx} s* - i z e^{izX} chi(X).  When the
-    flattened ``z`` is a uniform horizontal line (Im z constant, constant
-    real step) the sum over nodes is one chirp-z transform,
-    O((K + N) log(K + N)) per matrix entry.  ``gl_order`` is accepted but
-    no longer changes the result.
+    for N panels.  When the flattened ``z`` is a uniform horizontal line
+    (Im z constant, constant real step) the sum over nodes is one chirp-z
+    transform, O((K + N) log(K + N)) per matrix entry.  ``gl_order`` is
+    accepted but no longer changes the result.
+
+    Scattered ``z`` are not split bit for bit: the factored sum groups them
+    into matrix products whose shapes depend on the batch, so one array
+    call and calls on parts of it differ in summation order.  They agree to
+    4e-15 relative to the batch's largest |phi| entry; the worst of 3000
+    random splits (up to 40 points, up to 300 panels) was 2.8e-15.
     """
     zs = upper_half_plane(z, "weyl_from_amplitude")
     d = _amplitude_weights(mode, d)
@@ -291,10 +294,7 @@ def weyl_from_amplitude(s, z, mode="dirac", d=None, gl_order=None):
         vals = np.conj(np.swapaxes(s.values, 1, 2))
         pref = 2.0 * zs
     out = pref[:, None, None] * _linear_laplace(vals, s.x0, s.h, zs)
-    if mode == "chi":
-        chi_end = -1j * s.h * (vals[:-1] + vals[1:]).sum(axis=0)   # -2i times trapezoid of s*
-        out -= (1j * zs * np.exp(1j * zs * s.xmax))[:, None, None] * chi_end
-    elif mode == "canonical":
+    if mode == "canonical":
         out *= d[:, None]
     if np.ndim(z) == 0:
         return out[0]
@@ -302,9 +302,10 @@ def weyl_from_amplitude(s, z, mode="dirac", d=None, gl_order=None):
 
 
 def _amplitude_weights(mode, d):
-    """The weight diagonal of an amplitude ``mode``: d as a 1-D float array
-    (all negative) for canonical mode, None for dirac and chi."""
-    if mode in ("dirac", "chi"):
+    """The weight diagonal of a transform ``mode``, checked once for both
+    directions: d as a 1-D float array (all negative) for canonical mode,
+    None for dirac."""
+    if mode == "dirac":
         return None
     if mode != "canonical":
         raise StructuralError(f"unknown amplitude mode {mode!r}")
@@ -314,26 +315,6 @@ def _amplitude_weights(mode, d):
     if np.any(d >= 0):
         raise DomainError("canonical mode requires D < 0")
     return d
-
-
-def amplitude_tail_bound(s, z, mode="dirac", d=None):
-    """Crude analytic bound on the neglected tail beyond the grid of s, for
-    a scalar z or an array of z (same checks as :func:`weyl_from_amplitude`)."""
-    zs = upper_half_plane(z, "amplitude_tail_bound")
-    d = _amplitude_weights(mode, d)
-    tail_scale = float(np.linalg.norm(s.values[-1], 2))
-    decay = np.exp(-zs.imag * s.xmax) / zs.imag
-    if mode == "dirac":
-        coef = 2.0 * np.abs(zs)
-    elif mode == "canonical":
-        coef = np.abs(zs) * float(np.abs(d).max())
-    else:
-        # chi accumulates the antiderivative, bounded by xmax * sup|s|
-        coef = np.abs(zs) ** 2 * s.xmax
-    out = coef * tail_scale * decay
-    if np.ndim(z) == 0:
-        return out[0]
-    return out.reshape(np.shape(z))
 
 
 # ---------------------------------------------------------------------------
@@ -367,20 +348,17 @@ def amplitude_from_weyl(
     mode="canonical",
     d=None,
     dzeta=None,
-    tail_correction=True,
-    phi_at_infinity=None,
 ):
     """Recover the amplitude s and the accelerant k from Weyl samples.
 
     The line integral over Im z = eta is a trapezoid rule on [-a, a]
-    (half-weight endpoints).  By default the slowly decaying pole model
+    (half-weight endpoints).  The slowly decaying pole model
     m0 + m1/(zeta + i eta) is subtracted from the integrand and its exact
-    full-line transform added back: m0 is the known value of the integrand
-    numerator at infinity ((i/2)|D| for canonical systems, i I for the
-    Dirac branch, overridable via ``phi_at_infinity``) and m1 is estimated
-    from the window edges.  This removes both the truncation tail and the
-    cutoff ringing that would otherwise contaminate the differentiated
-    accelerant; ``tail_correction=False`` gives the raw truncated rule.
+    full-line transform added back: m0 is the value of the integrand
+    numerator at infinity that the class of system fixes ((i/2)|D| for
+    canonical systems, i I for the Dirac branch) and m1 is estimated from
+    the window edges.  This removes both the truncation tail and the cutoff
+    ringing that would otherwise contaminate the differentiated accelerant.
     ``phi`` is sampled on the whole line in one call, and both grids being
     uniform, the sum is one chirp-z transform: O((Z + X) log(Z + X)) per
     matrix entry for Z zetas and X positions.
@@ -399,19 +377,16 @@ def amplitude_from_weyl(
         xmax = defaults.XMAX
     if dzeta is None:
         dzeta = defaults.FOURIER_DZETA
-    if not 0 < eta < np.inf:
-        raise DomainError(f"the sampling line must have finite eta > 0, got eta = {eta}")
-    if mode not in ("canonical", "dirac"):
-        raise StructuralError(f"unknown inversion mode {mode!r}")
-    if mode == "canonical":
-        if d is None:
-            raise StructuralError("canonical mode needs the weight diagonal d")
-        d = np.asarray(d, dtype=float).reshape(-1)
-        if np.any(d >= 0):
-            raise DomainError("canonical mode requires D < 0")
-        p = d.size
-    else:
-        d = p = None
+    for what, name, value in (("the sampling line", "eta", eta), ("the cutoff", "a", a),
+                              ("the grid step", "h", h), ("the grid", "xmax", xmax),
+                              ("the trapezoid step", "dzeta", dzeta)):
+        if not 0 < value < np.inf:
+            raise DomainError(f"{what} needs finite {name} > 0, got {name} = {value}")
+    d = _amplitude_weights(mode, d)
+    p = None if d is None else d.size
+    m = int(round(xmax / h))
+    if abs(m * h - xmax) > 1e-9:
+        raise StructuralError("grid step must divide xmax")
 
     n_side = max(1, int(round(a / dzeta)))
     zetas = np.linspace(-a, a, 2 * n_side + 1)
@@ -442,43 +417,32 @@ def amplitude_from_weyl(
 
     if mode == "canonical":
         base = np.einsum("ab,kbc->kac", np.diag(1.0 / np.abs(d)), samples)
-        if phi_at_infinity is None:
-            m0 = 0.5j * np.eye(p)         # |D|^-1 phi_inf for phi_inf = (i/2)|D|
-        else:
-            m0 = np.diag(1.0 / np.abs(d)) @ np.atleast_2d(phi_at_infinity)
+        m0 = 0.5j * np.eye(p)             # |D|^-1 phi_inf for phi_inf = (i/2)|D|
         order = 1
         prefactor = 1.0 / (2.0 * np.pi)
     else:
         base = samples
-        m0 = 1j * np.eye(p) if phi_at_infinity is None else np.atleast_2d(phi_at_infinity)
+        m0 = 1j * np.eye(p)
         order = 2
         prefactor = 1j / (4.0 * np.pi)
 
-    if tail_correction:
-        # first-order asymptotic coefficient of base(zeta) ~ m0 + m1 / (zeta + i eta),
-        # estimated from the two edges of the sampled window
-        m1 = 0.5 * ((base[-1] - m0) * zw[-1] + (base[0] - m0) * zw[0])
-        resid = base - m0[None] - m1[None] / zw[:, None, None]
-    else:
-        m1 = np.zeros((p, p), dtype=complex)
-        resid = base - 0.0
+    # first-order asymptotic coefficient of base(zeta) ~ m0 + m1 / (zeta + i eta),
+    # estimated from the two edges of the sampled window
+    m1 = 0.5 * ((base[-1] - m0) * zw[-1] + (base[0] - m0) * zw[0])
+    resid = base - m0[None] - m1[None] / zw[:, None, None]
     integrand = resid / (zw ** order)[:, None, None]
 
-    m = int(round(xmax / h))
-    if abs(m * h - xmax) > 1e-9:
-        raise StructuralError("grid step must divide xmax")
     half = h / 2.0
     xs = half * np.arange(2 * m + 1)
 
     # x_j = j h/2 and zeta_n = zeta_0 + n step make the sum over zeta one
-    # chirp-z transform
+    # chirp-z transform; the pole model's exact full-line transforms are
+    # added back
     step = (zetas[-1] - zetas[0]) / (zetas.size - 1)
     core = np.exp(-1j * zetas[0] * xs)[:, None, None] * _chirp_z(
         weights[:, None, None] * integrand, -half * step, xs.size)
-    if tail_correction:
-        # exact full-line transforms of the subtracted pole model
-        core += _pole_transform(order, xs, eta)[:, None, None] * m0[None]
-        core += _pole_transform(order + 1, xs, eta)[:, None, None] * m1[None]
+    core += _pole_transform(order, xs, eta)[:, None, None] * m0[None]
+    core += _pole_transform(order + 1, xs, eta)[:, None, None] * m1[None]
 
     envelope = np.exp(eta * xs)[:, None, None]
     if mode == "canonical":
@@ -509,7 +473,6 @@ def amplitude_from_weyl(
         "dzeta": float(dz),
         "h": float(h),
         "xmax": float(xmax),
-        "tail_correction": bool(tail_correction),
         "tail_estimate": tail_estimate,
         "warnings": (["truncation a may be too small for the requested accuracy"]
                      if tail_estimate > 1e-3 else []),

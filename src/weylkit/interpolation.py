@@ -12,7 +12,6 @@ and those are converted to double by correctly rounded integer division.
 """
 
 import math
-from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
@@ -23,7 +22,6 @@ from .exceptions import DomainError, SingularityError, StructuralError
 __all__ = [
     "coeff_a",
     "coeff_c",
-    "InterpCoeffs",
     "interpolate_series",
     "decay_estimate",
 ]
@@ -130,36 +128,6 @@ def coeff_c(n: int, lam: complex) -> complex:
     cs, bits = _c_weights(_gaussian((0.5, -lam.imag), (lam.real,)), n)
     re, im = _floats(cs[n], bits)
     return complex(re, im)
-
-
-@dataclass(frozen=True)
-class InterpCoeffs:
-    """Sign/log-magnitude table of the exact integers a_{nq} of the series."""
-
-    n_max: int
-    epsilon: float
-    signs: np.ndarray
-    logmags: np.ndarray
-
-    @classmethod
-    def build(cls, n_max, epsilon=None):
-        if epsilon is None:
-            epsilon = defaults.EPSILON
-        signs = np.zeros((n_max + 1, n_max + 1), dtype=int)
-        logm = np.full((n_max + 1, n_max + 1), -np.inf)
-        for n in range(n_max + 1):
-            for q, a in enumerate(_a_row(n)):
-                signs[n, q] = -1 if a < 0 else 1
-                logm[n, q] = math.log(abs(a))
-        return cls(n_max=n_max, epsilon=float(epsilon), signs=signs, logmags=logm)
-
-    def a(self, n, q):
-        if q > n or n > self.n_max:
-            raise DomainError("index outside the built table")
-        return int(self.signs[n, q]), float(self.logmags[n, q])
-
-    def c(self, n, lam):
-        return coeff_c(n, lam)
 
 
 def _auto_cut(term_mags):

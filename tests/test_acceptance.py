@@ -24,7 +24,7 @@ from weylkit.gbdt import (
     transfer_matrix,
 )
 from weylkit.grids import DifferenceKernel, GridFunction
-from weylkit.interpolation import InterpCoeffs, coeff_c, decay_estimate, interpolate_series
+from weylkit.interpolation import coeff_a, coeff_c, decay_estimate, interpolate_series
 from weylkit.rational import params_from_realization, realization_from_params
 from weylkit.structured import (
     canonical_from_kernel,
@@ -255,11 +255,10 @@ def test_criterion_8_interpolation():
     errs = [(n, float(abs(parts[n] - 1j))) for n in range(5, n_max + 1, 5)]
     slope = decay_estimate(errs)["exponent"]
     bound = -(3.0 - 0.5 - eps) + 0.3
-    tab = InterpCoeffs.build(30)
     worst_a = 0.0
     for n in range(31):
         for q in range(n + 1):
-            sign, logmag = tab.a(n, q)
+            sign, logmag = coeff_a(n, q)
             exact = Fraction(math.factorial(n + q),
                              math.factorial(q) ** 2 * math.factorial(n - q))
             worst_a = max(worst_a,

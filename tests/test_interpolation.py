@@ -13,7 +13,6 @@ import weylkit as wk
 from weylkit.fourier import weyl_from_amplitude
 from weylkit.grids import GridFunction
 from weylkit.interpolation import (
-    InterpCoeffs,
     coeff_a,
     coeff_c,
     decay_estimate,
@@ -111,22 +110,13 @@ class TestCoeffA:
             coeff_a(3, 4)
 
     def test_recurrence_matches_factorials_to_30(self):
-        tab = InterpCoeffs.build(30)
         for n in range(31):
             for q in range(n + 1):
-                sign, logmag = tab.a(n, q)
+                sign, logmag = coeff_a(n, q)
                 exact = Fraction(math.factorial(n + q),
                                  math.factorial(q) ** 2 * math.factorial(n - q))
                 got = sign * np.exp(logmag)
                 assert abs(got - float((-1) ** q * exact)) <= 1e-12 * float(exact)
-
-    def test_closed_form_matches_recurrence(self):
-        tab = InterpCoeffs.build(25)
-        for n in (3, 11, 25):
-            for q in range(n + 1):
-                s1, m1 = coeff_a(n, q)
-                s2, m2 = tab.a(n, q)
-                assert s1 == s2 and m1 == pytest.approx(m2, abs=1e-10)
 
 
 class TestCoeffC:

@@ -457,6 +457,20 @@ class TestNonFiniteInput:
                      "--out", str(tmp_path / "o")]) == 1
         assert "finite eta > 0, got eta = nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, value", [
+        ("--a", "-5"), ("--a", "0"), ("--a", "nan"), ("--a", "inf"),
+        ("--step", "nan"), ("--step", "0"), ("--xmax", "nan"), ("--xmax", "inf")])
+    def test_recover_with_bad_window_or_grid_exits_1(self, option, value, tmp_path, capsys):
+        zetas = np.linspace(-50, 50, 2001)
+        wio.write_weyl_samples_csv(tmp_path / "s.csv", zetas, np.full(zetas.size, 1j))
+        out = tmp_path / "o"
+        assert main(["recover", "--samples", str(tmp_path / "s.csv"), "--eta", "1.0",
+                     option, value, "--mode", "dirac", "--out", str(out)]) == 1
+        name = {"--a": "a", "--step": "h", "--xmax": "xmax"}[option]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"finite {name} > 0, got {name} = " in err
+        assert not out.exists()
+
     def test_non_numeric_grid_axis_exits_2(self, tmp_path, capsys):
         path = os.path.join(FIXTURES, "scalar_params.json")
         out = tmp_path / "o"
