@@ -330,12 +330,13 @@ def _run_checks():
     ires = np.linalg.norm(w @ fac.winv - eye, 2)
     yield "factor inverse pair", ires < 1e-10, f"{ires:.2e}"
     sdiff = float(np.abs(fac.winv - lapack.zpotrf(op.s, lower=1, clean=1)[0]).max())
-    yield "Schur factor vs LAPACK", sdiff < 1e-10, f"max diff {sdiff:.2e}"
-    # one block short, the pass's last q-block is a partial one
+    yield "S-node pass vs LAPACK on dense X (d = -1)", sdiff < 1e-10, f"max diff {sdiff:.2e}"
+    # one block short, the pass's last round is a partial one
     short = build_structured_operator(kern, l=(kern.m - 1) * kern.h)
     gdiff = float(np.abs(factorize_triangular(short).winv
                          - lapack.zpotrf(short.s, lower=1, clean=1)[0]).max())
-    yield f"Schur factor vs LAPACK (M = {short.m})", gdiff < 1e-10, f"max diff {gdiff:.2e}"
+    yield (f"S-node pass vs LAPACK on dense X (d = -1, M = {short.m})", gdiff < 1e-10,
+           f"max diff {gdiff:.2e}")
     # the fixture's int |k| is 0.063, so S stays positive for any weight of a
     # kernel k(x) U with |U| <= 1
     kern2 = DifferenceKernel(p=2, h=kern.h, samples=kern.samples[:, 0, 0, None, None]
@@ -351,8 +352,8 @@ def _run_checks():
                 for mode in ("endpoint", "kernel-edge"))
     yield "one-pass read-off vs factor route", rdiff < 1e-12, f"max diff {rdiff:.2e}"
     # w = I + i z J h Pi* S^-1 U from one pass on [Pi U] against U from the
-    # dense integration matrix and S^-1 from LAPACK's factor, on the
-    # Toeplitz route (d = -1) and the S-node route
+    # dense integration matrix and S^-1 from LAPACK's factor, at d = -1
+    # and at distinct weights
     zf = np.array([0.7 + 0.5j, -1.0 + 2.0j, 3.0])
     fdiff = 0.0
     for kk, dd in ((kern, np.array([-1.0])), (kern2, np.array([-1.0, -np.sqrt(2.0)]))):

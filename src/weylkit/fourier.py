@@ -365,7 +365,10 @@ def amplitude_from_weyl(
 
     Returns (s, k, report): s on the node grid of [0, xmax] with
     s(0) = I/2 enforced, k on the midpoint grid, and a report carrying the
-    effective parameters and an empirical tail estimate.
+    effective parameters and an empirical tail estimate.  A window or grid
+    parameter that is not finite and positive, or a quotient xmax / h or
+    a / dzeta too large for a numpy array, raises DomainError before
+    ``phi`` is sampled.
     """
     if eta is None:
         eta = defaults.ETA
@@ -382,6 +385,14 @@ def amplitude_from_weyl(
                               ("the trapezoid step", "dzeta", dzeta)):
         if not 0 < value < np.inf:
             raise DomainError(f"{what} needs finite {name} > 0, got {name} = {value}")
+    # the most entries numpy allows in a complex array
+    limit = np.iinfo(np.intp).max // np.dtype(complex).itemsize
+    for quotient, num, den in (("xmax / h", xmax, h), ("a / dzeta", a, dzeta)):
+        ratio = float(num) / float(den)
+        if not ratio < limit:
+            raise DomainError(
+                f"{quotient} = {num} / {den} = {ratio:.6g}: more grid points than "
+                f"a numpy array can hold ({limit:.3g})")
     d = _amplitude_weights(mode, d)
     p = None if d is None else d.size
     m = int(round(xmax / h))

@@ -2,44 +2,29 @@
 
 The continuous objects are operators S = I + integral operator whose kernel
 is k(x - t) (plain case) or, entrywise, k_ij(d_j t - d_i x) for a negative
-diagonal weight D.  On a uniform midpoint grid S becomes a Hermitian
-matrix: a Nystroem rule for the plain case and equal weights, the discrete
-S-node below for distinct weights; positivity is probed by the
-factorization itself.  The Cholesky factor C (S = C C*) is the discrete
-analog of the lower-triangular factorization S^-1 = (I + E)* (I + E): its
-inverse W = C^-1 = I + E.  Every read-off is W applied to data, by one
-pass over the operator's structure, chosen by its kind; the dense S is
-formed only when something reads it (the checks and reference routes).
+diagonal weight D; the plain case is D = -I.  On a uniform midpoint grid
+every operator is the exact solution X of the discrete operator identity
+F X + X F* = h Pi J_s Pi*, the S-node of Sakhnovich's method of operator
+identities: F = h |D| (L + I/2) with L the strictly lower all-ones block
+matrix, J_s = -J and Pi the samples of [D s(|D| x)  I].  The operator keeps
+Pi and D only, and X never evaluates k off its grid.  For |D| = I, X equals
+the Nystroem matrix I + h [k(x_i - x_j)] to rounding; for other weights the
+two differ by O(h^2).  Positivity is probed by the factorization itself.
 
-Without a weight, or with equal weights, S is block Toeplitz: the operator
-keeps its first block column.  One block Schur-Levinson pass over that
-column, told up front which outputs to produce, serves every Toeplitz
-caller: C for :func:`factorize_triangular`, W U for the read-offs (the
-kernel samples for the endpoint potential, [2s I k] for the theta
-functions, Pi for the canonical factor beta, [Pi U] for the fundamental
-solution) and W's first block column for the kernel-edge potential.  The
-read-offs thus store no (pM)^2 matrix; :func:`recover_potential`, passed
-a factor, applies it instead.  The pass reads S as block Toeplitz with
-q = b p blocks, b from the shape (:func:`_toeplitz_block`), its first
-block column padded with zero blocks to a multiple of b: ceil(M/b) steps
-and O(b p^3 M^2) work, in place of M steps of mostly fixed cost.  The
-padding is harmless, since the pass only moves data to the right and
-pivots its last step on the real rows only.
-
-Distinct weights take the exact solution X of the discrete operator
-identity F X + X F* = h Pi J_s Pi*, the S-node of Sakhnovich's method of
-operator identities on the midpoint grid: F = h |D| (L + I/2) with L the
-strictly lower all-ones block matrix, J_s = -J and Pi the samples of
-[D s(|D| x)  I].  The operator keeps Pi only.  X has the rank-2p generator
-sqrt(h) Pi, and one pass of Gaussian elimination on that generator
-(Gohberg, Kailath and Olshevsky, Math. Comp. 64, 1995), b grid blocks per
-round as in the blocked Schur algorithm, yields C, W Pi and W U for
-columns U carried along the generator in O(p^2 M^2) work, C only when
-asked for.  The dense X, formed only when read, follows
-from the same identity one block row at a time.  Equal weights keep the
-Toeplitz S and its pass: X equals that S to rounding only for |d| = 1,
-since S samples k at |d| h n and X never evaluates k off its grid; for
-other weights the two differ by O(h^2).
+The Cholesky factor C (S = C C*) is the discrete analog of the
+lower-triangular factorization S^-1 = (I + E)* (I + E): its inverse
+W = C^-1 = I + E.  X has the rank-2p generator sqrt(h) Pi, and one pass of
+Gaussian elimination on that generator (Gohberg, Kailath and Olshevsky,
+Math. Comp. 64, 1995), b grid blocks per round as in the blocked Schur
+algorithm, serves every caller: C for :func:`factorize_triangular`, W Pi
+for the canonical factor beta, and W U for columns U carried along the
+generator (the kernel samples for the endpoint potential and the theta
+functions, the unit block column for the kernel-edge potential, the
+solutions U of the fundamental solution), in O(p^2 M^2) work and C only
+when asked for.  The read-offs thus store no (pM)^2 matrix;
+:func:`recover_potential`, passed a factor, applies it instead.  The dense
+X, formed only when something reads it (the checks and reference routes),
+follows from the same identity one block row at a time.
 """
 
 import math
@@ -84,34 +69,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StructuredOperator:
-    """Discretization of S = I + integral operator on the midpoint grid.
-
-    ``column`` is the first block column of S when S is exactly Hermitian
-    block Toeplitz (no weight, or all weights equal); it routes
-    :func:`factorize_triangular` to the Toeplitz pass.  ``pi`` holds the
-    samples of Pi (M, p, 2p) of a weighted operator; with distinct weights
-    it is all the operator keeps, the S-node X being defined by its
-    generator (:func:`_snode_pass`).  ``s`` forms the dense (p M, p M)
-    matrix on first access (the Toeplitz rows, or X by
-    :func:`_snode_dense`) and keeps it.
+    """Discretization of S = I + integral operator on the midpoint grid:
+    the S-node X with weight diagonal ``d`` (all < 0, -1 for the plain
+    case), defined by the samples of Pi (M, p, 2p) through its generator
+    (:func:`_snode_pass`).  ``s`` forms the dense (p M, p M) X by
+    :func:`_snode_dense` on first access and keeps it.
     """
 
     h: float
     p: int
-    d: np.ndarray = None        # weight diagonal, all < 0, or None for the plain case
-    column: np.ndarray = None   # (M, p, p) blocks S_{n0}, or None
-    pi: np.ndarray = None       # (M, p, 2p) samples of Pi, or None for the plain case
+    d: np.ndarray     # weight diagonal, all < 0
+    pi: np.ndarray    # (M, p, 2p) samples of Pi
 
     @cached_property
     def s(self):
-        """The dense Hermitian S, (p M, p M)."""
-        if self.column is None:
-            return _snode_dense(self)
-        return _toeplitz_rows(self.column, self.m)
+        """The dense Hermitian S-node X, (p M, p M)."""
+        return _snode_dense(self)
 
     @property
     def m(self):
-        return (self.pi if self.column is None else self.column).shape[0]
+        return self.pi.shape[0]
 
 
 def default_operator_length(kernel, d=None):
@@ -119,32 +96,6 @@ def default_operator_length(kernel, d=None):
     arguments max|d| * l stay on the stored kernel (l = kernel.l for d None)."""
     scale = 1.0 if d is None else float(np.abs(np.asarray(d, dtype=float)).max())
     return kernel.h * int(np.floor(kernel.l / (scale * kernel.h) + 1e-9))
-
-
-def _toeplitz_column(kernel, m, scale):
-    """First block column h k(scale h n), n < m, of a Toeplitz operator; block
-    0 carries the identity and is Hermitian-averaged (k(0) is one-sided)."""
-    h, p = kernel.h, kernel.p
-    col = h * kernel.at(scale * h * np.arange(m))
-    col[0] = hermitize(np.eye(p) + col[0])
-    return col
-
-
-def _toeplitz_rows(col, b):
-    """The first b block rows (b q, n q), n = ceil(m / b) b, of the Hermitian
-    block Toeplitz matrix with first block column ``col`` (m, q, q) padded
-    with zero blocks to n: block row i is the window starting at block
-    n - 1 - i of the wide row [S_{n-1}, ..., S_1, S_0, S_1*, ..., S_{n-1}*]."""
-    m, q, _ = col.shape
-    n = -(-m // b) * b
-    col = np.concatenate([col, np.zeros((n - m, q, q), dtype=complex)])
-    # adding +0.0 clears the negative zeros that conjugation leaves, as a
-    # Hermitian average would
-    blocks = np.concatenate([col[::-1], np.conj(col[1:]).transpose(0, 2, 1)]) + 0.0
-    wide = blocks.transpose(1, 0, 2).reshape(q, (2 * n - 1) * q)
-    windows = np.lib.stride_tricks.sliding_window_view(wide, n * q, axis=1)
-    rows = np.ascontiguousarray(windows[:, ::-q][:, :b].transpose(1, 0, 2))
-    return rows.reshape(b * q, n * q)
 
 
 def _pi_samples(kernel, d, xs):
@@ -178,7 +129,7 @@ def _snode_recurrence(d, h):
 
 
 def _snode_dense(op):
-    """The dense S-node X of a weighted operator, one block row at a time.
+    """The dense S-node X of an operator, one block row at a time.
 
     With g = T (h Pi J_s Pi*) T*, entry (i, a; j, b) of T (F X + X F*) T*
     = g reads alpha_ab (x_ij - x_{i-1,j-1})
@@ -234,39 +185,28 @@ def _block_count(kernel, l, scale):
 
 
 def build_structured_operator(kernel, d=None, l=None):
-    """Assemble the operator S on the midpoint grid of [0, l].
+    """Assemble the operator S on the midpoint grid of [0, l]: the S-node X,
+    the exact solution of F X + X F* = h Pi J_s Pi* (see the module
+    docstring), kept as the samples of Pi.
 
-    Plain case (``d is None``): S = I + h [kernel matrix], block (i, j)
-    k(x_i - x_j), block Toeplitz; the result keeps its first block column.
-    Weighted case: all weights must be negative, and the kernel must be
-    stored out to max|d| * l; the result keeps the samples of Pi.  Equal
-    weights also keep the Toeplitz column of S = I + h [k(d (x_j - x_i))].
-    Distinct weights keep Pi only: their operator is the S-node X, the
-    exact solution of F X + X F* = h Pi J_s Pi* (see the module
-    docstring).  Entries at argument 0, where k is one-sided, take the
-    Hermitian average, so a Toeplitz S is exactly Hermitian.  The dense
+    Plain case (``d is None``): D = -I, and X is the Nystroem matrix
+    I + h [k(x_i - x_j)] to rounding.  Weighted case: all weights must be
+    negative, and the kernel must be stored out to max|d| * l.  The dense
     matrix is formed only when ``s`` is read.
     """
     p, h = kernel.p, kernel.h
-    if d is not None:
+    if d is None:
+        d = -np.ones(p)
+    else:
         d = np.asarray(d, dtype=float).reshape(-1)
         if d.size != p:
             raise StructuralError("weight diagonal must have one entry per block row")
         if np.any(d >= 0.0):
             raise DomainError("weighted operators require all D entries negative")
-        scale = np.abs(d).max()
-    else:
-        scale = 1.0
     if l is None:
         l = default_operator_length(kernel, d)
-    m = _block_count(kernel, l, scale)
-    if d is None:
-        return StructuredOperator(h=h, p=p, column=_toeplitz_column(kernel, m, scale))
-    pi = _pi_samples(kernel, d, h * (np.arange(m) + 0.5))
-    if np.all(d == d[0]):
-        return StructuredOperator(h=h, p=p, d=d, pi=pi,
-                                  column=_toeplitz_column(kernel, m, scale))
-    return StructuredOperator(h=h, p=p, d=d, pi=pi)
+    m = _block_count(kernel, l, np.abs(d).max())
+    return StructuredOperator(h=h, p=p, d=d, pi=_pi_samples(kernel, d, h * (np.arange(m) + 0.5)))
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +270,12 @@ def _not_positive(minor):
 
 # OpenBLAS runs a zgemm of m n k >= 2^16 multiply-adds on its thread pool,
 # and a zgemv, which numpy calls for a k of one row, from m n >= 2^12 on.
-# Between the pass's small LAPACK calls that costs far more than it saves,
-# and it slows the next threaded LAPACK call as well: forced to q = 32
-# (p = 1, M = 1024; 2 cores, 2 BLAS threads) the W k pass took 370 ms with
-# one zgemm per product against 67 ms in smaller panels, and a zpotrf of
-# order 512 right after the pass took about 17 ms with threaded zgemv
-# panels against about 10 ms.
+# Between a factor pass's small LAPACK calls that costs far more than it
+# saves, and it slows the next threaded LAPACK call as well: a block Schur
+# pass for W k forced to q = 32 (p = 1, M = 1024; 2 cores, 2 BLAS threads)
+# took 370 ms with one zgemm per product against 67 ms in smaller panels,
+# and a zpotrf of order 512 right after it took about 17 ms with threaded
+# zgemv panels against about 10 ms.
 _THREAD_WORK = 1 << 16
 _THREAD_WORK_GEMV = 1 << 12
 
@@ -348,148 +288,33 @@ def _panels(k, n):
     return [slice(j, j + width) for j in range(0, n, width)]
 
 
-def _sub_product(out, k, b):
-    """out -= k @ b in place, one single-threaded panel at a time."""
-    for cols in _panels(k, b.shape[1]):
-        out[:, cols] -= k @ b[:, cols]
-
-
-def _transform(c, p_f, delta):
-    """Coefficients K_f = Delta P_b^-1 and K_b = Delta* P_f^-1 of the 2p x 2p
-    transform [[I, -K_f], [-K_b, I]] that clears Delta, with P_b = c c*;
-    updates P_f to P_f - K_f Delta* in place."""
-    delta_h = delta.conj().T
-    k_f_h, _ = lapack.zpotrs(c, delta_h, lower=1)              # K_f* = P_b^-1 Delta*
-    _, k_b_h, _ = lapack.zposv(p_f, delta, lower=1)             # K_b* = P_f^-1 Delta
-    k_f, k_b = k_f_h.conj().T, k_b_h.conj().T
-    p_f -= k_f @ delta_h
-    return k_f, k_b
-
-
-# The Toeplitz pass reads S as block Toeplitz with q = b p blocks: about
-# M / b fixed step costs against b p^3 M^2 multiply-adds, which balance at
-# b = sqrt(_BLOCK_WORK / (p^3 M)).  Timed for every b <= 16 / p at p = 1, 2,
-# 3 and M = 256 ... 4096 (2 cores, 2 BLAS threads), the rule's b was never
-# slower than b = 1 beyond the run-to-run spread, and the fastest b was at
-# most one or two sizes away; at p = 1, M = 1024 the W k pass takes 21 ms
-# against 72 ms for b = 1.
-_BLOCK_WORK = 1 << 16
-_MAX_BLOCK_ORDER = 16
-
-
-def _toeplitz_block(p, m):
-    """Block rows b per step of the Toeplitz pass on M = ``m`` blocks of
-    order p: the b that balances the pass's fixed cost per step against
-    its O(b p^3 M^2) products, at most M and at most q = b p = 16."""
-    b = round(math.sqrt(_BLOCK_WORK / (p ** 3 * m)))
-    return max(1, min(b, _MAX_BLOCK_ORDER // p, m))
-
-
-def _schur_pass(op, rhs=None, chol=False, first_column=False):
-    """One block Schur pass over a Hermitian block Toeplitz S, from the
-    operator's first block column, producing only the outputs asked for:
-    ``chol`` the dense Cholesky factor C (S = C C*), ``rhs`` W U for
-    stacked block samples U (M, p, r) with W = C^-1, and ``first_column``
-    W's first block column (M, p, p).  Returns (C, W U, W first column),
-    None for each output not asked for.
-
-    F is the block shift.  Step n keeps q pivot rows g (metric P_b^-1) and
-    q negative rows f (metric P_f^-1), the backward and forward prediction
-    errors g_n(j) (j >= n) and f_n(j) (j > n): with predictors a_n
-    (a_n(0) = I) and b_n (b_n(n) = I), a_n S = [P_f 0 ... 0 f_n(n+1) ...]
-    and b_n S = [0 ... 0 P_b g_n(n+1) ...].  With P_b = g_n(n) = c c*
-    (lower Cholesky), column block n of C is g_n(j)* c^-*, j >= n.  The
-    pivot rows then move by F, and K_f = Delta P_b^-1 and
-    K_b = Delta* P_f^-1, Delta = f(n+1), advance the pairs (f(j), F g(j))
-    by the 2q x 2q transform [[I, -K_f], [-K_b, I]], which clears f(n+1).
-    The pivot rows keep block j at block j - n of ``bottom``, so F costs
-    nothing, and each step updates both in place.  No predictor is
-    carried: W U is forward substitution with C's column blocks as they
-    appear, and W's first block column is c_n^-1 b_n(0) with b_0(0) = I and
-    b_{n+1}(0) = -K_b.
-
-    S of M blocks of order p is read as block Toeplitz with q = b p blocks
-    (:func:`_toeplitz_block`), its first block column padded with zero
-    blocks to ceil(M / b) b: ceil(M / b) steps of O(b p^3 M) work each,
-    O(b p^3 M^2) in all, plus O(p^2 r M^2) for r right-hand sides.  The
-    padding is harmless: the transforms act column by column and F moves g
-    forward, so no padded column ever reaches a real one, and the last step
-    pivots on the leading r x r of its q x q pivot, r = p M - n q.  A pivot
-    that fails at its column info is then still the leading minor
-    n q + info of S that LAPACK names.  The products run in single-threaded
-    column panels (:func:`_sub_product`).
-    """
-    p, size = op.p, op.m * op.p
-    rows = _toeplitz_rows(op.column, _toeplitz_block(p, op.m))
-    q, width = rows.shape                           # width >= size: padded
-    top, bottom = rows.copy(), rows.copy()          # f and g
-    p_f = rows[:, :q].copy()
-    c_out = np.zeros((size, size), dtype=complex, order="F") if chol else None
-    if rhs is not None:
-        # conjugate transpose of the substitution's running right-hand side
-        # U - sum_k C_{:k} (W U)_k, one row per column of U
-        rest = rhs.reshape(size, -1).conj().T.copy()
-        wu = np.empty((size, rest.shape[0]), dtype=complex)
-    w0 = np.empty((size, p), dtype=complex) if first_column else None
-    b0 = np.eye(q, p, dtype=complex)                 # first p columns of b_n(0)
-    for lo in range(0, size, q):
-        hi = min(lo + q, size)
-        if lo:
-            k_f, k_b = _transform(c, p_f, top[:, lo:lo + q])
-            b0 = -k_b[:, :p]
-            f, g = top[:, lo:], bottom[:, :width - lo]         # f(j), F g(j), j >= n
-            g_old = g.copy()
-            _sub_product(g, k_b, f)
-            _sub_product(f, k_f, g_old)
-        c, info = lapack.zpotrf(bottom[:hi - lo, :hi - lo], lower=1, clean=1)
-        if info > 0:
-            # a pivot that fails at its column info is the leading
-            # minor n q + info of S, the order zpotrf reports on S
-            raise _not_positive(lo + info)
-        below = bottom[:, q:size - lo]                         # g_n(j), j > n
-        if chol:
-            c_out[lo:hi, lo:hi] = c
-            # (c^-1 g)*, written through C's transpose into its zero block
-            column = c_out.T[lo:hi, hi:]
-            c_inv = lapack.ztrtri(c, lower=1)[0]
-            for cols in _panels(c_inv, column.shape[1]):
-                np.matmul(c_inv, below[:, cols], out=column[:, cols])
-            np.conjugate(column, out=column)
-        # c^-1 u as c* (P_b^-1 u): OpenBLAS's ztrtrs uses its thread pool
-        # even for a q x q solve, which makes each step several times
-        # slower for a while after any threaded BLAS call
-        if rhs is not None:
-            y, _ = lapack.zpotrs(c, rest[:, lo:hi].conj().T, lower=1)
-            wu[lo:hi] = c.conj().T @ y
-            _sub_product(rest[:, hi:], y.conj().T, below)
-        if first_column:
-            y, _ = lapack.zpotrs(c, b0[:hi - lo], lower=1)
-            w0[lo:hi] = c.conj().T @ y
-    return (c_out, wu.reshape(rhs.shape) if rhs is not None else None,
-            w0.reshape(op.m, p, p) if first_column else None)
-
-
-# The S-node pass takes b grid blocks per round: about M / b fixed round
-# costs (some thirty numpy and LAPACK calls) against C's column blocks,
-# whose q = b p columns cost q multiply-adds per entry of C.  Timed for
-# b = 1 ... 32 at p = 2 and 2 ... 10 at p = 3, pM = 64 ... 2048, with and
-# without C (2 cores, 2 BLAS threads), the best b fell as M grew and hardly
-# depended on p; round(sqrt(2^16 / M)) was within the run-to-run spread of
-# the best at every size (the README has the table).  q stays at most 32,
-# beyond which C's products split into narrow panels and slow down.
+# The S-node pass takes b grid blocks, q = b p rows, per round: about M / b
+# fixed round costs (some thirty numpy and LAPACK calls) against C's column
+# blocks, q^2 p (M - k) multiply-adds in a round at block k; no other work
+# of the pass grows with b.  Timed with and without C (2 cores, 2 BLAS
+# threads) for b = 1 ... 32 at p = 2 and 2 ... 10 at p = 3, pM = 64 ...
+# 2049, the best b fell as M grew and hardly depended on p:
+# round(sqrt(2^16 / M)) was within the run-to-run spread of the best at
+# every size.  At p = 1, where C's products cost an eighth of p = 2's at
+# the same b, round(sqrt(2^19 / M)) was within 2 % of the best of b = 11,
+# 16, 23, 32 with C at M = 512 ... 2048, and within 16 % of b = 32, the
+# fastest, without C (the README has the tables).  q stays at most 32,
+# beyond which the products split into narrow panels and gain nothing.
 _SNODE_WORK = 1 << 16
 _MAX_SNODE_ORDER = 32
 
 
 def _snode_block(p, m):
     """Grid blocks b per round of the S-node pass on M = ``m`` blocks of
-    order p: round(sqrt(2^16 / M)), at most M and at most q = b p = 32."""
-    b = round(math.sqrt(_SNODE_WORK / m))
+    order p: round(sqrt(2^16 / M)), round(sqrt(2^19 / M)) at p = 1, at most
+    M and at most q = b p = 32."""
+    work = _SNODE_WORK << 3 if p == 1 else _SNODE_WORK
+    b = round(math.sqrt(work / m))
     return max(1, min(b, _MAX_SNODE_ORDER // p, m))
 
 
 def _snode_pass(op, chol=False, rhs=None):
-    """Factor the S-node X of distinct weights from its generator: returns
+    """Factor the S-node X from its generator: returns
     (C, beta), C the dense Cholesky factor of X (None unless ``chol``) and
     beta = W Pi (M, p, 2p), W = C^-1.  With stacked block samples ``rhs``
     U (M, p, r), beta is W [Pi U] (M, p, 2p + r) instead.
@@ -511,8 +336,10 @@ def _snode_pass(op, chol=False, rhs=None):
     component-major: T acts along contiguous rows, T R is (T G) J_s G0*
     with 1/alpha folded into J_s G0* for each row component, and each
     block column k takes one unit bidiagonal solve (``ztbsv``) over the
-    rows from the first to the last with c_ab != 0, so that rows whose
-    weight equals their column's (c_ab = 0) need none at p = 2.
+    rows from the first to the last with c_ab != 0.  Rows whose weight
+    equals their column's (c_ab = 0) need none: at p = 2 half the rows, and
+    with equal weights (the plain case among them) no row, so the pass
+    makes no solve at all.
 
     The pivot P = S0 Delta = c c* fails at its column info exactly where
     the leading minor n q + info of X does, the minor LAPACK names.  C's
@@ -536,7 +363,7 @@ def _snode_pass(op, chol=False, rhs=None):
     # column's solve spans the segments from the first to the last c != 0
     cseg = coef.T.reshape(-1).astype(complex)
     nonzero = np.flatnonzero(cseg)
-    first, last = nonzero[0], nonzero[-1] + 1
+    first, last = (nonzero[0], nonzero[-1] + 1) if nonzero.size else (0, 0)
     width = 2 * p + (0 if rhs is None else rhs.shape[2])
     gen = np.empty((p, m, width), dtype=complex)   # G, component-major, reduced in place
     gen[:, :, :2 * p] = np.sqrt(h) * op.pi.transpose(1, 0, 2)
@@ -587,16 +414,19 @@ def _snode_pass(op, chol=False, rhs=None):
                 head = s[k * p:(k + 1) * p, :, 0].copy()
                 flat[at + 1:at + step] += flat[at - step:at - 1]
                 s[k * p:(k + 1) * p, :, 0] = head
-                np.multiply(span, flat[at - step + lo_e:at - step + hi_e], out=tmp)
-                flat[at + lo_e:at + hi_e] += tmp                          # c s_{k-1}
-            blas.ztbsv(1, band, flat, offx=at + lo_e, lower=1, diag=1, overwrite_x=1)
+                if span.size:
+                    np.multiply(span, flat[at - step + lo_e:at - step + hi_e], out=tmp)
+                    flat[at + lo_e:at + hi_e] += tmp                      # c s_{k-1}
+            if span.size:
+                blas.ztbsv(1, band, flat, offx=at + lo_e, lower=1, diag=1, overwrite_x=1)
         top = s[:, :, :bb].transpose(2, 1, 0).reshape(qq, qq)   # S0, rows (i, a)
         piv = top.copy()
         piv[:, p:] -= top[:, :-p]                               # P = S0 Delta
         c, info = lapack.zpotrf(piv, lower=1, clean=1)
         if info > 0:
             raise _not_positive(lo + info)
-        # c^-1 G0 as c* (P^-1 G0), as in the Toeplitz pass
+        # c^-1 G0 as c* (P^-1 G0): OpenBLAS's ztrtrs uses its thread pool
+        # even for a q x q solve
         y, _ = lapack.zpotrs(c, g0, lower=1)
         below = s[:, :, bb:].transpose(1, 0, 2)                 # (p, qq, nb - bb)
         if chol:
@@ -622,31 +452,14 @@ def _snode_pass(op, chol=False, rhs=None):
 
 def factorize_triangular(op):
     """Triangular factorization S = C C*, W S W* = I with W = C^-1, of a
-    positive operator; the factor keeps C only.
+    positive operator by the generator pass (:func:`_snode_pass`); the
+    factor keeps C only.
 
-    A Toeplitz operator takes the block Schur pass, the S-node of distinct
-    weights its generator pass (:func:`_snode_pass`).  Raises
-    PositivityError naming the offending leading minor size when S is not
-    positive definite; this doubles as the positivity test.
+    Raises PositivityError naming the offending leading minor size when S
+    is not positive definite; this doubles as the positivity test.
     """
-    if op.column is not None:
-        c, _, _ = _schur_pass(op, chol=True)
-    else:
-        c, _ = _snode_pass(op, chol=True)
+    c, _ = _snode_pass(op, chol=True)
     return TriangularFactor(c, h=op.h, p=op.p)
-
-
-def _w_pi(op, chol=False, rhs=None):
-    """One pass over a weighted operator: returns (C, W Pi), C the dense
-    Cholesky factor (None unless ``chol``) and W Pi (M, p, 2p); with
-    stacked block samples ``rhs`` U (M, p, r), W [Pi U] (M, p, 2p + r)
-    instead.  Distinct weights take the S-node pass, equal weights the
-    Toeplitz pass on [Pi U]."""
-    if op.column is None:
-        return _snode_pass(op, chol=chol, rhs=rhs)
-    u = op.pi if rhs is None else np.concatenate([op.pi, rhs], axis=2)
-    c, wu, _ = _schur_pass(op, rhs=u, chol=chol)
-    return c, wu
 
 
 def _check_factor(factor, kernel, l):
@@ -678,9 +491,10 @@ def recover_potential(kernel, l=None, mode="endpoint", factor=None):
     ``endpoint`` evaluates v(x/2) = 2i (k(x) + int_0^x E(x, t) k(t) dt) on
     the grid; ``kernel-edge`` uses v(x) = -2i E(2x, 0), valid for
     continuous potentials.  Both are O(h)-accurate.  Without ``factor`` one
-    Schur pass produces W k (endpoint) or W's first block column
-    (kernel-edge); a given factor, checked against the kernel's grid and
-    ``l`` (:func:`_check_factor`), is applied instead.
+    pass (:func:`_snode_pass`) carries the kernel samples (endpoint) or the
+    unit block column (kernel-edge) along the generator and yields W k or
+    W's first block column; a given factor, checked against the kernel's
+    grid and ``l`` (:func:`_check_factor`), is applied instead.
     """
     if mode not in ("endpoint", "kernel-edge"):
         raise StructuralError(f"unknown recovery mode {mode!r}")
@@ -693,15 +507,14 @@ def recover_potential(kernel, l=None, mode="endpoint", factor=None):
     p, h = kernel.p, kernel.h
     if mode == "endpoint":
         u = kernel.samples[:m]
-        vals = 2j * (_schur_pass(op, rhs=u)[1] if factor is None else factor.apply(u))
     else:
-        if factor is None:
-            w0 = _schur_pass(op, first_column=True)[2]
-        else:
-            unit = np.zeros((m, p, p), dtype=complex)
-            unit[0] = np.eye(p)
-            w0 = factor.apply(unit)
-        vals = (-2j / h) * w0                   # first block column of W
+        u = np.zeros((m, p, p), dtype=complex)
+        u[0] = np.eye(p)
+    wu = _snode_pass(op, rhs=u)[1][:, :, 2 * p:] if factor is None else factor.apply(u)
+    if mode == "endpoint":
+        vals = 2j * wu
+    else:
+        vals = (-2j / h) * wu                   # first block column of W
         vals[0] = vals[1] if m > 1 else 0.0
     return GridFunction(h=h / 2.0, values=vals, x0=h / 4.0)
 
@@ -727,16 +540,14 @@ def theta_functions(kernel, l=None):
     theta1(x/2) = (1/sqrt 2) ((I+E) [2s  I])(x) with s = I/2 + int k;
     theta2 follows from the structured-operator formula with S_{2x}^-1
     applied columnwise, evaluated via the causal triangular factor.  One
-    Schur pass applies W to [2s I k] at once.
+    pass (:func:`_snode_pass`) carries k along the generator: at D = -I,
+    Pi = [-s  I], so W [2s  I] = [-2 W Pi_1  W Pi_2] comes with W k.
     """
     op = build_structured_operator(kernel, l=l)
     m, p, h = op.m, kernel.p, kernel.h
-    xs = kernel.xs[:m]
-    s_vals = 0.5 * np.eye(p)[None] + kernel.cumulative(xs)
-    stack = np.concatenate([2.0 * s_vals, np.tile(np.eye(p)[None], (m, 1, 1)),
-                            kernel.samples[:m]], axis=2)
-    applied = _schur_pass(op, rhs=stack)[1]
+    applied = _snode_pass(op, rhs=kernel.samples[:m])[1]
     big = applied[:, :, :2 * p]                 # (m, p, 2p) samples of (I+E)[2s I]
+    big[:, :, :p] *= -2.0
     ek = applied[:, :, 2 * p:]                  # (m, p, p) samples of (I+E)k
     theta1 = big / np.sqrt(2.0)
     prods = np.einsum("mji,mjk->mik", ek.conj(), big)   # a_m^H B_m
@@ -772,19 +583,14 @@ def canonical_from_kernel(kernel, d, l=None, return_factor=False):
     """Hamiltonian H = beta* beta of the canonical system generated by k.
 
     beta = W Pi is the triangular factor applied to Pi columnwise; requires
-    the weighted operator to be positive definite.  One pass yields W Pi,
-    and C too with ``return_factor`` (:func:`_w_pi`): the Toeplitz Schur
-    pass for equal weights, the S-node pass for distinct ones.  Its
-    W Pi does not depend on whether C is asked for, and its C is the one
-    :func:`factorize_triangular` forms.  At equal weights the C pass and
-    one triangular solve on C are faster by themselves (23.5 against
-    26.4 ms at pM = 1024, 2 cores, 2 BLAS threads), but the solve runs on
-    OpenBLAS's thread pool, and the Schur pass that came next in a
-    benchmark round ran about 14 ms slower after it.
+    the weighted operator to be positive definite.  One pass
+    (:func:`_snode_pass`) yields W Pi, and C too with ``return_factor``.
+    Its W Pi does not depend on whether C is asked for, and its C is the
+    one :func:`factorize_triangular` forms.
     """
     d = np.asarray(d, dtype=float).reshape(-1)
     op = build_structured_operator(kernel, d=d, l=l)
-    c, beta_vals = _w_pi(op, chol=return_factor)
+    c, beta_vals = _snode_pass(op, chol=return_factor)
     h_vals = np.einsum("mji,mjk->mik", beta_vals.conj(), beta_vals)
     h_vals = hermitize(h_vals)
     half = op.h
@@ -798,9 +604,9 @@ def canonical_from_kernel(kernel, d, l=None, return_factor=False):
 def hamiltonian_difference_quotient(kernel, d, indices, l=None):
     """dB/dl at l = m h by central differences of B(r) = h Pi* S_r^-1 Pi.
 
-    Dense solves on leading subblocks of the operator's dense matrix (the
-    S-node X for distinct weights), independent of the passes;
-    returns a list of (x, H_estimate) pairs.
+    Dense solves on leading subblocks of the operator's dense S-node X,
+    independent of the generator pass; returns a list of (x, H_estimate)
+    pairs.
     """
     op = build_structured_operator(kernel, d=d, l=l)
     m, p, h = op.m, op.p, op.h
@@ -828,11 +634,12 @@ def fundamental_from_kernel(kernel, d, l, z):
     with half weight on the diagonal; differencing its rows turns
     (I - z A) u = Pi into one bidiagonal system per z and component a, with
     diagonal 1 - c/2 and subdiagonal -(1 + c/2), c = i z d_a h.  With U
-    those solutions, Pi* S^-1 U = (W Pi)* (W U): one pass over the
-    structured operator on the right-hand side [Pi U] gives both
-    (:func:`_w_pi`: the Toeplitz pass for equal weights, the S-node pass
-    carrying U along its generator for distinct ones), and no factor is
-    formed.
+    those solutions, Pi* S^-1 U = (W Pi)* (W U): one pass
+    (:func:`_snode_pass`) carrying U along the generator gives both, and no
+    factor is formed.  The z of one call share the pass's products, so a
+    batch split into parts is not reproduced bit for bit: the parts stay
+    within 4e-15 of the batch, relative to its largest |w| entry (the worst
+    of 2,000 random splits was 7.7e-16).
     """
     d = np.asarray(d, dtype=float).reshape(-1)
     op = build_structured_operator(kernel, d=d, l=l)
@@ -848,7 +655,7 @@ def fundamental_from_kernel(kernel, d, l, z):
             band[0], band[1] = 1.0 - 0.5 * c, -(1.0 + 0.5 * c)
             rhs[:, a, k] = solve_banded((1, 0), band, dpi[:, a])
     rhs = rhs.reshape(m, p, zf.size * 2 * p)
-    left, right = np.split(_w_pi(op, rhs=rhs)[1], [2 * p], axis=2)
+    left, right = np.split(_snode_pass(op, rhs=rhs)[1], [2 * p], axis=2)
     proj = h * left.reshape(m * p, 2 * p).conj().T @ right.reshape(m * p, -1)  # (2p, K 2p)
     proj = proj.reshape(2 * p, zf.size, 2 * p).transpose(1, 0, 2)
     J = anti_diag_j(p)

@@ -403,13 +403,20 @@ class TestInverse:
         assert wide["warnings"] == []
 
     @pytest.mark.parametrize("name", ["a", "h", "xmax", "dzeta"])
-    @pytest.mark.parametrize("value", [0.0, -5.0, np.nan, np.inf])
+    @pytest.mark.parametrize("value", [0.0, -5.0, np.nan, np.inf, "huge"])
     def test_window_and_grid_must_be_finite_positive(self, name, value):
-        # checked before the Weyl function is sampled
+        # checked before the Weyl function is sampled; "huge" makes the
+        # parameter's grid quotient xmax / h or a / dzeta overflow (h or
+        # dzeta 1e-310) or exceed any numpy array (a or xmax 1e300)
         def phi(z):
             raise AssertionError("phi sampled before the parameters were checked")
 
-        with pytest.raises(wk.DomainError, match=f"finite {name} > 0, got {name} = {value}"):
+        if value == "huge":
+            value = 1e-310 if name in ("h", "dzeta") else 1e300
+            match = "more grid points than a numpy array can hold"
+        else:
+            match = f"finite {name} > 0, got {name} = {value}"
+        with pytest.raises(wk.DomainError, match=match):
             amplitude_from_weyl(WeylSampler(fn=phi, p=1), mode="dirac", **{name: value})
 
     def test_eta_independence(self):

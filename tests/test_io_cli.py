@@ -459,7 +459,8 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("option, value", [
         ("--a", "-5"), ("--a", "0"), ("--a", "nan"), ("--a", "inf"),
-        ("--step", "nan"), ("--step", "0"), ("--xmax", "nan"), ("--xmax", "inf")])
+        ("--step", "nan"), ("--step", "0"), ("--xmax", "nan"), ("--xmax", "inf"),
+        ("--step", "1e-310"), ("--a", "1e300")])
     def test_recover_with_bad_window_or_grid_exits_1(self, option, value, tmp_path, capsys):
         zetas = np.linspace(-50, 50, 2001)
         wio.write_weyl_samples_csv(tmp_path / "s.csv", zetas, np.full(zetas.size, 1j))
@@ -468,7 +469,13 @@ class TestNonFiniteInput:
                      option, value, "--mode", "dirac", "--out", str(out)]) == 1
         name = {"--a": "a", "--step": "h", "--xmax": "xmax"}[option]
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"finite {name} > 0, got {name} = " in err
+        assert err.startswith("error: ")
+        if value in ("1e-310", "1e300"):
+            # finite and positive, but xmax / h overflows or a / dzeta is
+            # beyond any numpy array
+            assert "more grid points than a numpy array can hold" in err
+        else:
+            assert f"finite {name} > 0, got {name} = " in err
         assert not out.exists()
 
     def test_non_numeric_grid_axis_exits_2(self, tmp_path, capsys):

@@ -16,11 +16,8 @@ from weylkit.structured import (
     TriangularFactor,
     _pi_samples,
     _panels,
-    _schur_pass,
     _snode_block,
     _snode_pass,
-    _sub_product,
-    _toeplitz_block,
     accelerant_from_potential,
     build_structured_operator,
     canonical_from_kernel,
@@ -125,6 +122,7 @@ class TestFactorize:
         assert np.abs(fac.winv - c).max() <= 1e-12 * np.abs(c).max()
         assert fac.w is not fac.w          # formed anew on each request
 
+    # equal weights make the S-node X block Toeplitz, hence the ids
     @pytest.mark.parametrize("d", [(-1.0, -np.sqrt(2.0)), (-1.25, -1.25)],
                              ids=["S-node", "Toeplitz"])
     def test_canonical_factor_is_the_eager_factor(self, d):
@@ -153,7 +151,7 @@ class TestFactorize:
             lambda x: c * np.exp(-x) * np.ones((1, 1)), p=1, l=1.0, h=1 / 128)
         op = build_structured_operator(kern)
         pd = np.linalg.eigvalsh(op.s).min() > 0
-        # the Schur pass against LAPACK's Cholesky of the dense S
+        # the generator pass against LAPACK's Cholesky of the dense X
         _, info = lapack.zpotrf(op.s, lower=1)
         assert (info == 0) == pd
         if pd:
@@ -298,7 +296,7 @@ class TestOnePassMemory:
         assert peak < 4e6
 
     @pytest.mark.parametrize("d", [(-1.0, -np.sqrt(2.0)), (-1.25, -1.25)],
-                             ids=["S-node", "Toeplitz"])
+                             ids=["S-node", "Toeplitz"])    # as above
     def test_fundamental_forms_no_dense_matrix(self, d, monkeypatch):
         # M = 1024, p = 2: C or S, a (pM)^2 complex matrix, is 67 MB
         kern = DifferenceKernel.from_function(gauss_kernel, p=2, l=1.5, h=1 / 1024)
@@ -796,7 +794,7 @@ class TestExplicitVsKernelRoute:
 
 
 # ---------------------------------------------------------------------------
-# block Schur route, strip assembly and batched fundamentals
+# the S-node operator, the generator pass and batched fundamentals
 
 
 def scalar_test_kernel(x):
@@ -818,8 +816,8 @@ def lapack_factor(s):
 
 
 def dense_plain_reference(kernel, m):
-    """The plain-case builder before strip assembly: the whole (m, m, p, p)
-    block table, then S = I + h K and its Hermitian average."""
+    """The Nystroem S of the plain case from the whole (m, m, p, p) block
+    table of k(x_i - x_j): S = I + h K and its Hermitian average."""
     p, h = kernel.p, kernel.h
     table = kernel.at(h * np.arange(-(m - 1), m))
     idx = np.arange(m)[:, None] - np.arange(m)[None, :] + (m - 1)
@@ -841,64 +839,56 @@ def nystrom_reference(kernel, d, m):
 
 
 class TestSnodeOperator:
-    """The S-node X of distinct weights: its dense form against the
-    identity F X + X F* = h Pi J_s Pi* that defines it, and against the
+    """The S-node X, the operator of every weight: its dense form against
+    the identity F X + X F* = h Pi J_s Pi* that defines it, and against the
     Nystroem S it replaces."""
 
-    @pytest.mark.parametrize("d", [(-1.0, -2.0), (-1.0, -np.sqrt(2.0)), (-0.5, -1.0, -3.0)])
+    @pytest.mark.parametrize("d", [(-1.0, -2.0), (-1.0, -np.sqrt(2.0)), (-0.5, -1.0, -3.0),
+                                   None, (-1.5, -1.5)])
     def test_dense_solves_the_identity(self, d):
-        d = np.array(d)
-        p, m, h = d.size, 24, 1 / 32
+        weights = -np.ones(2) if d is None else np.array(d)
+        p, m, h = weights.size, 24, 1 / 32
         kern = positive_kernel(np.random.default_rng(p), p, 2, 0.05, h, 3 * m + 1)
         op = build_structured_operator(kern, d=d, l=m * h)
-        assert op.column is None
+        np.testing.assert_array_equal(op.d, weights)
         low = np.tril(np.ones((m, m)), -1) + 0.5 * np.eye(m)
-        f = h * np.kron(low, np.diag(np.abs(d)))
+        f = h * np.kron(low, np.diag(np.abs(weights)))
         pi = op.pi.reshape(m * p, 2 * p)
         ref = solve_sylvester(f, f.conj().T, -h * pi @ anti_diag_j(p) @ pi.conj().T)
         assert np.abs(op.s - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_unit_weights_give_the_toeplitz_s(self):
-        op = build_structured_operator(toy_kernel(2, l=1.0, h=1 / 64), d=[-1.0, -1.0])
-        x = StructuredOperator(h=op.h, p=op.p, d=op.d, pi=op.pi).s     # the S-node X
-        assert np.abs(x - op.s).max() <= 1e-15
+        # for |d| = 1 the S-node X is the Nystroem S of the plain case, a
+        # block Toeplitz matrix, to rounding
+        for p in (1, 2):
+            kern = toy_kernel(p, l=1.0, h=1 / 64)
+            ref = dense_plain_reference(kern, kern.m)
+            for d in (None, -np.ones(p)):
+                assert np.abs(build_structured_operator(kern, d=d).s - ref).max() <= 1e-15
 
-    @pytest.mark.parametrize("d", [GAUSS_D, np.array([-1.0, -np.sqrt(2.0)])])
+    @pytest.mark.parametrize("d", [GAUSS_D, np.array([-1.0, -np.sqrt(2.0)]), None,
+                                   np.array([-1.5, -1.5])])
     def test_hamiltonian_approaches_nystroem_at_second_order(self, d):
-        # measured ratios 3.9 to 4.1 per halving of h
+        # measured ratios 3.9 to 4.1 per halving of h; for |d| = 1 (None is
+        # D = -I) the two agree to rounding
+        weights = -np.ones(2) if d is None else d
         diffs = []
         for h in (1 / 32, 1 / 64, 1 / 128):
             kern = DifferenceKernel.from_function(gauss_kernel, p=2, l=1.25, h=h)
-            _, ham = canonical_from_kernel(kern, d=d, l=0.5)
+            _, ham = canonical_from_kernel(kern, d=weights, l=0.5)
             m = ham.m
             pi = build_structured_operator(kern, d=d, l=0.5).pi.reshape(2 * m, 4)
-            c = lapack_factor(nystrom_reference(kern, d, m))[1]
+            c = lapack_factor(nystrom_reference(kern, weights, m))[1]
             beta = solve_triangular(c, pi, lower=True).reshape(m, 2, 4)
             ham_s = hermitize(np.einsum("mji,mjk->mik", beta.conj(), beta))
             diffs.append(np.abs(ham.values - ham_s).max())
+        if d is None:
+            assert max(diffs) < 1e-13, diffs
+            return
         assert diffs[-1] < 1e-5
         for coarse, fine in zip(diffs, diffs[1:]):
             assert coarse / fine >= 3.5, diffs
 
-
-class TestStripAssembly:
-    @pytest.mark.parametrize("p", [1, 2])
-    def test_plain_case_bitwise_equal_to_dense_builder(self, p):
-        kern = toy_kernel(p, l=1.0, h=1 / 64)
-        op = build_structured_operator(kern)
-        assert op.s.tobytes() == dense_plain_reference(kern, kern.m).tobytes()
-        assert op.column.shape == (kern.m, p, p)
-
-    @pytest.mark.parametrize("d", [[-1.5], [-1.5, -1.5]])
-    def test_weighted_entries_match_kernel_at(self, d):
-        p = len(d)
-        kern = toy_kernel(p, l=2.0, h=1 / 32)
-        m = 20
-        op = build_structured_operator(kern, d=d, l=m * kern.h)
-        ref = nystrom_reference(kern, np.array(d), m)
-        assert np.abs(op.s - ref).max() <= 1e-14 * np.abs(ref).max()
-        assert np.abs(op.s - op.s.conj().T).max() == 0.0
-        assert op.column is not None
 
 class TestSchurFactor:
     @pytest.mark.parametrize("m", [1, 2, 200])
@@ -906,7 +896,6 @@ class TestSchurFactor:
     def test_matches_lapack(self, p, d, m):
         kern = toy_kernel(p)
         op = build_structured_operator(kern, d=d, l=m * kern.h)
-        assert op.column is not None
         fac = factorize_triangular(op)
         w, c = lapack_factor(op.s)
         assert np.abs(fac.w - w).max() <= 1e-12 * np.abs(w).max()
@@ -920,7 +909,7 @@ class TestSchurFactor:
         # commensurate weights take the S-node pass, as any distinct weights
         kern = toy_kernel(2, l=7.0)
         op = build_structured_operator(kern, d=d, l=m * kern.h)
-        assert op.column is None and op.pi.shape == (m, 2, 4)
+        assert op.pi.shape == (m, 2, 4)
         fac = factorize_triangular(op)
         w, c = lapack_factor(op.s)
         assert np.abs(fac.w - w).max() <= 1e-12 * np.abs(w).max()
@@ -931,17 +920,23 @@ class TestSchurFactor:
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 9, 13, 17, 33, 200])
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_reblocked_pass_ragged_lengths(self, p, m):
-        # the pass reads S in q = b p blocks; most of these M leave a partial
-        # last q-block (b = 16 // p from M = 17 on)
+        # the plain operator (D = -I) through the generator pass, which
+        # takes b = _snode_block(p, M) grid blocks per round: M beyond
+        # 32 / p needs more than one round, and most of these M leave a
+        # partial last one
         rng = np.random.default_rng(10 * m + p)
         kern = positive_kernel(rng, p, 2, 0.05, 1 / 64, m)
         op = build_structured_operator(kern)
         u = rng.normal(size=(m, p, 3)) + 1j * rng.normal(size=(m, p, 3))
-        c, wu, w0 = _schur_pass(op, rhs=u, chol=True, first_column=True)
+        unit = np.zeros((m, p, p))
+        unit[0] = np.eye(p)
+        c, beta = _snode_pass(op, chol=True, rhs=np.concatenate([u, unit], axis=2))
         w, c_ref = lapack_factor(op.s)
         n = m * p
-        for got, ref in ((c, c_ref), (wu.reshape(n, 3), w @ u.reshape(n, 3)),
-                         (w0.reshape(n, p), w[:, :p])):
+        beta = beta.reshape(n, 2 * p + 3 + p)
+        for got, ref in ((c, c_ref), (beta[:, :2 * p], w @ op.pi.reshape(n, 2 * p)),
+                         (beta[:, 2 * p:2 * p + 3], w @ u.reshape(n, 3)),
+                         (beta[:, 2 * p + 3:], w[:, :p])):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("rows,inner,n", [(1, 1, 70000), (1, 8, 4100), (16, 16, 700),
@@ -950,36 +945,27 @@ class TestSchurFactor:
         # OpenBLAS threads a zgemm from m n k = 2^16 on, and the zgemv numpy
         # calls for a one-row k from m n = 2^12 on; every panel stays below
         limit = 1 << 12 if rows == 1 else 1 << 16
-        widths = []
-
-        class Spy(np.ndarray):
-            def __matmul__(self, other):
-                widths.append(other.shape[1])
-                return np.asarray(self) @ other
-
-        rng = np.random.default_rng(n)
-        k = rng.normal(size=(rows, inner)) + 1j * rng.normal(size=(rows, inner))
-        b = rng.normal(size=(inner, n)) + 1j * rng.normal(size=(inner, n))
-        out = rng.normal(size=(rows, n)) + 0j
-        ref = out - k @ b
-        _sub_product(out, k.view(Spy), b)
-        assert sum(widths) == n and n % widths[0] and len(widths) > 1
+        k = np.ones((rows, inner), dtype=complex)
+        panels = _panels(k, n)
+        widths = [cols.stop - cols.start for cols in panels]
+        assert panels[0].start == 0 and panels[-1].stop >= n > panels[-1].start
+        assert all(a.stop == b.start for a, b in zip(panels, panels[1:]))
+        assert n % widths[0] and len(widths) > 1
         assert max(widths) * rows * inner < limit
-        # equal up to the summation order inside a zgemm
-        assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("p,c", [(1, -8.0), (2, -6.0)])
     def test_failed_pivot_names_lapack_minor(self, p, c):
         routes = {}
-        # M = 64 fails inside a full q-block of the re-blocked pass, away
-        # from its first column; the shorter M = 53 (p = 1) or 30 (p = 2)
-        # fails at the same minor, inside the partial last q-block
+        # the plain operator, D = -I: M = 64 fails inside the second, full
+        # round of the generator pass (q = 32 rows), away from its first
+        # column; the shorter M = 53 (p = 1) or 30 (p = 2) fails at the
+        # same minor, inside the partial last round
         for m, last in ((64, False), ({1: 53, 2: 30}[p], True)):
             kern = toy_kernel(p, c=c, l=m / 64, h=1 / 64)
             op = build_structured_operator(kern)
             _, info = lapack.zpotrf(op.s, lower=1)
             assert info > p      # fails past the first block
-            q = _toeplitz_block(p, m) * p
+            q = _snode_block(p, m) * p
             step, column = divmod(info - 1, q)
             assert column > 0 and ((step + 1) * q > m * p) == last
             routes.update({
@@ -988,7 +974,7 @@ class TestSchurFactor:
                 (m, "kernel-edge"): (
                     lambda kern=kern: recover_potential(kern, mode="kernel-edge"), info),
                 (m, "theta"): (lambda kern=kern: theta_functions(kern), info),
-                # d = -1 gives the plain operator's S
+                # the plain operator is d = -1
                 (m, "canonical"): (
                     lambda kern=kern: canonical_from_kernel(kern, d=-np.ones(p)), info),
             })
@@ -1000,7 +986,7 @@ class TestSchurFactor:
                 kern = toy_kernel(p, c=-6.5, l=2 * m / 64, h=1 / 64)
                 op = build_structured_operator(kern, d=GAUSS_D, l=m / 64)
                 _, info = lapack.zpotrf(op.s, lower=1)
-                assert info > p and op.column is None
+                assert info > p
                 q = _snode_block(p, m) * p
                 step, column = divmod(info - 1, q)
                 assert column > 0 and ((step + 1) * q > m * p) == last
@@ -1199,15 +1185,18 @@ def distinct_operators(draw):
 @st.composite
 def blocked_snode_cases(draw):
     """A positive kernel (:func:`positive_kernel`) and weights for the
-    blocked S-node pass: p = 2 or 3, distinct weights or, at p = 3, one
-    weight repeated (as d = (-1, -1, -2)), which gives c = 0 for two
-    distinct components; M often not a multiple of the pass's b, and zero
-    to three carried columns."""
-    p = draw(st.sampled_from([3, 2]))
+    blocked S-node pass: all weights equal (c = 0 throughout) at p = 1, 2
+    or 3, distinct weights at p = 2 or 3, or at p = 3 one weight repeated
+    (as d = (-1, -1, -2)), which gives c = 0 for two distinct components;
+    M often not a multiple of the pass's b, and zero to three carried
+    columns."""
+    p = draw(st.sampled_from([3, 2, 1]))
     m = draw(st.integers(17, 80) | st.integers(1, 16))
     l = draw(st.floats(0.25, 1.5))
     u = draw(st.floats(0.5, 1.5))
-    if p == 3 and draw(st.booleans()):
+    if p == 1 or draw(st.integers(0, 3)) == 0:
+        d = np.full(p, -u)
+    elif p == 3 and draw(st.booleans()):
         d = -u * np.array(draw(st.permutations([1.0, 1.0, draw(st.sampled_from([0.5, 2.0]))])))
     else:
         d = -u * np.array([1.0] + [draw(st.floats(0.3, 3.0)) for _ in range(p - 1)])
@@ -1216,6 +1205,23 @@ def blocked_snode_cases(draw):
     kern = positive_kernel(rng, p, draw(st.integers(1, 3)), draw(st.floats(0.0, 0.1)),
                            l / m, _stored_blocks(d, m))
     return kern, d, l, draw(st.integers(0, 3))
+
+
+@st.composite
+def fundamental_splits(draw):
+    """A positive operator (:func:`positive_operators`; the plain case as
+    d = -1), 2 to 12 scattered z and the cut points of a split of them
+    into consecutive parts (single points included).  Grids coarser than
+    h = 1/2, which can lose positivity (:func:`positive_kernel`), are left
+    out."""
+    kern, d, l = draw(positive_operators())
+    assume(kern.h <= 0.5)
+    d = -np.ones(kern.p) if d is None else d
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(2, 12))
+    zs = rng.uniform(-8.0, 8.0, k) + 1j * rng.uniform(-2.0, 4.0, k)
+    cuts = draw(st.sets(st.integers(1, k - 1), min_size=1))
+    return kern, d, l, zs, sorted(cuts)
 
 
 class TestFactorProperties:
@@ -1235,9 +1241,8 @@ class TestFactorProperties:
         for got, ref in ((fac.apply(x), w @ flat), (fac.apply_inverse(x), c @ flat)):
             assert np.abs(got.reshape(n, 3) - ref).max() <= 1e-12 * np.abs(ref).max()
 
-        if op.column is not None:
-            chol, _ = lapack.zpotrf(op.s, lower=1, clean=1)
-            assert np.abs(c - chol).max() <= 1e-12 * np.abs(chol).max()
+        chol, _ = lapack.zpotrf(op.s, lower=1, clean=1)
+        assert np.abs(c - chol).max() <= 1e-12 * np.abs(chol).max()
 
         if d is not None:
             zs = np.array([0.7 + 0.5j, -1.0 + 2.0j])
@@ -1295,13 +1300,24 @@ class TestFactorProperties:
             minors.append(err.value.minor)
         assert minors[0] == minors[1]
 
+    @seed(20261022)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(fundamental_splits())
+    def test_fundamental_batch_split_within_documented_bound(self, case):
+        # the z of a batch share the pass's products, so a split is not
+        # bit for bit; fundamental_from_kernel's docstring states the bound
+        kern, d, l, zs, cuts = case
+        whole = fundamental_from_kernel(kern, d, l, zs)
+        parts = np.concatenate([fundamental_from_kernel(kern, d, l, part)
+                                for part in np.split(zs, cuts)])
+        assert np.abs(parts - whole).max() <= 4e-15 * np.abs(whole).max()
+
     @seed(20261021)
     @settings(max_examples=40, deadline=None, database=None)
     @given(blocked_snode_cases())
     def test_blocked_snode_pass_matches_oracle(self, case):
         kern, d, l, r = case
         op = build_structured_operator(kern, d=d, l=l)
-        assert op.column is None
         rhs = None
         if r:
             rng = np.random.default_rng(op.m)
@@ -1337,7 +1353,6 @@ class TestFactorProperties:
     def test_snode_pass(self, case):
         kern, d, l = case
         op = build_structured_operator(kern, d=d, l=l)
-        assert op.column is None
         chol, info = lapack.zpotrf(op.s, lower=1, clean=1)
         if info:
             # coarse grids (M = 1, h > 1) can lose positivity: the pass
