@@ -41,7 +41,6 @@ from .rational import (
     Realization,
     params_from_realization,
     realization_from_params,
-    realization_from_pole_data,
     validate_realization,
 )
 from .grids import DifferenceKernel, GridFunction

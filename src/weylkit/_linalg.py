@@ -15,7 +15,11 @@ __all__ = [
     "resolvent_apply",
     "expm_stack",
     "upper_half_plane",
+    "MAX_COMPLEX_ENTRIES",
 ]
+
+# the most entries numpy allows in one complex array
+MAX_COMPLEX_ENTRIES = np.iinfo(np.intp).max // np.dtype(complex).itemsize
 
 
 def anti_diag_j(p):

@@ -132,14 +132,16 @@ def _x_grid(args):
     return np.linspace(0.0, args.xmax, args.nx)
 
 
-def _write_hamiltonian(outdir, params, xs):
-    hgrid = GridFunction(h=xs[1] - xs[0] if len(xs) > 1 else 1.0,
-                         values=hamiltonian_grid(params, xs), x0=0.0)
-    io.write_grid_csv(os.path.join(outdir, "H.csv"), hgrid)
+def _hamiltonian(params, xs):
+    return GridFunction(h=xs[1] - xs[0] if len(xs) > 1 else 1.0,
+                        values=hamiltonian_grid(params, xs), x0=0.0)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# Each subcommand computes all its outputs before it creates the output
+# directory, so a run that fails writes nothing.
 
 
 def _cmd_direct(args):
@@ -147,13 +149,15 @@ def _cmd_direct(args):
     params = io.load_params(args.params)
     require_valid(params)
     zs = np.array(_parse_zgrid(args.z))
-    outdir = _outdir(args)
-    _write_hamiltonian(outdir, params, xs)
+    hgrid = _hamiltonian(params, xs)
     pair = weyl_pair(params, validate=False)
-    zcols = _z_columns(zs)
-    io.write_rows(os.path.join(outdir, "phi.csv"), _Z_LABELS, zcols, pair.phi(zs))
-    io.write_rows(os.path.join(outdir, "phi_hat.csv"), _Z_LABELS, zcols, pair.phi_hat(zs))
+    phi, phi_hat = pair.phi(zs), pair.phi_hat(zs)
     w = fundamental_direct(params, xs, zs)     # (len zs, len xs) stack, rows z-major
+    outdir = _outdir(args)
+    io.write_grid_csv(os.path.join(outdir, "H.csv"), hgrid)
+    zcols = _z_columns(zs)
+    io.write_rows(os.path.join(outdir, "phi.csv"), _Z_LABELS, zcols, phi)
+    io.write_rows(os.path.join(outdir, "phi_hat.csv"), _Z_LABELS, zcols, phi_hat)
     xz = np.column_stack([np.tile(xs, zs.size), np.repeat(zcols, xs.size, axis=0)])
     io.write_rows(os.path.join(outdir, "w.csv"), ["x"] + _Z_LABELS, xz,
                   w.reshape((-1,) + w.shape[2:]))
@@ -170,12 +174,12 @@ def _cmd_inverse(args):
     zs = _parse_zgrid(args.z)
     params = params_from_realization(
         real, [z for z in zs if z.imag > 0] + list(rational._VALIDATION_GRID))
+    hgrid = _hamiltonian(params, xs)
+    phi = weyl_pair(params, validate=False).phi(np.array(zs))
     outdir = _outdir(args)
     io.save_params(os.path.join(outdir, "params.json"), params)
-    _write_hamiltonian(outdir, params, xs)
-    pair = weyl_pair(params, validate=False)
-    io.write_rows(os.path.join(outdir, "phi.csv"), _Z_LABELS, _z_columns(zs),
-                  pair.phi(np.array(zs)))
+    io.write_grid_csv(os.path.join(outdir, "H.csv"), hgrid)
+    io.write_rows(os.path.join(outdir, "phi.csv"), _Z_LABELS, _z_columns(zs), phi)
     _manifest(outdir, "inverse", {
         "realization": os.path.basename(args.realization), "xmax": args.xmax,
         "nx": args.nx, "z": args.z,
@@ -193,21 +197,18 @@ def _cmd_recover(args):
         sampler, eta=args.eta, a=args.a, h=args.step, xmax=args.xmax,
         mode=args.mode, d=d,
     )
+    if args.mode == "dirac":
+        grids = {"v.csv": recover_potential(kernel, mode="endpoint"),
+                 "v_alt.csv": recover_potential(kernel, mode="kernel-edge")}
+    else:
+        beta, ham = canonical_from_kernel(kernel, d=d)
+        grids = {"beta.csv": beta, "H.csv": ham}
     outdir = _outdir(args)
     io.write_grid_csv(os.path.join(outdir, "s.csv"), s_grid)
     io.write_kernel_csv(os.path.join(outdir, "k.csv"), kernel)
-    outputs = ["s.csv", "k.csv"]
-    if args.mode == "dirac":
-        v = recover_potential(kernel, mode="endpoint")
-        v_alt = recover_potential(kernel, mode="kernel-edge")
-        io.write_grid_csv(os.path.join(outdir, "v.csv"), v)
-        io.write_grid_csv(os.path.join(outdir, "v_alt.csv"), v_alt)
-        outputs += ["v.csv", "v_alt.csv"]
-    else:
-        beta, ham = canonical_from_kernel(kernel, d=d)
-        io.write_grid_csv(os.path.join(outdir, "beta.csv"), beta)
-        io.write_grid_csv(os.path.join(outdir, "H.csv"), ham)
-        outputs += ["beta.csv", "H.csv"]
+    for name, grid in grids.items():
+        io.write_grid_csv(os.path.join(outdir, name), grid)
+    outputs = ["s.csv", "k.csv"] + list(grids)
     _manifest(outdir, "recover", {
         "samples": os.path.basename(args.samples), "eta": args.eta, "a": args.a,
         "step": args.step, "xmax": args.xmax, "mode": args.mode,
@@ -235,6 +236,15 @@ def _cmd_fundamental(args):
     return 0
 
 
+def _norm(a):
+    """Frobenius norm of ``a`` with no overflow in its squares: ``a`` is
+    scaled by the power of two of its largest entry, which is exact, and
+    the norm scaled back."""
+    a = np.atleast_2d(a)
+    scale = np.ldexp(1.0, -np.frexp(np.abs(a).max())[1])
+    return np.linalg.norm(a * scale) / scale
+
+
 def _cmd_interpolate(args):
     values = io.read_lattice_samples(args.samples)
     n = min(args.n, values.shape[0] - 1)
@@ -244,10 +254,10 @@ def _cmd_interpolate(args):
         z0=_parse_complex(args.z0), truncation=args.truncation,
         return_partials=True,
     )
+    residuals = [_norm(part - partials[-1]) for part in partials]
     outdir = _outdir(args)
     io.write_rows(os.path.join(outdir, "value.csv"), _Z_LABELS, _z_columns([z]),
                   np.atleast_2d(value)[None])
-    residuals = [np.linalg.norm(np.atleast_2d(part - partials[-1])) for part in partials]
     io._write_table(os.path.join(outdir, "convergence.csv"), ["N", "residual"],
                     np.column_stack([np.arange(len(partials)), residuals]))
     _manifest(outdir, "interpolate", {

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from . import defaults
-from ._linalg import eigmin_hermitian, upper_half_plane
+from ._linalg import MAX_COMPLEX_ENTRIES, eigmin_hermitian, upper_half_plane
 from .exceptions import DomainError, StructuralError
 from .grids import DifferenceKernel, GridFunction, _stencil_derivative
 
@@ -385,14 +385,12 @@ def amplitude_from_weyl(
                               ("the trapezoid step", "dzeta", dzeta)):
         if not 0 < value < np.inf:
             raise DomainError(f"{what} needs finite {name} > 0, got {name} = {value}")
-    # the most entries numpy allows in a complex array
-    limit = np.iinfo(np.intp).max // np.dtype(complex).itemsize
     for quotient, num, den in (("xmax / h", xmax, h), ("a / dzeta", a, dzeta)):
         ratio = float(num) / float(den)
-        if not ratio < limit:
+        if not ratio < MAX_COMPLEX_ENTRIES:
             raise DomainError(
                 f"{quotient} = {num} / {den} = {ratio:.6g}: more grid points than "
-                f"a numpy array can hold ({limit:.3g})")
+                f"a numpy array can hold ({MAX_COMPLEX_ENTRIES:.3g})")
     d = _amplitude_weights(mode, d)
     p = None if d is None else d.size
     m = int(round(xmax / h))
@@ -495,11 +493,11 @@ def amplitude_from_weyl(
 # Herglotz validation
 
 
-def herglotz_check(phi, grid, tol=defaults.IDENTITY_TOL):
+def herglotz_check(phi, grid):
     """Sample Im phi over a grid in the open upper half-plane.
 
     Reports the smallest eigenvalue of (phi - phi*) / 2i over the grid
-    (pass iff >= -tol) and the sup of ||phi(z) / z^2|| as a quadratic
+    (pass iff >= -IDENTITY_TOL) and the sup of ||phi(z) / z^2|| as a quadratic
     integrability proxy.
     """
     grid = [complex(z) for z in upper_half_plane(grid, "herglotz_check")]
@@ -515,7 +513,7 @@ def herglotz_check(phi, grid, tol=defaults.IDENTITY_TOL):
             eigmin, argmin = em, z
         decay = max(decay, float(np.linalg.norm(val / z ** 2, 2)))
     return {
-        "passed": bool(eigmin >= -tol),
+        "passed": bool(eigmin >= -defaults.IDENTITY_TOL),
         "imag_part_min": float(eigmin),
         "worst_z": argmin,
         "quadratic_decay_sup": decay,

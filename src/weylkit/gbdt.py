@@ -11,7 +11,7 @@ evolved state, the transfer matrix, the Hamiltonian, the fundamental solution
 and the pair of rational Weyl functions -- is available in closed form.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -167,7 +167,7 @@ def initial_hamiltonian(d):
     return col @ col.conj().T
 
 
-def validate_params(params, tol=defaults.IDENTITY_TOL):
+def validate_params(params):
     """Check the input identity alpha - alpha* = i Lambda J Lambda*.
 
     Returns a report dict; never raises on a mere failure (a dimension
@@ -179,7 +179,7 @@ def validate_params(params, tol=defaults.IDENTITY_TOL):
     scale = np.linalg.norm(params.alpha, 2) + 1.0
     rel = rel_residual(residual, scale)
     return {
-        "passed": bool(rel < tol),
+        "passed": bool(rel < defaults.IDENTITY_TOL),
         "identity_residual": rel,
         "det_alpha_nonzero": bool(abs(np.linalg.det(params.alpha)) > 0.0),
         "d_negative": params.d_negative,
@@ -188,8 +188,8 @@ def validate_params(params, tol=defaults.IDENTITY_TOL):
     }
 
 
-def require_valid(params, tol=defaults.IDENTITY_TOL):
-    report = validate_params(params, tol)
+def require_valid(params):
+    report = validate_params(params)
     if not report["passed"]:
         raise ValidationError(
             f"parameter identity violated (residual {report['identity_residual']:.3e})",
@@ -297,10 +297,9 @@ def _transfer(params, lam, sigma, zs):
     return np.eye(2 * params.p, dtype=complex) - 1j * J @ lam_h @ core
 
 
-def transfer_matrix(params, x, z, state=None):
+def transfer_matrix(params, x, z):
     """Transfer matrix w(x, z) at one position; ``z`` a scalar or a 1-D array."""
-    if state is None:
-        state = evolve_state(params, x)
+    state = evolve_state(params, x)
     w = _transfer(params, state.lam, state.sigma, np.reshape(z, -1))
     return w.reshape(np.shape(z) + w.shape[1:])
 
@@ -354,21 +353,24 @@ def _pole_free(params, xs, zs, lam, sigma):
     return _seed_solution(params, xs, zs) + psi @ lam_0 - 1j * J @ lam_h @ core
 
 
-def _closed_form(params, xs, zs, band):
+def _closed_form(params, xs, zs):
     """v0(x) w(x, z) = w_t(x, z) w_seed(x, z) w_t(0, z)^-1 on the grid ``xs``
     by ``zs`` (1-D arrays), a (len zs, len xs, 2p, 2p) stack.
 
     The product of the transfer matrix w_t and the free seed solution is
     entire in z, but w_t has poles on the spectrum of alpha and w_t(0, .)^-1
-    on its conjugate, and the product loses about eps / gap of its relative
-    accuracy to their cancellation.  A z within ``band * (1 + ||alpha||)`` of
-    a pole (``band`` holds one relative width per z) therefore takes the
-    pole-free form of :func:`_pole_free`, in which the cancellation is done
-    in exact arithmetic; every other z takes the plain product.
+    on its conjugate, and the product loses about eps ||alpha|| / gap of its
+    relative accuracy to their cancellation, and eps (||alpha|| / gap)^2
+    where z is that close to a pole of both factors (z = 0 when an
+    eigenvalue of alpha is near 0, as for a nearly singular alpha).  Every z
+    within ``_POLE_BAND * (1 + ||alpha||)`` of a pole, z = 0 included,
+    therefore takes the pole-free form of :func:`_pole_free`, in which the
+    cancellation is done in exact arithmetic; every other z takes the plain
+    product.
     """
     eigs, scale = params.alpha_spectrum
     poles = (np.concatenate([eigs, eigs.conj()]), scale)
-    near = pole_gaps(poles, zs, rel=np.asarray(band, dtype=float)[:, None])[1].any(axis=1)
+    near = pole_gaps(poles, zs, rel=_POLE_BAND)[1].any(axis=1)
     far = zs[~near]
 
     _, lam, sigma = evolve_grid(params, xs)
@@ -386,23 +388,25 @@ def _gauge(params, xs):
     """J-unitary gauge v0 on the positions ``xs``, normalized to v0(0) = I.
 
     w(x, 0) = I and w_seed(x, 0) = I, so v0(x) is :func:`_closed_form` at
-    z = 0, for singular and invertible alpha alike.  Its band there is the
-    resolvent's guard: an invertible alpha takes the plain product
-    w_t(x, 0) w_t(0, 0)^-1, and only a singular one, for which 0 is a pole of
-    both transfer factors, takes the pole-free form.
+    z = 0, for singular and invertible alpha alike, with the same band as
+    every other z: an eigenvalue of alpha within it of 0 takes the pole-free
+    form, and every other alpha the plain product w_t(x, 0) w_t(0, 0)^-1.
     """
-    return _closed_form(params, xs, np.zeros(1), [defaults.POLE_CUTOFF])[0]
-
-
-def gauge_factor(params, x):
-    """J-unitary gauge v0(x) at one position, normalized to v0(0) = I."""
-    return _gauge(params, np.array([_one_point(x)]))[0]
+    return _closed_form(params, xs, np.zeros(1))[0]
 
 
 def hamiltonian_grid(params, xs):
     """Hamiltonian H(x) = v0(x)* H0 v0(x) on an array of positions.
 
     Hermitian, PSD, rank <= p: H = beta* beta with beta = [D/2  I] v0.
+    The positions of one call share stacked exponentials, whose Pade degree
+    follows the stack's largest norm, so a batch split into parts is not
+    reproduced bit for bit.  The parts stay within 16 eps of the batch,
+    relative to its largest |H| entry, times max(1, ((1 + ||alpha||) / g)^2)
+    when the distance g from 0 to the spectrum of alpha lies outside the
+    band of the pole-free form (the plain product amplifies the rounding by
+    about that much).  The worst of 3,000 random splits was 3.7 eps times
+    that factor.
     """
     xs = np.asarray(xs, dtype=float).reshape(-1)
     p = params.p
@@ -423,18 +427,25 @@ def fundamental_direct(params, x, z):
     ``shape(z) + shape(x) + (2p, 2p)``, so two arrays give a (len z, len x)
     stack from one batched evaluation.  It is v0(x)^-1 times
     :func:`_closed_form`, whose value at z = 0 is the gauge v0(x) itself
-    (:func:`_gauge`, with its band); both come from one evaluation.  Within
+    (:func:`_gauge`); both come from one evaluation.  Within
     ``_POLE_BAND * (1 + ||alpha||)`` of a pole of the transfer matrix, or of
-    its inverse at x = 0, the value comes from the pole-free form, so every
-    z, the spectrum of alpha and its conjugate included, has a value and
-    none raises SingularityError.
+    its inverse at x = 0, the value comes from the pole-free form, for the
+    gauge's z = 0 as for every other z, so every z, the spectrum of alpha
+    and its conjugate included, has a value and none raises
+    SingularityError.  A z at which w overflows (the seed solution grows
+    like exp(|Im z| x max|d|)) raises DomainError naming it.
     """
     xs = np.asarray(x, dtype=float).reshape(-1)
     zs = np.asarray(z, dtype=complex).reshape(-1)
     m = 2 * params.p
-    band = np.append(np.full(zs.size, _POLE_BAND), defaults.POLE_CUTOFF)
-    vals = _closed_form(params, xs, np.append(zs, 0.0), band)
-    w = np.linalg.solve(vals[-1], vals[:-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _closed_form(params, xs, np.append(zs, 0.0))
+        w = np.linalg.solve(vals[-1], vals[:-1])
+    bad = ~np.isfinite(w).all(axis=(1, 2, 3))
+    if bad.any():
+        raise DomainError(
+            f"the fundamental solution is not finite at z = {zs[bad][0]}; "
+            f"reduce |Im z| or x")
     return w.reshape(np.shape(z) + np.shape(x) + (m, m))
 
 
@@ -444,8 +455,6 @@ class WeylPair:
 
     ``phi`` carries the value -(i/2) D at infinity, ``phi_hat`` the value
     (i/2)|D|; for D < 0 the two coincide and the Weyl function is unique.
-    ``p1``/``p2`` are the complementary 0/1 diagonal projectors splitting D
-    by sign, so that P1 + P2 = I and D (P1 - P2) = |D| exactly.
     """
 
     d: np.ndarray
@@ -455,8 +464,6 @@ class WeylPair:
     gamma_hat: np.ndarray
     psi1_0_hat: np.ndarray
     psi2_hat: np.ndarray
-    p1: np.ndarray = field(repr=False)
-    p2: np.ndarray = field(repr=False)
 
     @property
     def p(self):
@@ -501,10 +508,7 @@ def weyl_pair(params, validate=True):
     psi1_0_hat = params.lambda1 - 0.5 * params.lambda2 * abs_d
     psi2_hat = params.lambda1 + 0.5 * params.lambda2 * abs_d
     gamma_hat = params.alpha - 1j * psi2_hat @ params.lambda2.conj().T
-    p1 = np.diag((d > 0).astype(float))
-    p2 = np.diag((d < 0).astype(float))
     return WeylPair(
         d=d, gamma=gamma, psi1_0=psi1_0, psi2=psi2,
         gamma_hat=gamma_hat, psi1_0_hat=psi1_0_hat, psi2_hat=psi2_hat,
-        p1=p1, p2=p2,
     )

@@ -270,12 +270,15 @@ def interpolate_series(
     all_partials = np.empty((zs.size, n_terms + 1, p, p), dtype=complex)
     cuts = []
     for k, zk in enumerate(zs.tolist()):
-        if mode == "general":
-            prefactor = complex(1.0)
-        elif mode == "weyl-dirac":
-            prefactor = -(zk ** 2)
-        else:
-            prefactor = -((zk + z0) ** 2)
+        try:
+            if mode == "general":
+                prefactor = complex(1.0)
+            elif mode == "weyl-dirac":
+                prefactor = -(zk ** 2)
+            else:
+                prefactor = -((zk + z0) ** 2)
+        except OverflowError:
+            raise DomainError(f"the prefactor of the {mode} series overflows at z = {zk}") from None
         # c_n at lambda = z + i/2 - i eps, so u = i lambda + 1/2 = eps + i z
         cs, bits = _c_weights(_gaussian((epsilon, -zk.imag), (zk.real,)), n_terms)
         flat, mags = _partials_at(inner, cs, bits + xs, truncation == "auto")

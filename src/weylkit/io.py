@@ -246,8 +246,8 @@ def _read_rows(path, n_abscissa=1):
     return data[:, :n_abscissa], values
 
 
-def write_grid_csv(path, grid, xlabel="x"):
-    write_rows(path, [xlabel], grid.xs, grid.values)
+def write_grid_csv(path, grid):
+    write_rows(path, ["x"], grid.xs, grid.values)
 
 
 def read_grid_csv(path):

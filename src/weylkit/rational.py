@@ -29,7 +29,6 @@ __all__ = [
     "validate_realization",
     "params_from_realization",
     "realization_from_params",
-    "realization_from_pole_data",
 ]
 
 _VALIDATION_GRID = (1j, 2j, 1 + 1j)   # Herglotz check points when no grid is given
@@ -85,7 +84,7 @@ class Realization:
         return 0.5j * np.diag(np.abs(self.d)) + self.psi1_0.conj().T @ res
 
 
-def validate_realization(r, grid, tol=defaults.IDENTITY_TOL):
+def validate_realization(r, grid):
     """Check the gamma identity, Herglotz positivity on ``grid``, and the
     value at infinity.  Returns a report dict whether or not the checks
     pass.  Raises StructuralError for an empty grid, DomainError for a grid
@@ -105,6 +104,7 @@ def validate_realization(r, grid, tol=defaults.IDENTITY_TOL):
     R = 1e6
     at_inf = r.phi(1j * R) - 0.5j * np.diag(np.abs(r.d))
     inf_err = float(np.linalg.norm(at_inf, 2))
+    tol = defaults.IDENTITY_TOL
     return {
         "passed": bool(
             identity_rel < tol and herglotz_min >= -tol and inf_err < 1e-4
@@ -147,58 +147,3 @@ def realization_from_params(params):
     return Realization(
         d=params.d.copy(), gamma=pair.gamma, psi1_0=pair.psi1_0, psi2=pair.psi2
     )
-
-
-def realization_from_pole_data(poles, residues, d, rank_tol=1e-12):
-    """Assemble a realization from simple poles and residue matrices.
-
-    phi(z) = (i/2)|D| + sum_m R_m / (mu_m - z) with each residue factored
-    rank-revealingly.  The gamma identity is *not* automatic for arbitrary
-    pole data; the assembled realization is validated and rejected when it
-    fails the identity or Herglotz positivity.
-    """
-    d = np.asarray(d, dtype=float).reshape(-1)
-    p = d.size
-    poles = [complex(m) for m in poles]
-    for i, mu in enumerate(poles):
-        if mu.imag > -1e-10:
-            raise DomainError(
-                f"pole {mu} lies in (or within 1e-10 of) the closed upper half-plane"
-            )
-        for nu in poles[:i]:
-            if abs(mu - nu) < 1e-10:
-                raise StructuralError(f"poles {mu} and {nu} are not distinct")
-    if len(poles) != len(residues):
-        raise StructuralError("need one residue matrix per pole")
-
-    gamma_blocks, c_blocks, b_blocks = [], [], []
-    for mu, res in zip(poles, residues):
-        res = np.asarray(res, dtype=complex)
-        if res.shape != (p, p):
-            raise StructuralError(f"residues must be {p} x {p}")
-        u, s, vh = np.linalg.svd(res)
-        rank = int(np.sum(s > rank_tol * (s[0] if s.size and s[0] > 0 else 1.0)))
-        if rank == 0:
-            continue
-        root = np.sqrt(s[:rank])
-        c_blocks.append(u[:, :rank] * root)          # p x r
-        b_blocks.append(root[:, None] * vh[:rank])   # r x p
-        gamma_blocks.append(mu * np.eye(rank, dtype=complex))
-    if gamma_blocks:
-        from scipy.linalg import block_diag
-
-        gamma = block_diag(*gamma_blocks).astype(complex)
-        psi1_0 = np.vstack([c.conj().T for c in c_blocks])
-        psi2 = np.vstack(b_blocks)
-    else:
-        gamma = np.zeros((0, 0), dtype=complex)
-        psi1_0 = np.zeros((0, p), dtype=complex)
-        psi2 = np.zeros((0, p), dtype=complex)
-    r = Realization(d=d, gamma=gamma, psi1_0=psi1_0, psi2=psi2)
-    report = validate_realization(r, [1j, 2j, 0.5 + 1j])
-    if not report["passed"]:
-        raise ValidationError(
-            "pole/residue data violates the gamma identity or Herglotz positivity",
-            report,
-        )
-    return r

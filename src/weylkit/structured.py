@@ -35,7 +35,7 @@ import numpy as np
 from scipy.linalg import blas, lapack, solve_banded, solve_triangular
 
 from . import defaults
-from ._linalg import anti_diag_j, expm_stack, hermitize, upper_half_plane
+from ._linalg import MAX_COMPLEX_ENTRIES, anti_diag_j, expm_stack, hermitize, upper_half_plane
 from .exceptions import (
     DomainError,
     PositivityError,
@@ -91,11 +91,26 @@ class StructuredOperator:
         return self.pi.shape[0]
 
 
+def _weights(kernel, d):
+    """The weight diagonal of an operator on ``kernel``: -1 for ``d`` None,
+    else one finite negative entry per block row (StructuralError for a
+    wrong count, DomainError for any other entry)."""
+    if d is None:
+        return -np.ones(kernel.p)
+    d = np.asarray(d, dtype=float).reshape(-1)
+    if d.size != kernel.p:
+        raise StructuralError("weight diagonal must have one entry per block row")
+    if not np.all(np.isfinite(d) & (d < 0.0)):
+        raise DomainError(f"weighted operators require finite negative D entries, got d = {d}")
+    return d
+
+
 def default_operator_length(kernel, d=None):
     """Longest operator length l, a whole number of grid steps, whose
-    arguments max|d| * l stay on the stored kernel (l = kernel.l for d None)."""
-    scale = 1.0 if d is None else float(np.abs(np.asarray(d, dtype=float)).max())
-    return kernel.h * int(np.floor(kernel.l / (scale * kernel.h) + 1e-9))
+    arguments max|d| * l stay on the stored kernel (l = kernel.l for d None);
+    ``d`` is checked as :func:`build_structured_operator` checks it."""
+    scale = float(np.abs(_weights(kernel, d)).max())
+    return kernel.h * float(np.floor(kernel.l / (scale * kernel.h) + 1e-9))
 
 
 def _pi_samples(kernel, d, xs):
@@ -171,9 +186,15 @@ def _check_length(l):
 
 def _block_count(kernel, l, scale):
     """Number of grid blocks M = l / h of an operator on [0, l] whose kernel
-    arguments reach scale * l; h must divide l and the kernel must be stored
-    out to scale * l."""
+    arguments reach scale * l; h must divide l, the kernel must be stored
+    out to scale * l and a numpy array must hold the (M, p, 2p) samples of
+    Pi (DomainError before anything is allocated)."""
     _check_length(l)
+    limit = MAX_COMPLEX_ENTRIES // (2 * kernel.p ** 2)
+    if not l / kernel.h < limit:
+        raise DomainError(
+            f"l / h = {l} / {kernel.h} = {l / kernel.h:.6g}: more grid blocks than "
+            f"a numpy array of Pi samples can hold ({limit:.3g})")
     m = int(round(l / kernel.h))
     if m < 1 or abs(m * kernel.h - l) > 1e-9 * max(1.0, l):
         raise StructuralError("grid step must divide the operator length")
@@ -195,14 +216,7 @@ def build_structured_operator(kernel, d=None, l=None):
     matrix is formed only when ``s`` is read.
     """
     p, h = kernel.p, kernel.h
-    if d is None:
-        d = -np.ones(p)
-    else:
-        d = np.asarray(d, dtype=float).reshape(-1)
-        if d.size != p:
-            raise StructuralError("weight diagonal must have one entry per block row")
-        if np.any(d >= 0.0):
-            raise DomainError("weighted operators require all D entries negative")
+    d = _weights(kernel, d)
     if l is None:
         l = default_operator_length(kernel, d)
     m = _block_count(kernel, l, np.abs(d).max())

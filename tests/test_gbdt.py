@@ -3,15 +3,18 @@ import re
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, quad_vec, solve_ivp
 from scipy.linalg import expm
 
 import weylkit as wk
 from weylkit._linalg import anti_diag_j, hermitize
 from weylkit.gbdt import (
+    _POLE_BAND,
+    _gauge,
     evolve_grid,
     evolve_state,
-    gauge_factor,
     hamiltonian_direct,
     hamiltonian_grid,
     initial_hamiltonian,
@@ -61,11 +64,11 @@ def _scaled(prm, c, shift=0.0):
                          lambda2=np.sqrt(c) * prm.lambda2)
 
 
-def _mp_fundamental(prm, x, zs, shift=0.0, dps=50):
-    """w(x, z + shift) for each z in ``zs`` from the plain product
-    w_t(x, z) w_seed(x, z) w_t(0, z)^-1 at ``dps`` digits, normalized by its
-    value at z = 0: an oracle for the closed form independent of its
-    pole-free evaluation."""
+def _mp_closed_form(prm, x, zs, dps=50):
+    """The plain product w_t(x, z) w_seed(x, z) w_t(0, z)^-1 = v0(x) w(x, z)
+    for each z in ``zs`` (numbers or mpmath numbers), mpmath matrices at
+    ``dps`` digits: an oracle for the closed form independent of its
+    pole-free evaluation.  At z = 0 it is the gauge v0(x)."""
     with mp.workdps(dps):
         n, p = prm.n, prm.p
         d = [mp.mpf(v) for v in prm.d]
@@ -103,9 +106,43 @@ def _mp_fundamental(prm, x, zs, shift=0.0, dps=50):
             seed = mp.diag([mp.exp(1j * z * x * dc) for dc in d] + [1] * p)
             return w_x * zmat * seed * z_inv * w_0_inv
 
-        v0_inv = product(mp.mpf(0)) ** -1
-        return np.array([(v0_inv * product(mp.mpc(z) + mp.mpf(shift))).tolist() for z in zs],
+        return [product(mp.mpc(z)) for z in zs]
+
+
+def _mp_fundamental(prm, x, zs, shift=0.0, dps=50):
+    """The gauge v0(x), then w(x, z + shift) for each z in ``zs``: a
+    (1 + len zs, 2p, 2p) stack of :func:`_mp_closed_form` at z = 0 and,
+    normalized by that, at each z."""
+    with mp.workdps(dps):
+        vals = _mp_closed_form(prm, x, [0] + [mp.mpc(z) + mp.mpf(shift) for z in zs], dps)
+        v0_inv = vals[0] ** -1
+        return np.array([vals[0].tolist()] + [(v0_inv * v).tolist() for v in vals[1:]],
                         dtype=complex)
+
+
+@st.composite
+def hamiltonian_splits(draw):
+    """A generated parameter set (n <= 4, p <= 2; D negative or of mixed
+    sign, or alpha singular), 2 to 12 positions on [0, 2] and the cut
+    points of a split of them into consecutive parts."""
+    n, p = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    kind = draw(st.sampled_from(["negative", "mixed", "singular"]))
+    prm = make_params(n, p, seed=draw(st.integers(0, 2**32 - 1)), negative=kind != "mixed",
+                      singular_alpha=kind == "singular" and n > 1)
+    k = draw(st.integers(2, 12))
+    xs = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, 2.0, k)
+    cuts = draw(st.sets(st.integers(1, k - 1), min_size=1))
+    return prm, xs, sorted(cuts)
+
+
+def split_bound(prm):
+    """The documented batch-split bound of :func:`hamiltonian_grid`,
+    relative to the batch's largest |H| entry."""
+    eigs, scale = prm.alpha_spectrum
+    gap = np.abs(eigs).min()
+    if gap < _POLE_BAND * (1.0 + scale):
+        return 16 * np.finfo(float).eps
+    return 16 * np.finfo(float).eps * max(1.0, ((1.0 + scale) / gap) ** 2)
 
 
 class TestValidate:
@@ -238,7 +275,7 @@ class TestTransfer:
     def test_resolvent_decay(self):
         prm = make_params(3, 2, seed=8)
         st = evolve_state(prm, 1.0)
-        w = transfer_matrix(prm, 1.0, 1e6j, state=st)
+        w = transfer_matrix(prm, 1.0, 1e6j)
         lam_norm = np.linalg.norm(st.lam, 2)
         assert np.linalg.norm(w - np.eye(4), 2) <= 1e-5 * lam_norm ** 2
 
@@ -283,7 +320,7 @@ class TestHamiltonian:
         assert wk.validate_params(prm)["passed"]
         h = hamiltonian_direct(prm, 0.8)
         assert np.linalg.eigvalsh(h).min() >= -1e-9
-        v0 = gauge_factor(prm, 0.8)
+        v0 = _gauge(prm, np.array([0.8]))[0]
         J = anti_diag_j(1)
         np.testing.assert_allclose(v0.conj().T @ J @ v0, J, atol=1e-7)
 
@@ -294,7 +331,7 @@ class TestHamiltonian:
         prm = make_params(n, p, seed=seed, singular_alpha=True)
         xs = np.array([0.0, 0.5, 2.0, 6.0])
         ref = _ode_gauge(prm, xs)
-        got = np.array([gauge_factor(prm, x) for x in xs])
+        got = _gauge(prm, xs)
         for g, r in zip(got, ref):
             assert np.abs(g - r).max() <= 1e-9 * np.abs(r).max()
 
@@ -303,31 +340,52 @@ class TestHamiltonian:
         # the gauge still solves v0' = -q0 v0 over a short leg
         prm = make_params(2, 1, seed=3, singular_alpha=True)
         xs = np.array([400.0, 400.5, 401.0])
-        got = np.array([gauge_factor(prm, x) for x in xs])
+        got = _gauge(prm, xs)
         ref = _ode_gauge(prm, xs, start=(xs[0], got[0]))
         assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
         J = anti_diag_j(1)
         for v0 in got:
             assert np.abs(v0.conj().T @ J @ v0 - J).max() <= 1e-12 * np.abs(v0).max() ** 2
 
-    @pytest.mark.parametrize("shift", [0.0, 1e-3], ids=["singular", "near-singular"])
+    @pytest.mark.parametrize("shift", [0.0, 1e-4], ids=["singular", "near-singular"])
     @pytest.mark.parametrize("n,p,seed", [(2, 1, 3), (3, 2, 5)])
     def test_gauge_at_large_alpha_norm(self, n, p, seed, shift):
         # ||alpha|| about 300: the gauge of the scaled set at x is the gauge
-        # of the unscaled one at 300 x, from x = 0 on; an invertible alpha,
-        # however close to singular, takes the plain product
-        # w_t(x, 0) w_t(0, 0)^-1
+        # of the unscaled one at 300 x, from x = 0 on.  Shifted, the
+        # eigenvalue 0.03 lies well within the band 1e-3 (1 + ||alpha||) of
+        # z = 0, and the pole-free gauge meets the plain product at 60 digits
         base = _scaled(make_params(n, p, seed=seed, singular_alpha=True), 1.0, shift)
         big = _scaled(base, 300.0)
         assert np.linalg.norm(big.alpha, 2) > 250.0
+        assert 300.0 * shift < 0.2 * _POLE_BAND * (1.0 + np.linalg.norm(big.alpha, 2))
         for x in (0.0, 0.002, 0.2, 1.0):
-            got, ref = gauge_factor(big, x), gauge_factor(base, 300.0 * x)
+            got, ref = _gauge(big, np.array([x]))[0], _gauge(base, np.array([300.0 * x]))[0]
             assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max(), x
             if shift:
-                plain = transfer_matrix(big, x, 0.0) @ np.linalg.inv(
-                    transfer_matrix(big, 0.0, 0.0))
-                np.testing.assert_allclose(got, plain, rtol=0,
-                                           atol=1e-14 * np.abs(plain).max())
+                exact = _mp_fundamental(big, x, [], dps=60)[0]
+                assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max(), x
+
+    @pytest.mark.parametrize("n,p,seed", [(2, 1, 3), (3, 2, 5), (4, 2, 7)])
+    def test_near_singular_alpha_against_mpmath(self, n, p, seed):
+        # alpha + shift I puts an eigenvalue at gap = shift from z = 0, a pole
+        # of both transfer factors.  Within the band the gauge and w take the
+        # pole-free form, at full accuracy; just outside it the plain product
+        # loses about eps (||alpha|| / gap)^2
+        base = make_params(n, p, seed=seed, singular_alpha=True)
+        top = np.linalg.eigvalsh(base.alpha).max()     # ||alpha + gap I|| = top + gap
+        outside = [f * _POLE_BAND * (1.0 + top) / (1.0 - f * _POLE_BAND)
+                   for f in (1.01, 2.0, 10.0)]
+        zs = np.array([-1.5, 0.3 + 0.2j, 2.0, 1e-4])
+        for gap, tol in ([(g, 1e-13) for g in (1e-3, 1e-5, 1e-7, 1e-9)]
+                         + [(g, 1e-10) for g in outside]):
+            prm = _scaled(base, 1.0, gap)
+            inside = gap < _POLE_BAND * (1.0 + np.linalg.norm(prm.alpha, 2))
+            assert inside == (tol == 1e-13)
+            for x in (0.3, 2.0):
+                got = np.concatenate([_gauge(prm, np.array([x])),
+                                      wk.fundamental_direct(prm, x, zs)])
+                for g, r in zip(got, _mp_fundamental(prm, x, zs, dps=60)):
+                    assert np.abs(g - r).max() <= tol * np.abs(r).max(), (gap, x)
 
     def test_singular_alpha_grid_matches_pointwise(self):
         # the pole-free gauge on a grid against the same gauge point by point
@@ -339,6 +397,18 @@ class TestHamiltonian:
         for h in grid:
             assert np.linalg.eigvalsh(h).min() >= -1e-10
             assert np.sum(np.linalg.svd(h, compute_uv=False) > 1e-8) <= prm.p
+
+    @seed(20261023)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(hamiltonian_splits())
+    def test_batch_split_within_documented_bound(self, case):
+        # the positions of a batch share the Pade degree of their stacked
+        # exponentials, so a split is not bit for bit; hamiltonian_grid's
+        # docstring states the bound
+        prm, xs, cuts = case
+        whole = hamiltonian_grid(prm, xs)
+        parts = np.concatenate([hamiltonian_grid(prm, part) for part in np.split(xs, cuts)])
+        assert np.abs(parts - whole).max() <= split_bound(prm) * np.abs(whole).max()
 
     def test_grid_matches_pointwise(self):
         prm = make_params(2, 1, seed=30)
@@ -409,7 +479,7 @@ class TestFundamental:
     def test_one_point_views_refuse_arrays(self):
         # an array x would otherwise come back as the value at its first entry
         prm = scalar_params()
-        for view in (evolve_state, gauge_factor, hamiltonian_direct,
+        for view in (evolve_state, hamiltonian_direct,
                      lambda prm, x: transfer_matrix(prm, x, 0.5j)):
             with pytest.raises(wk.StructuralError, match="x must be a scalar"):
                 view(prm, np.array([0.0, 1.0]))
@@ -479,7 +549,7 @@ class TestRemovableSingularity:
             poles = np.concatenate([eigs, eigs.conj()])
             for x in (0.5, 2.0):
                 w = wk.fundamental_direct(gen, x, poles)
-                ref = _mp_fundamental(gen, x, poles, shift=1e-30)
+                ref = _mp_fundamental(gen, x, poles, shift=1e-30)[1:]
                 for wz, rz in zip(w, ref):
                     assert np.abs(wz - rz).max() <= 1e-12 * np.abs(rz).max(), (seed, x)
         prm = make_params(3, 2, seed=64, negative=False)
@@ -608,13 +678,6 @@ class TestWeylPair:
         prm = make_params(4, 2, seed=40)
         pair = wk.weyl_pair(prm)
         assert np.linalg.eigvals(pair.gamma).imag.max() <= 1e-9
-
-    def test_sign_projectors(self):
-        prm = make_params(3, 2, seed=44, negative=False)
-        pair = wk.weyl_pair(prm)
-        np.testing.assert_array_equal(pair.p1 + pair.p2, np.eye(2))
-        np.testing.assert_array_equal(np.diag(prm.d) @ (pair.p1 - pair.p2),
-                                      np.diag(np.abs(prm.d)))
 
     def test_pole_proximity_raises(self):
         pair = wk.weyl_pair(scalar_params())

@@ -2,8 +2,10 @@ import dataclasses
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -510,6 +512,75 @@ class TestNonFiniteInput:
         assert main(["direct", "--params", path, "--z", "1:inf:2x0.5:1:2", "--out", str(out)]) == 1
         assert "grid axis '1:inf:2' has a non-finite end" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOverflowingInput:
+    """Finite input whose arithmetic would divide by zero, overflow or
+    allocate beyond any numpy array fails with DomainError (CLI exit 1, one
+    ``error:`` line, no output directory), and no numpy warning escapes."""
+
+    @staticmethod
+    def _fails_cleanly(argv, out, capsys, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("d", [0.0, np.nan, -np.inf, 1.0, -1e-300])
+    def test_operator_weights_checked_before_arithmetic(self, d):
+        kern = wio.read_kernel_csv(os.path.join(FIXTURES, "kernel.csv"))
+        message = ("more grid blocks than a numpy array" if d == -1e-300
+                   else "require finite negative D entries")
+        calls = [lambda: wk.build_structured_operator(kern, d=[d])]
+        if d != -1e-300:   # finite and negative: its default length is finite
+            calls.append(lambda: wk.structured.default_operator_length(kern, [d]))
+        for call in calls:
+            with pytest.raises(wk.DomainError, match=message):
+                call()
+
+    @pytest.mark.parametrize("d", ["0", "nan", "-1e-300"])
+    def test_fundamental_with_bad_weight_exits_1(self, d, tmp_path, capsys):
+        message = ("more grid blocks than a numpy array" if d == "-1e-300"
+                   else "require finite negative D entries")
+        self._fails_cleanly(["fundamental", "--kernel", os.path.join(FIXTURES, "kernel.csv"),
+                             f"--d={d}", "--z", "0.5+1j"], tmp_path / "o", capsys, message)
+
+    def test_fundamental_at_huge_z_is_named(self):
+        prm = make_params(2, 1, seed=70)
+        with pytest.raises(wk.DomainError, match=re.escape("not finite at z = 2e+200j")):
+            wk.fundamental_direct(prm, [0.0, 1.0], np.array([1j, 2e200j, 3e200j]))
+
+    def test_direct_at_huge_z_exits_1(self, tmp_path, capsys):
+        self._fails_cleanly(["direct", "--params", os.path.join(FIXTURES, "scalar_params.json"),
+                             "--xmax", "2", "--nx", "3", "--z", "1e200+1e200j"],
+                            tmp_path / "o", capsys, "not finite at z = (1e+200+1e+200j)")
+
+    @pytest.mark.parametrize("mode", ["weyl-dirac", "shifted"])
+    def test_interpolation_prefactor_overflow_is_named(self, mode):
+        with pytest.raises(wk.DomainError, match=re.escape("overflows at z = 1e+300j")):
+            wk.interpolate_series(np.ones(11), np.array([3j, 1e300j]), n_terms=10, mode=mode)
+
+    def test_interpolate_at_huge_z_exits_1(self, tmp_path, capsys):
+        self._fails_cleanly(["interpolate", "--samples", os.path.join(FIXTURES, "kernel.csv"),
+                             "--z", "1e300j", "--n", "10", "--mode", "weyl-dirac"],
+                            tmp_path / "o", capsys, "overflows at z = 1e+300j")
+
+    def test_interpolate_residuals_of_huge_samples(self, tmp_path):
+        # the residual norms are taken on a power-of-two scaled difference:
+        # huge samples give finite residuals, exactly 2^660 times those of
+        # the unscaled samples
+        samples = np.exp(-np.arange(12.0))[:, None, None] * (1 + 0.5j)
+        runs = {}
+        for name, scale in (("unit", 1.0), ("huge", 2.0 ** 660)):
+            wio.write_weyl_samples_csv(tmp_path / f"{name}.csv", np.arange(12.0), scale * samples)
+            out = tmp_path / name
+            assert main(["interpolate", "--samples", str(tmp_path / f"{name}.csv"), "--z", "3j",
+                         "--n", "10", "--out", str(out)]) == 0
+            runs[name] = np.loadtxt(out / "convergence.csv", delimiter=",", skiprows=1)[:, 1]
+        assert np.all(np.isfinite(runs["huge"])) and runs["unit"][0] > 0
+        np.testing.assert_array_equal(runs["huge"], 2.0 ** 660 * runs["unit"])
 
 
 # cells that 17 significant digits must carry exactly: signed zeros, the

@@ -7,7 +7,6 @@ import weylkit as wk
 from weylkit.rational import (
     params_from_realization,
     realization_from_params,
-    realization_from_pole_data,
     validate_realization,
 )
 
@@ -66,7 +65,8 @@ class TestRealizationPhi:
         np.testing.assert_array_equal(r.phi(zs), np.array([r.phi(z) for z in zs]))
 
     def test_empty_realization_batch(self):
-        r = realization_from_pole_data([], [], d=[-2.0])
+        r = wk.Realization(d=[-2.0], gamma=np.zeros((0, 0)), psi1_0=np.zeros((0, 1)),
+                           psi2=np.zeros((0, 1)))
         np.testing.assert_array_equal(r.phi(np.array(GRID)),
                                       np.tile(1j * np.eye(1), (len(GRID), 1, 1)))
 
@@ -147,30 +147,3 @@ class TestRealizationFromParams:
         assert np.abs(back.gamma - r.gamma).max() < 1e-12
         assert np.abs(back.psi1_0 - r.psi1_0).max() < 1e-12
         assert np.abs(back.psi2 - r.psi2).max() < 1e-12
-
-
-class TestPoleData:
-    def test_empty_pole_list(self):
-        r = realization_from_pole_data([], [], d=[-2.0, -1.0])
-        np.testing.assert_allclose(r.phi(1.7j), 0.5j * np.diag([2.0, 1.0]))
-
-    def test_scalar_pole_reproduces_known_realization(self):
-        known = scalar_realization()
-        residue = known.psi1_0.conj().T @ known.psi2   # numerator of the pole term
-        r = realization_from_pole_data([-1j], [residue], d=[-2.0])
-        for z in GRID:
-            np.testing.assert_allclose(r.phi(z), known.phi(z), atol=1e-12)
-
-    def test_upper_half_plane_pole_rejected(self):
-        with pytest.raises(wk.DomainError):
-            realization_from_pole_data([1j], [np.array([[-1.0 + 0j]])], d=[-2.0])
-
-    def test_duplicate_poles_rejected(self):
-        with pytest.raises(wk.StructuralError):
-            realization_from_pole_data([-1j, -1j],
-                                       [np.array([[-0.5 + 0j]])] * 2, d=[-2.0])
-
-    def test_identity_violating_residue_rejected(self):
-        # flipping the residue sign breaks the gamma identity
-        with pytest.raises(wk.ValidationError):
-            realization_from_pole_data([-1j], [np.array([[1.0 + 0j]])], d=[-2.0])
