@@ -304,7 +304,7 @@ def transfer_matrix(params, x, z):
     return w.reshape(np.shape(z) + w.shape[1:])
 
 
-_POLE_BAND = 1e-3   # z within _POLE_BAND * (1 + ||alpha||) of a pole takes the pole-free form
+_POLE_BAND = 2e-3   # z within _POLE_BAND * ||alpha|| of a pole takes the pole-free form
 
 
 def _seed_solution(params, xs, zs):
@@ -363,14 +363,18 @@ def _closed_form(params, xs, zs):
     relative accuracy to their cancellation, and eps (||alpha|| / gap)^2
     where z is that close to a pole of both factors (z = 0 when an
     eigenvalue of alpha is near 0, as for a nearly singular alpha).  Every z
-    within ``_POLE_BAND * (1 + ||alpha||)`` of a pole, z = 0 included,
-    therefore takes the pole-free form of :func:`_pole_free`, in which the
+    within ``_POLE_BAND * ||alpha||`` of a pole, z = 0 included, therefore
+    takes the pole-free form of :func:`_pole_free`, in which the
     cancellation is done in exact arithmetic; every other z takes the plain
-    product.
+    product.  The band scales with alpha, as do the poles, so the scaled
+    system (c alpha, sqrt(c) Lambda) at (x, z) takes the form that the
+    unscaled one takes at (c x, z / c).  A z within the resolvents' own
+    guard (which reaches outside the band only for ||alpha|| below about
+    5e-10) takes the pole-free form too.
     """
     eigs, scale = params.alpha_spectrum
-    poles = (np.concatenate([eigs, eigs.conj()]), scale)
-    near = pole_gaps(poles, zs, rel=_POLE_BAND)[1].any(axis=1)
+    gaps, guarded = pole_gaps((np.concatenate([eigs, eigs.conj()]), scale), zs)
+    near = (guarded | (gaps < _POLE_BAND * scale)).any(axis=1)
     far = zs[~near]
 
     _, lam, sigma = evolve_grid(params, xs)
@@ -428,7 +432,7 @@ def fundamental_direct(params, x, z):
     stack from one batched evaluation.  It is v0(x)^-1 times
     :func:`_closed_form`, whose value at z = 0 is the gauge v0(x) itself
     (:func:`_gauge`); both come from one evaluation.  Within
-    ``_POLE_BAND * (1 + ||alpha||)`` of a pole of the transfer matrix, or of
+    ``_POLE_BAND * ||alpha||`` of a pole of the transfer matrix, or of
     its inverse at x = 0, the value comes from the pole-free form, for the
     gauge's z = 0 as for every other z, so every z, the spectrum of alpha
     and its conjugate included, has a value and none raises

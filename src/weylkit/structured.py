@@ -108,9 +108,11 @@ def _weights(kernel, d):
 def default_operator_length(kernel, d=None):
     """Longest operator length l, a whole number of grid steps, whose
     arguments max|d| * l stay on the stored kernel (l = kernel.l for d None);
-    ``d`` is checked as :func:`build_structured_operator` checks it."""
+    ``d`` is checked as :func:`build_structured_operator` checks it.  A
+    weight so small that the step count overflows gives l = inf, which the
+    operator's length check refuses."""
     scale = float(np.abs(_weights(kernel, d)).max())
-    return kernel.h * float(np.floor(kernel.l / (scale * kernel.h) + 1e-9))
+    return kernel.h * float(np.floor(kernel.l / kernel.h / scale + 1e-9))
 
 
 def _pi_samples(kernel, d, xs):

@@ -140,7 +140,7 @@ def split_bound(prm):
     relative to the batch's largest |H| entry."""
     eigs, scale = prm.alpha_spectrum
     gap = np.abs(eigs).min()
-    if gap < _POLE_BAND * (1.0 + scale):
+    if gap < _POLE_BAND * scale:
         return 16 * np.finfo(float).eps
     return 16 * np.finfo(float).eps * max(1.0, ((1.0 + scale) / gap) ** 2)
 
@@ -347,17 +347,21 @@ class TestHamiltonian:
         for v0 in got:
             assert np.abs(v0.conj().T @ J @ v0 - J).max() <= 1e-12 * np.abs(v0).max() ** 2
 
-    @pytest.mark.parametrize("shift", [0.0, 1e-4], ids=["singular", "near-singular"])
+    @pytest.mark.parametrize("shift", [0.0, 1e-3, 1e-4],
+                             ids=["singular", "near-singular", "nearer-singular"])
     @pytest.mark.parametrize("n,p,seed", [(2, 1, 3), (3, 2, 5)])
     def test_gauge_at_large_alpha_norm(self, n, p, seed, shift):
         # ||alpha|| about 300: the gauge of the scaled set at x is the gauge
         # of the unscaled one at 300 x, from x = 0 on.  Shifted, the
-        # eigenvalue 0.03 lies well within the band 1e-3 (1 + ||alpha||) of
-        # z = 0, and the pole-free gauge meets the plain product at 60 digits
+        # eigenvalue (0.3 or 0.03 scaled) lies within the band
+        # _POLE_BAND ||alpha|| of z = 0 in both sets, since the band scales
+        # with alpha, and the pole-free gauge meets the plain product at 60
+        # digits
         base = _scaled(make_params(n, p, seed=seed, singular_alpha=True), 1.0, shift)
         big = _scaled(base, 300.0)
         assert np.linalg.norm(big.alpha, 2) > 250.0
-        assert 300.0 * shift < 0.2 * _POLE_BAND * (1.0 + np.linalg.norm(big.alpha, 2))
+        for prm, gap in ((base, shift), (big, 300.0 * shift)):
+            assert gap < 0.6 * _POLE_BAND * np.linalg.norm(prm.alpha, 2)
         for x in (0.0, 0.002, 0.2, 1.0):
             got, ref = _gauge(big, np.array([x]))[0], _gauge(base, np.array([300.0 * x]))[0]
             assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max(), x
@@ -373,13 +377,12 @@ class TestHamiltonian:
         # loses about eps (||alpha|| / gap)^2
         base = make_params(n, p, seed=seed, singular_alpha=True)
         top = np.linalg.eigvalsh(base.alpha).max()     # ||alpha + gap I|| = top + gap
-        outside = [f * _POLE_BAND * (1.0 + top) / (1.0 - f * _POLE_BAND)
-                   for f in (1.01, 2.0, 10.0)]
+        outside = [f * _POLE_BAND * top / (1.0 - f * _POLE_BAND) for f in (1.01, 2.0, 10.0)]
         zs = np.array([-1.5, 0.3 + 0.2j, 2.0, 1e-4])
         for gap, tol in ([(g, 1e-13) for g in (1e-3, 1e-5, 1e-7, 1e-9)]
                          + [(g, 1e-10) for g in outside]):
             prm = _scaled(base, 1.0, gap)
-            inside = gap < _POLE_BAND * (1.0 + np.linalg.norm(prm.alpha, 2))
+            inside = gap < _POLE_BAND * np.linalg.norm(prm.alpha, 2)
             assert inside == (tol == 1e-13)
             for x in (0.3, 2.0):
                 got = np.concatenate([_gauge(prm, np.array([x])),
@@ -600,15 +603,18 @@ class TestRemovableSingularity:
                 assert np.abs(w - ref).max() <= 2e-12 * np.abs(ref).max(), delta
 
     def test_crowded_poles_and_long_x_answer(self):
-        # poles 0.003 apart within each other's band, or tau = max x max|d|
-        # = 600, still have a value; with zero data it is the seed solution
+        # poles 0.003 apart within each other's band, tau = max x max|d|
+        # = 600, or ||alpha|| = 1e-12 and a z within the resolvents' guard
+        # 1e-12 (1 + ||alpha||) but outside the band 2e-3 ||alpha|| still
+        # have a value; with zero data it is the seed solution
         def zero_data(eigs):
             n = len(eigs)
             return wk.GbdtParams(d=[-2.0], alpha=np.diag(eigs), lambda1=np.zeros((n, 1)),
                                  lambda2=np.zeros((n, 1)))
 
         for eigs, x, z in [([1.0, 1.01], 10.0, 1.0), ([1.0, 1.003], 1.0, 1.0),
-                           ([1.0], 300.0, 1.0), ([1.0], 300.0, 0.5)]:
+                           ([1.0], 300.0, 1.0), ([1.0], 300.0, 0.5),
+                           ([1e-12], 1.0, 1.5e-12)]:
             w = wk.fundamental_direct(zero_data(eigs), x, z)
             ref = self._seed_solution(-2.0, x, z)
             assert np.abs(w - ref).max() <= 1e-12 * np.abs(ref).max(), (eigs, x)
@@ -619,9 +625,9 @@ class TestRemovableSingularity:
                                        rtol=0, atol=1e-12)
 
     def test_circle_at_large_alpha_norm(self):
-        # with ||alpha|| about 750 the band 1e-3 (1 + ||alpha||) is about 0.75
-        # wide, and the pole-free form keeps w_c(x, z) = w(300 x, z / 300) at
-        # a pole of the scaled set
+        # with ||alpha|| about 750 the band 2e-3 ||alpha|| is about 1.5 wide,
+        # and the pole-free form keeps w_c(x, z) = w(300 x, z / 300) at a
+        # pole of the scaled set
         base = make_params(3, 2, seed=9, negative=True)
         big = _scaled(base, 300.0)
         z0 = np.linalg.eigvals(base.alpha)[0]

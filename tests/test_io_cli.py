@@ -528,22 +528,26 @@ class TestOverflowingInput:
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
         assert not out.exists()
 
-    @pytest.mark.parametrize("d", [0.0, np.nan, -np.inf, 1.0, -1e-300])
+    @pytest.mark.parametrize("d", [0.0, np.nan, -np.inf, 1.0, -1e-300, -1e-322])
     def test_operator_weights_checked_before_arithmetic(self, d):
         kern = wio.read_kernel_csv(os.path.join(FIXTURES, "kernel.csv"))
-        message = ("more grid blocks than a numpy array" if d == -1e-300
-                   else "require finite negative D entries")
+        message = {-1e-300: "more grid blocks than a numpy array",
+                   -1e-322: "operator length l = inf must be finite and positive"}.get(
+                       d, "require finite negative D entries")
         calls = [lambda: wk.build_structured_operator(kern, d=[d])]
-        if d != -1e-300:   # finite and negative: its default length is finite
+        if d in (-1e-300, -1e-322):   # finite and negative: a default length, inf at -1e-322
+            assert np.isinf(wk.structured.default_operator_length(kern, [d])) == (d == -1e-322)
+        else:
             calls.append(lambda: wk.structured.default_operator_length(kern, [d]))
         for call in calls:
             with pytest.raises(wk.DomainError, match=message):
                 call()
 
-    @pytest.mark.parametrize("d", ["0", "nan", "-1e-300"])
+    @pytest.mark.parametrize("d", ["0", "nan", "-1e-300", "-1e-322"])
     def test_fundamental_with_bad_weight_exits_1(self, d, tmp_path, capsys):
-        message = ("more grid blocks than a numpy array" if d == "-1e-300"
-                   else "require finite negative D entries")
+        message = {"-1e-300": "more grid blocks than a numpy array",
+                   "-1e-322": "operator length l = inf must be finite and positive"}.get(
+                       d, "require finite negative D entries")
         self._fails_cleanly(["fundamental", "--kernel", os.path.join(FIXTURES, "kernel.csv"),
                              f"--d={d}", "--z", "0.5+1j"], tmp_path / "o", capsys, message)
 
