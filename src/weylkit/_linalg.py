@@ -1,5 +1,7 @@
 """Small linear-algebra helpers shared across modules."""
 
+import math
+
 import numpy as np
 
 from . import defaults
@@ -14,6 +16,7 @@ __all__ = [
     "pole_gaps",
     "resolvent_apply",
     "expm_stack",
+    "expm_grid",
     "upper_half_plane",
     "MAX_COMPLEX_ENTRIES",
 ]
@@ -156,7 +159,7 @@ def expm_stack(a):
     A non-finite entry raises DomainError.
     """
     a = np.asarray(a, dtype=complex)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DomainError("matrix exponential of a matrix with non-finite entries")
     if a.size == 0:
         return np.empty(a.shape, dtype=complex)
@@ -180,3 +183,37 @@ def expm_stack(a):
     out = np.empty_like(r)
     out[order] = r
     return out.reshape(shape)
+
+
+def expm_grid(m, xs):
+    """``expm_stack(m * x)`` for every x in a 1-D ``xs`` and every matrix of
+    an ``(..., k, k)`` stack ``m``, shape ``m.shape[:-2] + (len xs, k, k)``.
+
+    The sorted positions fall into runs of about sqrt(N); each x is its
+    run's first position (an anchor) plus an offset, and
+    e^{m x} = e^{m anchor} e^{m offset} (the baby-step giant-step split of
+    Paterson and Stockmeyer, SIAM J. Comput. 2, 1973).  The anchors and the
+    distinct nonzero offsets are exponentiated in one :func:`expm_stack`
+    call and joined by one batched product; an anchor and its repeats take
+    no product, so one point is ``expm_stack(m * x)`` itself.  A uniform
+    grid has few distinct offsets, so about 2 sqrt(N) exponentials stand
+    for N; a ragged grid has about one offset per position, each of small
+    norm.  The parts of a split batch get other anchors, so they agree with
+    the batch to rounding, not bit for bit.
+    """
+    m = np.asarray(m, dtype=complex)
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    size = max(1, math.isqrt(xs.size))
+    order = xs.argsort(kind="stable")
+    anchors = xs[order[::size]]
+    run = np.empty_like(order)
+    run[order] = np.arange(xs.size) // size
+    offsets = xs - anchors[run]
+    moved = offsets != 0.0          # an anchor and its repeats take no product
+    distinct = np.unique(offsets[moved])
+    e = expm_stack(m[..., None, :, :]
+                   * np.concatenate([anchors, distinct])[:, None, None])
+    out = e[..., run, :, :]
+    pick = anchors.size + distinct.searchsorted(offsets[moved])
+    out[..., moved, :, :] = out[..., moved, :, :] @ e[..., pick, :, :]
+    return out

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from . import __version__, defaults, io, rational
-from ._linalg import anti_diag_j, expm_stack
+from ._linalg import anti_diag_j, expm_grid, expm_stack
 from .exceptions import (
     DomainError,
     PositivityError,
@@ -392,6 +392,14 @@ def _run_checks():
     ediff = max(float(np.abs(e - r).max() / np.abs(r).max())
                 for e, r in zip(expm_stack(stack), expm(stack)))
     yield "stacked exponential vs scipy", ediff < 1e-12, f"max rel diff {ediff:.2e}"
+
+    # the same stack over 4,096 positions: anchors and offsets against one
+    # stacked exponential per position
+    xs = np.linspace(0.0, 1.0, 4096)
+    ref = expm_stack(stack[:, None] * xs[:, None, None])
+    gdiff = float((np.abs(expm_grid(stack, xs) - ref).max(axis=(-1, -2))
+                   / np.abs(ref).max(axis=(-1, -2))).max())
+    yield "grid exponential vs stacked exponential", gdiff < 1e-12, f"max rel diff {gdiff:.2e}"
 
     kz = DifferenceKernel(p=1, h=1.0 / 64, samples=np.zeros((64, 1, 1)))
     vz = recover_potential(kz)

@@ -303,8 +303,8 @@ def weyl_from_amplitude(s, z, mode="dirac", d=None, gl_order=None):
 
 def _amplitude_weights(mode, d):
     """The weight diagonal of a transform ``mode``, checked once for both
-    directions: d as a 1-D float array (all negative) for canonical mode,
-    None for dirac."""
+    directions: d as a 1-D float array (all finite and negative) for
+    canonical mode, None for dirac."""
     if mode == "dirac":
         return None
     if mode != "canonical":
@@ -312,8 +312,8 @@ def _amplitude_weights(mode, d):
     if d is None:
         raise StructuralError("canonical mode needs the weight diagonal d")
     d = np.asarray(d, dtype=float).reshape(-1)
-    if np.any(d >= 0):
-        raise DomainError("canonical mode requires D < 0")
+    if not np.all(np.isfinite(d) & (d < 0.0)):
+        raise DomainError(f"canonical mode requires finite negative D entries, got d = {d}")
     return d
 
 

@@ -551,6 +551,17 @@ class TestOverflowingInput:
         self._fails_cleanly(["fundamental", "--kernel", os.path.join(FIXTURES, "kernel.csv"),
                              f"--d={d}", "--z", "0.5+1j"], tmp_path / "o", capsys, message)
 
+    @pytest.mark.parametrize("d", ["nan", "-inf"])
+    def test_canonical_recover_with_bad_weight_exits_1(self, d, tmp_path, capsys):
+        # d >= 0 is False for NaN, and -inf is negative: both must be refused
+        # as weights before any sample is read
+        zetas = np.linspace(-40, 40, 2001)
+        wio.write_weyl_samples_csv(tmp_path / "s.csv", zetas, np.full(zetas.size, 1j))
+        self._fails_cleanly(["recover", "--samples", str(tmp_path / "s.csv"), "--eta", "1.0",
+                             "--a", "40", "--mode", "canonical", f"--d={d}"],
+                            tmp_path / "o", capsys,
+                            f"canonical mode requires finite negative D entries, got d = [{d}]")
+
     def test_fundamental_at_huge_z_is_named(self):
         prm = make_params(2, 1, seed=70)
         with pytest.raises(wk.DomainError, match=re.escape("not finite at z = 2e+200j")):
