@@ -37,7 +37,6 @@ from .gbdt import (
     evolve_state,
     fundamental_direct,
     hamiltonian_grid,
-    require_valid,
     state_identity_residual,
     transfer_matrix,
     validate_params,
@@ -129,6 +128,8 @@ def _z_columns(zs):
 def _x_grid(args):
     if args.nx < 1:
         raise StructuralError(f"--nx must be at least 1, got {args.nx}")
+    if not (np.isfinite(args.xmax) and args.xmax >= 0):
+        raise DomainError(f"--xmax must be finite and nonnegative, got {args.xmax}")
     return np.linspace(0.0, args.xmax, args.nx)
 
 
@@ -147,10 +148,9 @@ def _hamiltonian(params, xs):
 def _cmd_direct(args):
     xs = _x_grid(args)
     params = io.load_params(args.params)
-    require_valid(params)
+    pair = weyl_pair(params)
     zs = np.array(_parse_zgrid(args.z))
     hgrid = _hamiltonian(params, xs)
-    pair = weyl_pair(params, validate=False)
     phi, phi_hat = pair.phi(zs), pair.phi_hat(zs)
     w = fundamental_direct(params, xs, zs)     # (len zs, len xs) stack, rows z-major
     outdir = _outdir(args)
@@ -175,7 +175,7 @@ def _cmd_inverse(args):
     params = params_from_realization(
         real, [z for z in zs if z.imag > 0] + list(rational._VALIDATION_GRID))
     hgrid = _hamiltonian(params, xs)
-    phi = weyl_pair(params, validate=False).phi(np.array(zs))
+    phi = weyl_pair(params).phi(np.array(zs))
     outdir = _outdir(args)
     io.save_params(os.path.join(outdir, "params.json"), params)
     io.write_grid_csv(os.path.join(outdir, "H.csv"), hgrid)
@@ -309,11 +309,11 @@ def _run_checks():
         f"eigmin {eigs.min():.2e}, max rank {max(ranks)}"
     )
 
-    pair = weyl_pair(params, validate=False)
+    pair = weyl_pair(params)
     dphi = max(np.linalg.norm(pair.phi(zz) - pair.phi_hat(zz)) for zz in (1j, 2j, 1 + 1j))
     yield "Weyl pair coincides (D<0)", dphi < tol, f"max diff {dphi:.2e}"
 
-    fpair = weyl_pair(free, validate=False)
+    fpair = weyl_pair(free)
     yield "free system phi = i", bool(abs(fpair.phi(1.5j)[0, 0] - 1j) < 1e-12), ""
 
     rrep = validate_realization(real, rational._VALIDATION_GRID)

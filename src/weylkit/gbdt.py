@@ -130,11 +130,6 @@ class GbdtParams:
         m[:, n:, n:] = idc * self.alpha.conj().T
         return m
 
-    @cached_property
-    def initial_state(self):
-        """The state at x = 0, evolved once."""
-        return evolve_state(self, 0.0)
-
 
 @dataclass(frozen=True)
 class GbdtState:
@@ -145,26 +140,6 @@ class GbdtState:
     psi2: np.ndarray      # n x p, constant in x
     lam: np.ndarray       # n x 2p
     sigma: np.ndarray     # n x n, Hermitian, >= I
-
-
-def _z_matrix(d):
-    p = d.size
-    Z = np.zeros((2 * p, 2 * p), dtype=complex)
-    Z[:p, :p] = np.eye(p)
-    Z[:p, p:] = np.eye(p)
-    Z[p:, :p] = np.diag(d) / 2.0
-    Z[p:, p:] = -np.diag(d) / 2.0
-    return Z
-
-
-def _z_inverse(d):
-    """Z^-1 = [[I/2, D^-1], [I/2, -D^-1]]."""
-    p = d.size
-    inv = np.zeros((2 * p, 2 * p), dtype=complex)
-    inv[:, :p] = np.vstack([np.eye(p), np.eye(p)]) / 2.0
-    inv[:p, p:] = np.diag(1.0 / d)
-    inv[p:, p:] = -inv[:p, p:]
-    return inv
 
 
 def initial_hamiltonian(d):
@@ -196,16 +171,6 @@ def validate_params(params):
     }
 
 
-def require_valid(params):
-    report = validate_params(params)
-    if not report["passed"]:
-        raise ValidationError(
-            f"parameter identity violated (residual {report['identity_residual']:.3e})",
-            report,
-        )
-    return report
-
-
 def _check_state_conditioning(sigma, x):
     """The state Gram matrix dominates the identity in exact arithmetic,
     so once rounding noise (norm times machine epsilon) approaches the
@@ -234,11 +199,8 @@ def evolve_grid(params, xs):
     degenerates.  One :func:`expm_grid` call serves all p columns: each
     position is an anchor plus an offset, so a uniform grid of N positions
     takes about 2 sqrt(N) block exponentials and N products instead of N
-    exponentials.  At 4,096 positions on [0, 16] that is 4.9 ms against
-    18.8 ms for one exponential per position and column (n = 2, p = 1) and
-    42 against 119 ms (n = 4, p = 2); at 101 positions on [0, 2], 0.41
-    against 0.59 ms and 1.3 against 2.2 ms.  sigma is Hermitized.  Returns
-    (psi1, lam, sigma) stacked over ``xs``.
+    exponentials.  sigma is Hermitized.  Returns (psi1, lam, sigma) stacked
+    over ``xs``.
     """
     xs = np.asarray(xs, dtype=float).reshape(-1)
     if not (xs >= 0).all():
@@ -313,10 +275,21 @@ _POLE_BAND = 2e-3   # z within _POLE_BAND * ||alpha|| of a pole takes the pole-f
 
 
 def _seed_solution(params, xs, zs):
-    """Free seed solution Z exp(i z x diag(D, 0)) Z^-1, a (len zs, len xs, 2p, 2p) stack."""
-    phases = np.exp(1j * zs[:, None, None] * xs[None, :, None] * params.d)
-    phases = np.concatenate([phases, np.ones(phases.shape)], axis=-1)
-    return (_z_matrix(params.d) * phases[..., None, :]) @ _z_inverse(params.d)
+    """Free seed solution Z exp(i z x diag(D, 0)) Z^-1, a (len zs, len xs, 2p, 2p) stack.
+
+    With Z = [[I, I], [D/2, -D/2]] and F = exp(i z x D) - I it is
+    [[I + F/2, F D^-1], [D F/4, I + F/2]], diagonal blocks filled entry by
+    entry; F from expm1 keeps every entry to a few eps as z x -> 0, and the
+    seed is exactly I at z = 0.
+    """
+    d, p = params.d, params.p
+    f = np.expm1(1j * zs[:, None, None] * xs[None, :, None] * d)
+    out = np.zeros(f.shape[:2] + (2 * p, 2 * p), dtype=complex)
+    c = np.arange(p)
+    out[..., c, c] = out[..., c + p, c + p] = 1.0 + 0.5 * f
+    out[..., c, c + p] = f / d
+    out[..., c + p, c] = 0.25 * d * f
+    return out
 
 
 def _pole_free(params, xs, zs, lam, sigma):
@@ -330,13 +303,11 @@ def _pole_free(params, xs, zs, lam, sigma):
     Phi = [Phi_1  0] Z^-1 = (alpha - z)^-1 (Lambda(x) w_seed - Lambda(0)),
     Psi = iJ Z^-* [Psi_1; 0] = (w_seed iJ Lambda(0)* - iJ Lambda(x)*) (alpha* - z)^-1,
     K = -sum_c g_c E_13 = (alpha - z)^-1 (I - Sigma(x) + Lambda(x) Psi),
-    where Phi_1[:, c] = -g_c E_12 and Psi_1[c, :] = -i d_c E_23.  By the state
-    identity v0 w = w_seed + Psi Lambda(0) - iJ Lambda(x)* Sigma(x)^-1 (Phi + K Lambda(0)).
+    where Phi_1[:, c] = -g_c E_12 and Psi_1[c, :] = -i d_c E_23, and
+    Lambda(0) = [lambda1  lambda2].  By the state identity
+    v0 w = w_seed + Psi Lambda(0) - iJ Lambda(x)* Sigma(x)^-1 (Phi + K Lambda(0)).
     The (p, len zs) stack of these matrices goes through one :func:`expm_grid`
-    call, which splits the positions as :func:`evolve_grid`'s call does.  At
-    z = 0 for a singular alpha this form takes 0.64 ms against 0.76 ms for
-    one exponential per position and column at 101 positions on [0, 2]
-    (n = 2, p = 1), and 13 against 33 ms at 4,096 on [0, 16].
+    call, which splits the positions as :func:`evolve_grid`'s call does.
     """
     n, p = params.n, params.p
     cols, gen = params.psi1_0().T, params.state_generator
@@ -352,11 +323,14 @@ def _pole_free(params, xs, zs, lam, sigma):
     phi1 = np.moveaxis(-(g @ e[..., :n, n:n + 1])[..., 0], 0, -1)
     psi1 = np.moveaxis(-idc[:, None, None] * e[..., n, n + 1:], 0, -2)
     k = -(g @ e[..., :n, n + 1:]).sum(axis=0)
-    z_inv, J = _z_inverse(params.d), anti_diag_j(p)
-    lam_0 = params.initial_state.lam
-    core = np.linalg.solve(sigma, phi1 @ z_inv[:p] + k @ lam_0)
-    psi = 1j * J @ z_inv.conj().T[:, :p] @ psi1
+    d, lam_0 = params.d, params.lam
+    # Z^-1 = [[I/2, D^-1], [I/2, -D^-1]], so [Phi_1  0] Z^-1 = [Phi_1/2  Phi_1 D^-1]
+    # and iJ Z^-* [Psi_1; 0] = i [D^-1 Psi_1; Psi_1/2]
+    phi = np.concatenate([0.5 * phi1, phi1 / d], axis=-1)
+    psi = 1j * np.concatenate([psi1 / d[:, None], 0.5 * psi1], axis=-2)
+    core = np.linalg.solve(sigma, phi + k @ lam_0)
     lam_h = np.conj(np.swapaxes(lam, -1, -2))
+    J = anti_diag_j(p)
     return _seed_solution(params, xs, zs) + psi @ lam_0 - 1j * J @ lam_h @ core
 
 
@@ -377,7 +351,8 @@ def _closed_form(params, xs, zs):
     system (c alpha, sqrt(c) Lambda) at (x, z) takes the form that the
     unscaled one takes at (c x, z / c).  A z within the resolvents' own
     guard (which reaches outside the band only for ||alpha|| below about
-    5e-10) takes the pole-free form too.
+    5e-10) takes the pole-free form too.  The state at x = 0 is the
+    parameters themselves: Lambda(0) = [lambda1  lambda2], Sigma(0) = I.
     """
     eigs, scale = params.alpha_spectrum
     gaps, guarded = pole_gaps((np.concatenate([eigs, eigs.conj()]), scale), zs)
@@ -387,7 +362,7 @@ def _closed_form(params, xs, zs):
     _, lam, sigma = evolve_grid(params, xs)
     out = np.empty((zs.size, xs.size, 2 * params.p, 2 * params.p), dtype=complex)
     if far.size:
-        w_0 = _transfer(params, params.initial_state.lam, params.initial_state.sigma, far)
+        w_0 = _transfer(params, params.lam, np.eye(params.n), far)
         w_x = _transfer(params, lam, sigma, far)
         out[~near] = w_x @ _seed_solution(params, xs, far) @ np.linalg.inv(w_0)[:, None]
     if near.any():
@@ -395,21 +370,12 @@ def _closed_form(params, xs, zs):
     return out
 
 
-def _gauge(params, xs):
-    """J-unitary gauge v0 on the positions ``xs``, normalized to v0(0) = I.
-
-    w(x, 0) = I and w_seed(x, 0) = I, so v0(x) is :func:`_closed_form` at
-    z = 0, for singular and invertible alpha alike, with the same band as
-    every other z: an eigenvalue of alpha within it of 0 takes the pole-free
-    form, and every other alpha the plain product w_t(x, 0) w_t(0, 0)^-1.
-    """
-    return _closed_form(params, xs, np.zeros(1))[0]
-
-
 def hamiltonian_grid(params, xs):
     """Hamiltonian H(x) = v0(x)* H0 v0(x) on an array of positions.
 
-    Hermitian, PSD, rank <= p: H = beta* beta with beta = [D/2  I] v0.
+    Hermitian, PSD, rank <= p: H = beta* beta with beta = [D/2  I] v0.  The
+    J-unitary gauge v0, v0(0) = I, is :func:`_closed_form` at z = 0, since
+    w(x, 0) = w_seed(x, 0) = I, for singular and invertible alpha alike.
     A position's state comes from the anchor and offset that
     :func:`expm_grid` gives it in its batch, and from the Pade degree of the
     batch's stacked exponential, so the parts of a split batch take other
@@ -425,7 +391,7 @@ def hamiltonian_grid(params, xs):
     xs = np.asarray(xs, dtype=float).reshape(-1)
     p = params.p
     row = np.hstack([np.diag(params.d) / 2.0, np.eye(p)]).astype(complex)
-    beta = row @ _gauge(params, xs)
+    beta = row @ _closed_form(params, xs, np.zeros(1))[0]
     return hermitize(np.conj(np.swapaxes(beta, -1, -2)) @ beta)
 
 
@@ -440,8 +406,8 @@ def fundamental_direct(params, x, z):
     ``x`` and ``z`` are scalars or 1-D arrays; the result has shape
     ``shape(z) + shape(x) + (2p, 2p)``, so two arrays give a (len z, len x)
     stack from one batched evaluation.  It is v0(x)^-1 times
-    :func:`_closed_form`, whose value at z = 0 is the gauge v0(x) itself
-    (:func:`_gauge`); both come from one evaluation.  Within
+    :func:`_closed_form`, whose value at z = 0 is the gauge v0(x) itself;
+    both come from one evaluation.  Within
     ``_POLE_BAND * ||alpha||`` of a pole of the transfer matrix, or of
     its inverse at x = 0, the value comes from the pole-free form, for the
     gauge's z = 0 as for every other z, so every z, the spectrum of alpha
@@ -510,10 +476,15 @@ class WeylPair:
         return 0.5j * np.diag(np.abs(self.d)) + self.psi1_0_hat.conj().T @ res
 
 
-def weyl_pair(params, validate=True):
-    """Build the pair of rational Weyl functions of a valid parameter set."""
-    if validate:
-        require_valid(params)
+def weyl_pair(params):
+    """Build the pair of rational Weyl functions of a parameter set; raises
+    ValidationError if it violates the input identity."""
+    report = validate_params(params)
+    if not report["passed"]:
+        raise ValidationError(
+            f"parameter identity violated (residual {report['identity_residual']:.3e})",
+            report,
+        )
     d = params.d
     psi1_0 = params.psi1_0()
     psi2 = params.psi2()

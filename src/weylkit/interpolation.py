@@ -230,6 +230,8 @@ def interpolate_series(
     if n_terms is None:
         n_terms = defaults.SERIES_ORDER
     epsilon = float(defaults.EPSILON if epsilon is None else epsilon)
+    if not np.isfinite(epsilon):
+        raise DomainError(f"the offset eps must be finite, got eps = {epsilon}")
     scalar_z = np.ndim(z) == 0
     zs = np.asarray(z, dtype=complex).reshape(-1)
     bad = ~(np.isfinite(zs) & (zs.imag > 0.5 + epsilon))

@@ -78,7 +78,7 @@ def test_criterion_1_gbdt_identity_suite():
         scale = np.linalg.norm(wz, 2) ** 2 + 1.0
         worst_junit = max(worst_junit,
                           np.linalg.norm(wzc.conj().T @ J @ wz - J, 2) / scale)
-        pair = wk.weyl_pair(prm, validate=False)
+        pair = wk.weyl_pair(prm)
         g_res = np.linalg.norm(
             pair.gamma - pair.gamma.conj().T
             - 1j * prm.lambda2 @ np.diag(prm.d) @ prm.lambda2.conj().T, 2)
@@ -122,8 +122,8 @@ def test_criterion_2_rational_round_trip():
         h1 = hamiltonian_grid(prm, xs)
         h2 = hamiltonian_grid(back, xs)
         worst_h = max(worst_h, float(np.abs(h1 - h2).max()))
-        pair1 = wk.weyl_pair(prm, validate=False)
-        pair2 = wk.weyl_pair(back, validate=False)
+        pair1 = wk.weyl_pair(prm)
+        pair2 = wk.weyl_pair(back)
         for _ in range(20):
             z = complex(rng.normal(), rng.uniform(0.3, 3.0))
             worst_phi = max(worst_phi,
@@ -137,7 +137,7 @@ def test_criterion_3_disk_oracle_agreement():
     """Weyl disk on the explicit Hamiltonian converges to the rational
     Weyl function at l = 40 / Im z."""
     prm = make_params(2, 1, seed=3003)
-    pair = wk.weyl_pair(prm, validate=False)
+    pair = wk.weyl_pair(prm)
     worst = 0.0
     for z in (1j, 2j, 1 + 1j):
         val = weyl_disk_approx(lambda x: hamiltonian_grid(prm, x), z,

@@ -12,7 +12,8 @@ import weylkit as wk
 from weylkit._linalg import anti_diag_j, hermitize
 from weylkit.gbdt import (
     _POLE_BAND,
-    _gauge,
+    _closed_form,
+    _seed_solution,
     evolve_grid,
     evolve_state,
     hamiltonian_direct,
@@ -321,7 +322,7 @@ class TestHamiltonian:
         assert wk.validate_params(prm)["passed"]
         h = hamiltonian_direct(prm, 0.8)
         assert np.linalg.eigvalsh(h).min() >= -1e-9
-        v0 = _gauge(prm, np.array([0.8]))[0]
+        v0 = _closed_form(prm, np.array([0.8]), np.zeros(1))[0, 0]
         J = anti_diag_j(1)
         np.testing.assert_allclose(v0.conj().T @ J @ v0, J, atol=1e-7)
 
@@ -332,7 +333,7 @@ class TestHamiltonian:
         prm = make_params(n, p, seed=seed, singular_alpha=True)
         xs = np.array([0.0, 0.5, 2.0, 6.0])
         ref = _ode_gauge(prm, xs)
-        got = _gauge(prm, xs)
+        got = _closed_form(prm, xs, np.zeros(1))[0]
         for g, r in zip(got, ref):
             assert np.abs(g - r).max() <= 1e-9 * np.abs(r).max()
 
@@ -341,7 +342,7 @@ class TestHamiltonian:
         # the gauge still solves v0' = -q0 v0 over a short leg
         prm = make_params(2, 1, seed=3, singular_alpha=True)
         xs = np.array([400.0, 400.5, 401.0])
-        got = _gauge(prm, xs)
+        got = _closed_form(prm, xs, np.zeros(1))[0]
         ref = _ode_gauge(prm, xs, start=(xs[0], got[0]))
         assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
         J = anti_diag_j(1)
@@ -364,7 +365,8 @@ class TestHamiltonian:
         for prm, gap in ((base, shift), (big, 300.0 * shift)):
             assert gap < 0.6 * _POLE_BAND * np.linalg.norm(prm.alpha, 2)
         for x in (0.0, 0.002, 0.2, 1.0):
-            got, ref = _gauge(big, np.array([x]))[0], _gauge(base, np.array([300.0 * x]))[0]
+            got = _closed_form(big, np.array([x]), np.zeros(1))[0, 0]
+            ref = _closed_form(base, np.array([300.0 * x]), np.zeros(1))[0, 0]
             assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max(), x
             if shift:
                 exact = _mp_fundamental(big, x, [], dps=60)[0]
@@ -386,7 +388,7 @@ class TestHamiltonian:
             inside = gap < _POLE_BAND * np.linalg.norm(prm.alpha, 2)
             assert inside == (tol == 1e-13)
             for x in (0.3, 2.0):
-                got = np.concatenate([_gauge(prm, np.array([x])),
+                got = np.concatenate([_closed_form(prm, np.array([x]), np.zeros(1))[0],
                                       wk.fundamental_direct(prm, x, zs)])
                 for g, r in zip(got, _mp_fundamental(prm, x, zs, dps=60)):
                     assert np.abs(g - r).max() <= tol * np.abs(r).max(), (gap, x)
@@ -435,12 +437,38 @@ class TestFundamental:
         prm = wk.GbdtParams(d=d, alpha=np.eye(2), lambda1=np.zeros((2, 2)),
                             lambda2=np.zeros((2, 2)))
         z, x = 0.3 + 0.8j, 1.2
-        from weylkit.gbdt import _z_inverse, _z_matrix
-
+        Z = np.block([[np.eye(2), np.eye(2)], [np.diag(d) / 2.0, -np.diag(d) / 2.0]])
         phases = np.concatenate([np.exp(1j * z * x * d), np.ones(2)])
-        expected = _z_matrix(d) @ np.diag(phases) @ _z_inverse(d)
+        expected = Z @ np.diag(phases) @ np.linalg.inv(Z)
         np.testing.assert_allclose(wk.fundamental_direct(prm, x, z), expected,
                                    atol=1e-12)
+
+    def test_seed_solution_against_mpmath(self):
+        # [[I + F/2, F D^-1], [D F/4, I + F/2]] with F = expm1(i z x D): each
+        # entry within 4 eps of a 50-digit Z exp(i z x diag(D, 0)) Z^-1 for
+        # |z x d| from about 1e-12 to 10, and exactly I at z = 0 and at x = 0
+        d = np.array([-2.0, -0.5])
+        prm = wk.GbdtParams(d=d, alpha=np.eye(2), lambda1=np.zeros((2, 2)),
+                            lambda2=np.zeros((2, 2)))
+        xs = np.array([0.0, 0.5, 1.0, 2.0])
+        zs = np.array([0.0, 1e-12, 1e-8 + 1e-9j, -3e-6j, 1e-3 - 2e-3j, 0.3 + 0.8j,
+                       -1.2 + 0.4j, 2.5, 2.0 + 1.5j])
+        got = _seed_solution(prm, xs, zs)
+        for at_origin in (got[0], got[:, 0]):            # z = 0, then x = 0
+            np.testing.assert_array_equal(at_origin, np.broadcast_to(np.eye(4), at_origin.shape))
+        with mp.workdps(50):
+            Z = mp.matrix([[1, 0, 1, 0], [0, 1, 0, 1], [d[0] / 2, 0, -d[0] / 2, 0],
+                           [0, d[1] / 2, 0, -d[1] / 2]])
+            Zinv = Z ** -1
+            for i, z in enumerate(zs):
+                for j, x in enumerate(xs):
+                    e = [mp.exp(mp.mpc(0, 1) * mp.mpc(z.real, z.imag) * x * dc) for dc in d]
+                    ref = Z * mp.diag(e + [1, 1]) * Zinv
+                    for r in range(4):
+                        for c in range(4):
+                            exact = ref[r, c]
+                            err = abs(mp.mpc(got[i, j, r, c]) - exact)
+                            assert err <= 4 * np.finfo(float).eps * abs(exact), (z, x, r, c)
 
     def test_derivative_satisfies_canonical_system(self):
         prm = make_params(3, 2, seed=14, negative=False)
@@ -459,26 +487,29 @@ class TestFundamental:
             @ wk.fundamental_direct(prm, x, z)
         np.testing.assert_allclose(lhs, J, atol=1e-9)
 
-    def test_alpha_decomposed_and_origin_evolved_once(self, monkeypatch):
+    def test_alpha_decomposed_once_and_origin_never_evolved(self, monkeypatch):
+        # the state at x = 0 is the parameters themselves: one evolution per
+        # call, none of them at the origin
         import weylkit.gbdt as gbdt
 
-        calls = {"spectrum": 0, "origin": 0}
-        spectrum, evolve = gbdt.spectrum, gbdt.evolve_state
+        calls = {"spectrum": 0, "evolve": 0, "origin": 0}
+        spectrum, evolve = gbdt.spectrum, gbdt.evolve_grid
 
         def counted_spectrum(a):
             calls["spectrum"] += 1
             return spectrum(a)
 
-        def counted_evolve(params, x):
-            calls["origin"] += x == 0.0
-            return evolve(params, x)
+        def counted_evolve(params, xs):
+            calls["evolve"] += 1
+            calls["origin"] += bool(np.any(np.asarray(xs) == 0.0))
+            return evolve(params, xs)
 
         monkeypatch.setattr(gbdt, "spectrum", counted_spectrum)
-        monkeypatch.setattr(gbdt, "evolve_state", counted_evolve)
+        monkeypatch.setattr(gbdt, "evolve_grid", counted_evolve)
         prm = make_params(3, 2, seed=2)
         for x, z in [(0.5, 0.4 + 1.1j), (1.2, -0.3 + 0.2j), (0.7, 2.0)]:
             wk.fundamental_direct(prm, x, z)
-        assert calls == {"spectrum": 1, "origin": 1}
+        assert calls == {"spectrum": 1, "evolve": 3, "origin": 0}
 
     def test_one_point_views_refuse_arrays(self):
         # an array x would otherwise come back as the value at its first entry

@@ -194,6 +194,13 @@ class TestSeries:
             interpolate_series(np.full(21, 1j), 2j, n_terms=20, epsilon=EPS,
                                mode="shifted", z0=z0)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
+    def test_offset_must_be_finite(self, eps):
+        # named before the half-plane check, which would blame a valid z
+        with pytest.raises(wk.DomainError, match=f"offset eps must be finite, got eps = {eps}"):
+            interpolate_series(np.full(21, 1j), 3j, n_terms=20, epsilon=eps,
+                               mode="weyl-dirac")
+
     def test_sample_count_checked(self):
         with pytest.raises(wk.StructuralError):
             interpolate_series(np.full(10, 1j), 3j, n_terms=20, epsilon=EPS)

@@ -459,6 +459,15 @@ class TestNonFiniteInput:
                      "--out", str(tmp_path / "o")]) == 1
         assert "finite eta > 0, got eta = nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_interpolate_with_non_finite_epsilon_exits_1(self, eps, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["interpolate", "--samples", os.path.join(FIXTURES, "kernel.csv"),
+                     "--z", "3j", "--n", "10", "--epsilon", eps, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: the offset eps must be finite, got eps = {float(eps)}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("option, value", [
         ("--a", "-5"), ("--a", "0"), ("--a", "nan"), ("--a", "inf"),
         ("--step", "nan"), ("--step", "0"), ("--xmax", "nan"), ("--xmax", "inf"),
@@ -561,6 +570,16 @@ class TestOverflowingInput:
                              "--a", "40", "--mode", "canonical", f"--d={d}"],
                             tmp_path / "o", capsys,
                             f"canonical mode requires finite negative D entries, got d = [{d}]")
+
+    @pytest.mark.parametrize("xmax", ["inf", "-inf", "nan", "-1"])
+    @pytest.mark.parametrize("command", ["direct", "inverse"])
+    def test_bad_xmax_is_named(self, command, xmax, tmp_path, capsys):
+        # checked before linspace, which warns on an infinite end and leaves
+        # a NaN position for the position check to name instead of --xmax
+        source = {"direct": ["--params", os.path.join(FIXTURES, "scalar_params.json")],
+                  "inverse": ["--realization", os.path.join(FIXTURES, "realization.json")]}
+        self._fails_cleanly([command, *source[command], f"--xmax={xmax}"], tmp_path / "o",
+                            capsys, f"--xmax must be finite and nonnegative, got {float(xmax)}")
 
     def test_fundamental_at_huge_z_is_named(self):
         prm = make_params(2, 1, seed=70)
