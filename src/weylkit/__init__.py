@@ -29,6 +29,7 @@ from .exceptions import (
 from .gbdt import (
     GbdtParams,
     GbdtState,
+    RationalWeyl,
     WeylPair,
     evolve_state,
     fundamental_direct,

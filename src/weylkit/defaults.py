@@ -23,7 +23,6 @@ FOURIER_DZETA = 0.05         # default trapezoid step along the line
 GL_ORDER = 6                 # forward-transform gl_order: accepted; no longer changes the result
 
 # Weyl disk oracle
-DISK_LENGTH_FACTOR = 40.0    # default l = 40 / Im z
 DISK_STEPS_PER_UNIT = 256    # propagation steps per unit length
 
 # Interpolation

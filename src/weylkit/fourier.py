@@ -69,33 +69,8 @@ class WeylSampler:
         return vals.reshape(z.shape + (self.p, self.p))
 
     @classmethod
-    def from_constant(cls, value):
-        value = np.atleast_2d(np.asarray(value, dtype=complex))
-        return cls(fn=lambda zs: np.repeat(value[None], zs.size, axis=0),
-                   p=value.shape[0], source="constant")
-
-    @classmethod
     def from_weyl_pair(cls, pair):
         return cls(fn=pair.phi, p=pair.p, source="gbdt")
-
-    @classmethod
-    def from_disk_oracle(cls, hamiltonian, p, length_factor=None, steps_per_unit=None):
-        """Brute-force sampler: truncated-interval Moebius value at each z,
-        with one batched oracle call per distinct Im z (length factor / Im z)."""
-        from .structured import weyl_disk_approx
-
-        factor = defaults.DISK_LENGTH_FACTOR if length_factor is None else length_factor
-
-        def fn(zs):
-            out = np.empty((zs.size, p, p), dtype=complex)
-            etas, line = np.unique(zs.imag, return_inverse=True)
-            for k, eta in enumerate(etas):
-                on = line == k
-                out[on] = weyl_disk_approx(hamiltonian, zs[on], factor / eta,
-                                           steps_per_unit=steps_per_unit)
-            return out
-
-        return cls(fn=fn, p=p, source="disk-oracle")
 
     @classmethod
     def from_table(cls, zetas, values, eta):
@@ -368,7 +343,11 @@ def amplitude_from_weyl(
     effective parameters and an empirical tail estimate.  A window or grid
     parameter that is not finite and positive, or a quotient xmax / h or
     a / dzeta too large for a numpy array, raises DomainError before
-    ``phi`` is sampled.
+    ``phi`` is sampled; so does an eta at which the envelope e^{eta xmax}
+    (and the pole transforms' e^{-eta x}) or the pole model's largest term
+    m1 / (i eta)^(order + 1), order 1 canonical and 2 dirac, would leave less
+    than a factor eps of room below the largest double for the sums and
+    derivatives that follow.
     """
     if eta is None:
         eta = defaults.ETA
@@ -392,6 +371,16 @@ def amplitude_from_weyl(
                 f"{quotient} = {num} / {den} = {ratio:.6g}: more grid points than "
                 f"a numpy array can hold ({MAX_COMPLEX_ENTRIES:.3g})")
     d = _amplitude_weights(mode, d)
+    # the integrand is the residual over (zeta + i eta)^order; m1 is of the size
+    # a of the window edge it is fitted at
+    order = 1 if mode == "canonical" else 2
+    room = math.log(np.finfo(float).eps * np.finfo(float).max)
+    lo, hi = math.exp((math.log(a) - room) / (order + 1)), room / xmax
+    if not lo <= eta <= hi:
+        raise DomainError(
+            f"the sampling line needs (a / (eps max double))^(1/{order + 1}) = {lo:.6g} "
+            f"<= eta <= log(eps max double) / xmax = {hi:.6g} in {mode} mode, "
+            f"got eta = {eta}")
     p = None if d is None else d.size
     m = int(round(xmax / h))
     if abs(m * h - xmax) > 1e-9:
@@ -427,12 +416,10 @@ def amplitude_from_weyl(
     if mode == "canonical":
         base = np.einsum("ab,kbc->kac", np.diag(1.0 / np.abs(d)), samples)
         m0 = 0.5j * np.eye(p)             # |D|^-1 phi_inf for phi_inf = (i/2)|D|
-        order = 1
         prefactor = 1.0 / (2.0 * np.pi)
     else:
         base = samples
         m0 = 1j * np.eye(p)
-        order = 2
         prefactor = 1j / (4.0 * np.pi)
 
     # first-order asymptotic coefficient of base(zeta) ~ m0 + m1 / (zeta + i eta),

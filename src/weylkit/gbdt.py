@@ -9,6 +9,8 @@ nonsingular diagonal ``D`` and matrices ``alpha`` (n x n), ``lambda1``,
 with J the block anti-diagonal involution.  Everything downstream -- the
 evolved state, the transfer matrix, the Hamiltonian, the fundamental solution
 and the pair of rational Weyl functions -- is available in closed form.
+The two Weyl functions are one :class:`RationalWeyl` formula taken at D and
+at -|D|, and one object when D < 0.
 """
 
 from dataclasses import dataclass
@@ -35,6 +37,7 @@ from .exceptions import (
 __all__ = [
     "GbdtParams",
     "GbdtState",
+    "RationalWeyl",
     "WeylPair",
     "validate_params",
     "evolve_state",
@@ -207,10 +210,12 @@ def evolve_grid(params, xs):
         raise DomainError(f"positions must be finite and nonnegative, got {xs.min()}")
     n = params.n
     cols = params.psi1_0().T                                   # (p, n)
-    blk = expm_grid(params.state_generator, xs)                # (p, len xs, 2n, 2n)
-    g = np.conj(np.swapaxes(blk[..., n:, n:], -1, -2))
-    psi1 = (g @ cols[:, None, :, None])[..., 0].transpose(1, 2, 0)  # (len xs, n, p)
-    sigma = hermitize(np.eye(n) + (g @ blk[..., :n, n:]).sum(axis=0))
+    # a state too large for doubles overflows here; the conditioning check names x
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        blk = expm_grid(params.state_generator, xs)            # (p, len xs, 2n, 2n)
+        g = np.conj(np.swapaxes(blk[..., n:, n:], -1, -2))
+        psi1 = (g @ cols[:, None, :, None])[..., 0].transpose(1, 2, 0)  # (len xs, n, p)
+        sigma = hermitize(np.eye(n) + (g @ blk[..., :n, n:]).sum(axis=0))
     if xs.size:
         far = int(np.argmax(xs))
         _check_state_conditioning(sigma[far], xs[far])
@@ -430,50 +435,80 @@ def fundamental_direct(params, x, z):
 
 
 @dataclass(frozen=True)
-class WeylPair:
-    """The two rational Weyl functions of an explicit system.
+class RationalWeyl:
+    """The rational Weyl function phi(z) = -(i/2) D + psi1_0* (gamma - z I)^-1 psi2.
 
-    ``phi`` carries the value -(i/2) D at infinity, ``phi_hat`` the value
-    (i/2)|D|; for D < 0 the two coincide and the Weyl function is unique.
+    Built by :func:`weyl_pair` from a parameter set at its D and at -|D|;
+    :class:`weylkit.rational.Realization` is its validated D < 0 case.
+    Calling it with a scalar z gives the p x p value, with a 1-D array of z
+    the (k, p, p) stack from one stacked solve; the eigenvalues and norm of
+    gamma for the pole guard are computed once, on the first call.
     """
 
-    d: np.ndarray
-    gamma: np.ndarray
-    psi1_0: np.ndarray
-    psi2: np.ndarray
-    gamma_hat: np.ndarray
-    psi1_0_hat: np.ndarray
-    psi2_hat: np.ndarray
+    d: np.ndarray         # (p,) real, nonzero
+    gamma: np.ndarray     # (n, n)
+    psi1_0: np.ndarray    # (n, p)
+    psi2: np.ndarray      # (n, p)
+
+    @property
+    def n(self):
+        return self.gamma.shape[0]
 
     @property
     def p(self):
         return self.d.size
 
     @property
-    def d_negative(self):
-        return bool(np.all(self.d < 0.0))
+    def at_infinity(self):
+        """The value -(i/2) D of phi at infinity."""
+        return -0.5j * np.diag(self.d)
 
     @cached_property
     def gamma_spectrum(self):
         """(eigenvalues, norm) of gamma for the pole guard, computed once."""
         return spectrum(self.gamma)
 
-    @cached_property
-    def gamma_hat_spectrum(self):
-        """(eigenvalues, norm) of gamma_hat for the pole guard, computed once."""
-        return spectrum(self.gamma_hat)
+    def __call__(self, z):
+        res = resolvent_apply(self.gamma, z, self.psi2, self.gamma_spectrum,
+                              what="gamma matrix")
+        return self.at_infinity + self.psi1_0.conj().T @ res
+
+
+@dataclass(frozen=True)
+class WeylPair:
+    """The two rational Weyl functions of an explicit system.
+
+    ``phi`` carries the value -(i/2) D at infinity, ``phi_hat`` the value
+    (i/2)|D|: ``phi_hat`` is ``phi`` of the same alpha and Lambda at -|D|.
+    For D < 0 the two are one :class:`RationalWeyl` object and the Weyl
+    function is unique.
+    """
+
+    d: np.ndarray
+    weyl: RationalWeyl        # phi
+    weyl_hat: RationalWeyl    # phi_hat; ``weyl`` itself when D < 0
+
+    @property
+    def p(self):
+        return self.d.size
 
     def phi(self, z):
         """phi at a scalar z (p x p) or a 1-D array of z ((k, p, p) stack)."""
-        res = resolvent_apply(self.gamma, z, self.psi2, self.gamma_spectrum,
-                              what="gamma matrix")
-        return -0.5j * np.diag(self.d) + self.psi1_0.conj().T @ res
+        return self.weyl(z)
 
     def phi_hat(self, z):
         """phi_hat at a scalar z (p x p) or a 1-D array of z ((k, p, p) stack)."""
-        res = resolvent_apply(self.gamma_hat, z, self.psi2_hat, self.gamma_hat_spectrum,
-                              what="gamma-hat matrix")
-        return 0.5j * np.diag(np.abs(self.d)) + self.psi1_0_hat.conj().T @ res
+        return self.weyl_hat(z)
+
+
+def _rational_weyl(params, d):
+    """The rational Weyl function of alpha and Lambda with D replaced by ``d``:
+    psi1_0 = lambda1 + lambda2 d / 2, psi2 = lambda1 - lambda2 d / 2 and
+    gamma = alpha - i psi2 lambda2*."""
+    psi1_0 = params.lambda1 + 0.5 * params.lambda2 * d
+    psi2 = params.lambda1 - 0.5 * params.lambda2 * d
+    gamma = params.alpha - 1j * psi2 @ params.lambda2.conj().T
+    return RationalWeyl(d=d, gamma=gamma, psi1_0=psi1_0, psi2=psi2)
 
 
 def weyl_pair(params):
@@ -485,15 +520,6 @@ def weyl_pair(params):
             f"parameter identity violated (residual {report['identity_residual']:.3e})",
             report,
         )
-    d = params.d
-    psi1_0 = params.psi1_0()
-    psi2 = params.psi2()
-    gamma = params.alpha - 1j * psi2 @ params.lambda2.conj().T
-    abs_d = np.abs(d)
-    psi1_0_hat = params.lambda1 - 0.5 * params.lambda2 * abs_d
-    psi2_hat = params.lambda1 + 0.5 * params.lambda2 * abs_d
-    gamma_hat = params.alpha - 1j * psi2_hat @ params.lambda2.conj().T
-    return WeylPair(
-        d=d, gamma=gamma, psi1_0=psi1_0, psi2=psi2,
-        gamma_hat=gamma_hat, psi1_0_hat=psi1_0_hat, psi2_hat=psi2_hat,
-    )
+    weyl = _rational_weyl(params, params.d)
+    weyl_hat = weyl if params.d_negative else _rational_weyl(params, -np.abs(params.d))
+    return WeylPair(d=params.d, weyl=weyl, weyl_hat=weyl_hat)

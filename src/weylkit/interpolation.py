@@ -160,6 +160,11 @@ def _inner_sums(arr, n_terms, epsilon, z0):
             dr = (q << s) + tr
             if dr == 0 and ti == 0:
                 raise SingularityError(f"the weight of sample q = {q} has a pole at z0 = {z0}")
+            # a weight beyond the doubles makes the partial sums overflow
+            if 1 << (2 * s) > int(np.finfo(float).max) * (dr * dr + ti * ti):
+                raise DomainError(
+                    f"the weight (q + eps - i z0)^-2 of sample q = {q} overflows a double "
+                    f"at eps = {epsilon}, z0 = {z0}")
             weights.append((dr * dr - ti * ti, -2 * dr * ti, (dr * dr + ti * ti) ** 2, 2 * s))
     exact = []       # w_q F_q = (nr + i ni) / den * 2**e, entry by entry
     for q, (gr, gi, den, ws) in enumerate(weights):

@@ -1,28 +1,29 @@
 """Explicit inverse problem for rational Weyl functions with negative D.
 
-A rational Weyl function with value (i/2)|D| at infinity and nonnegative
-imaginary part on the upper half-plane admits a state-space realization
+A rational Weyl function with value (i/2)|D| = -(i/2) D at infinity and
+nonnegative imaginary part on the upper half-plane admits a state-space
+realization
 
-    phi(z) = (i/2)|D| + psi1_0* (gamma - z I)^-1 psi2
+    phi(z) = -(i/2) D + psi1_0* (gamma - z I)^-1 psi2
 
 whose matrix gamma satisfies
 
     gamma - gamma* = i (psi1_0 - psi2) D^-1 (psi1_0 - psi2)*.
 
-From such a realization the parameter matrices of the generating system are
-recovered in closed form; feeding them back through :mod:`weylkit.gbdt`
-reproduces phi and the Hamiltonian.
+A :class:`Realization` is the D < 0 case of :class:`weylkit.gbdt.RationalWeyl`,
+the one implementation of that formula.  From it the parameter matrices of
+the generating system are recovered in closed form; feeding them back
+through :mod:`weylkit.gbdt` reproduces phi and the Hamiltonian.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import defaults
-from ._linalg import eigmin_hermitian, rel_residual, resolvent_apply, spectrum, upper_half_plane
+from ._linalg import eigmin_hermitian, rel_residual, upper_half_plane
 from .exceptions import DomainError, StructuralError, ValidationError
-from .gbdt import GbdtParams, weyl_pair
+from .gbdt import GbdtParams, RationalWeyl, weyl_pair
 
 __all__ = [
     "Realization",
@@ -35,13 +36,9 @@ _VALIDATION_GRID = (1j, 2j, 1 + 1j)   # Herglotz check points when no grid is gi
 
 
 @dataclass(frozen=True)
-class Realization:
-    """State-space data (gamma, psi1_0, psi2, D) of a rational Weyl function."""
-
-    d: np.ndarray         # (p,) real, all entries < 0
-    gamma: np.ndarray     # (n, n)
-    psi1_0: np.ndarray    # (n, p)
-    psi2: np.ndarray      # (n, p)
+class Realization(RationalWeyl):
+    """State-space data (gamma, psi1_0, psi2, D) of a rational Weyl function
+    with D < 0, checked on construction."""
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=float).reshape(-1)
@@ -63,25 +60,10 @@ class Realization:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise StructuralError(f"{name} must be finite")
 
-    @property
-    def n(self):
-        return self.gamma.shape[0]
-
-    @property
-    def p(self):
-        return self.d.size
-
-    @cached_property
-    def gamma_spectrum(self):
-        """(eigenvalues, norm) of gamma for the pole guard, computed once."""
-        return spectrum(self.gamma)
-
     def phi(self, z):
         """The realized Weyl function at a scalar z (p x p) or a 1-D array
         of z ((k, p, p) stack)."""
-        res = resolvent_apply(self.gamma, z, self.psi2, self.gamma_spectrum,
-                              what="gamma matrix")
-        return 0.5j * np.diag(np.abs(self.d)) + self.psi1_0.conj().T @ res
+        return self(z)
 
 
 def validate_realization(r, grid):
@@ -102,7 +84,7 @@ def validate_realization(r, grid):
         eigmin_hermitian((val - val.conj().T) / 2j) for val in r.phi(grid)
     )
     R = 1e6
-    at_inf = r.phi(1j * R) - 0.5j * np.diag(np.abs(r.d))
+    at_inf = r.phi(1j * R) - r.at_infinity
     inf_err = float(np.linalg.norm(at_inf, 2))
     tol = defaults.IDENTITY_TOL
     return {
@@ -143,7 +125,5 @@ def realization_from_params(params):
     """
     if not params.d_negative:
         raise DomainError("realization_from_params requires D < 0")
-    pair = weyl_pair(params)
-    return Realization(
-        d=params.d.copy(), gamma=pair.gamma, psi1_0=pair.psi1_0, psi2=pair.psi2
-    )
+    phi = weyl_pair(params).weyl
+    return Realization(d=phi.d.copy(), gamma=phi.gamma, psi1_0=phi.psi1_0, psi2=phi.psi2)

@@ -80,20 +80,21 @@ def test_criterion_1_gbdt_identity_suite():
                           np.linalg.norm(wzc.conj().T @ J @ wz - J, 2) / scale)
         pair = wk.weyl_pair(prm)
         g_res = np.linalg.norm(
-            pair.gamma - pair.gamma.conj().T
+            pair.weyl.gamma - pair.weyl.gamma.conj().T
             - 1j * prm.lambda2 @ np.diag(prm.d) @ prm.lambda2.conj().T, 2)
-        diff = pair.psi2_hat - pair.psi1_0_hat
+        hat = pair.weyl_hat
+        diff = hat.psi2 - hat.psi1_0
         g_res2 = np.linalg.norm(
-            pair.gamma_hat.conj().T - pair.gamma_hat
+            hat.gamma.conj().T - hat.gamma
             - 1j * diff @ np.diag(1.0 / np.abs(prm.d)) @ diff.conj().T, 2)
-        g_scale = np.linalg.norm(pair.gamma, 2) + 1.0
+        g_scale = np.linalg.norm(pair.weyl.gamma, 2) + 1.0
         worst_gamma = max(worst_gamma, g_res / g_scale, g_res2 / g_scale)
         hv = hamiltonian_grid(prm, xs)
         worst_eig = min(worst_eig, min(np.linalg.eigvalsh(h).min() for h in hv))
         worst_rank = max(worst_rank, max(
             int(np.sum(np.linalg.svd(h, compute_uv=False) > 1e-8)) for h in hv))
         if prm.d_negative:
-            assert np.linalg.eigvals(pair.gamma).imag.max() <= 1e-9
+            assert np.linalg.eigvals(pair.weyl.gamma).imag.max() <= 1e-9
             zc = complex(rng.normal(), rng.uniform(0.3, 2.0))
             assert np.abs(pair.phi(zc) - pair.phi_hat(zc)).max() < 1e-9
     ok = (

@@ -23,6 +23,11 @@ from weylkit.grids import DifferenceKernel, GridFunction
 from conftest import GAUSS_D, gauss_kernel, make_params
 
 
+def _free_dirac():
+    """Sampler of the constant Weyl function phi = i of the free Dirac system."""
+    return WeylSampler(fn=lambda zs: np.full((zs.size, 1, 1), 1j), p=1, source="constant")
+
+
 def const_half_grid(p=1, xmax=40.0, h=1 / 64):
     m = int(round(xmax / h)) + 1
     vals = np.tile(0.5 * np.eye(p)[None], (m, 1, 1))
@@ -108,7 +113,7 @@ class TestForward:
     @pytest.mark.parametrize("mode", ["laplace", "chi"])
     def test_rejects_unknown_mode(self, mode):
         # both directions share one check of the mode
-        phi = WeylSampler.from_constant(1j * np.eye(1))
+        phi = _free_dirac()
         with pytest.raises(wk.StructuralError, match=f"unknown amplitude mode '{mode}'"):
             weyl_from_amplitude(smooth_grid(xmax=10.0), 1j, mode=mode)
         with pytest.raises(wk.StructuralError, match=f"unknown amplitude mode '{mode}'"):
@@ -320,7 +325,7 @@ class TestPoleTransform:
 
 class TestInverse:
     def test_free_dirac_recovers_half_identity(self):
-        phi = WeylSampler.from_constant(1j * np.eye(1))
+        phi = _free_dirac()
         s, k, rep = amplitude_from_weyl(phi, eta=1.0, a=200.0, h=1 / 256,
                                         xmax=2.0, mode="dirac")
         assert np.abs(s.values - 0.5).max() < 1e-3
@@ -348,7 +353,7 @@ class TestInverse:
         phi1 = WeylSampler.from_weyl_pair(wk.weyl_pair(make_params(2, 1, seed=71)))
         phi2 = WeylSampler.from_weyl_pair(wk.weyl_pair(make_params(3, 1, seed=72)))
         both = WeylSampler(fn=lambda z: phi1(z) + phi2(z) - 1j, p=1)
-        const = WeylSampler.from_constant(1j * np.eye(1))
+        const = _free_dirac()
         for mode, d in (("dirac", None), ("canonical", [-2.0])):
             kw = dict(eta=1.0, a=100.0, h=1 / 64, xmax=1.0, mode=mode, d=d)
             s1, s2, s12, s0 = (amplitude_from_weyl(f, **kw)[0].values
@@ -383,12 +388,12 @@ class TestInverse:
 
     def test_eta_must_be_positive(self):
         with pytest.raises(wk.DomainError):
-            amplitude_from_weyl(WeylSampler.from_constant(1j * np.eye(1)), eta=0.0)
+            amplitude_from_weyl(_free_dirac(), eta=0.0)
 
     @pytest.mark.parametrize("eta", [np.nan, np.inf])
     def test_eta_must_be_finite(self, eta):
         with pytest.raises(wk.DomainError, match="finite eta > 0"):
-            amplitude_from_weyl(WeylSampler.from_constant(1j * np.eye(1)), eta=eta)
+            amplitude_from_weyl(_free_dirac(), eta=eta)
 
     def test_small_cutoff_warns(self):
         # the tail estimate reads about 0.07 at a = 5 and 5e-7 at a = 200
@@ -473,7 +478,7 @@ class TestSampler:
         with pytest.raises(wk.DomainError, match=re.escape("z = (7+1j)")):
             samp(np.array([0.3 + 1j, 7.0 + 1j, 8.0 + 1j]))
         with pytest.raises(wk.DomainError):
-            WeylSampler.from_constant(1j * np.eye(1))(np.array([1j, 2.0]))
+            _free_dirac()(np.array([1j, 2.0]))
 
     def test_table_batch_matches_scalar_calls_and_interp(self):
         rng = np.random.default_rng(3)
@@ -505,12 +510,12 @@ class TestSampler:
             WeylSampler.from_table([0.0, bad, 2.0], np.full(3, 1j), eta=1.0)
 
     def test_requires_upper_half_plane(self):
-        samp = WeylSampler.from_constant(1j * np.eye(1))
+        samp = _free_dirac()
         with pytest.raises(wk.DomainError):
             samp(1.0)
 
     def test_nan_z_rejected(self):
-        samp = WeylSampler.from_constant(1j * np.eye(1))
+        samp = _free_dirac()
         for z in (complex(np.nan, 1.0), complex(0.0, np.nan)):
             with pytest.raises(wk.DomainError, match="finite z"):
                 samp(np.array([1j, z]))
@@ -545,14 +550,6 @@ class TestHerglotz:
     def test_empty_grid_structural(self):
         with pytest.raises(wk.StructuralError):
             herglotz_check(lambda z: 1j * np.eye(1), [])
-
-
-class TestDiskOracleSampler:
-    def test_disk_oracle_source(self, free_hamiltonian):
-        samp = WeylSampler.from_disk_oracle(lambda x: free_hamiltonian, p=1,
-                                            length_factor=20.0)
-        assert samp.source == "disk-oracle"
-        np.testing.assert_allclose(samp(1.5j), 1j * np.eye(1), atol=1e-8)
 
 
 class TestDiracRoundTrip:

@@ -679,9 +679,9 @@ class TestWeylPair:
 
     def test_scalar_hand_evaluation(self):
         pair = wk.weyl_pair(scalar_params())
-        assert pair.gamma[0, 0] == pytest.approx(-1j)
-        assert pair.psi1_0[0, 0] == pytest.approx(0.0)
-        assert pair.psi2[0, 0] == pytest.approx(2.0)
+        assert pair.weyl.gamma[0, 0] == pytest.approx(-1j)
+        assert pair.weyl.psi1_0[0, 0] == pytest.approx(0.0)
+        assert pair.weyl.psi2[0, 0] == pytest.approx(2.0)
         for z in (1j, 2j, 0.5 + 0.5j):
             assert pair.phi(z)[0, 0] == pytest.approx(1j, abs=1e-14)
 
@@ -697,25 +697,55 @@ class TestWeylPair:
     def test_pair_coincides_for_negative_d(self):
         prm = make_params(3, 2, seed=27)
         pair = wk.weyl_pair(prm)
-        assert pair.d_negative
+        assert pair.weyl_hat is pair.weyl
         for z in (1j, 0.5 + 2j, -1 + 0.7j):
             np.testing.assert_allclose(pair.phi(z), pair.phi_hat(z), atol=1e-9)
+
+    @pytest.mark.parametrize("n,p,seed", [(1, 1, 0), (1, 1, 3), (2, 2, 5), (3, 3, 2),
+                                          (4, 3, 11)])
+    def test_phi_hat_is_phi_at_minus_abs_d(self, n, p, seed):
+        # D does not enter the input identity, so the set at -|D| is valid,
+        # and its realization's phi is phi_hat to the last bit
+        prm = make_params(n, p, seed=seed, negative=False)
+        flipped = wk.GbdtParams(d=-np.abs(prm.d), alpha=prm.alpha,
+                                lambda1=prm.lambda1, lambda2=prm.lambda2)
+        pair, real = wk.weyl_pair(prm), wk.realization_from_params(flipped)
+        zs = np.array([1j, 0.5 + 2j, -1.5 + 0.3j, 3 + 1e-3j])
+        assert np.array_equal(pair.phi_hat(zs), real.phi(zs))
+        assert np.array_equal(pair.phi_hat(zs[1]), real.phi(zs[1]))
+
+    def test_negative_d_pair_computes_one_spectrum(self, monkeypatch):
+        import weylkit.gbdt as gbdt
+
+        calls = []
+        spectrum = gbdt.spectrum
+
+        def counted(a):
+            calls.append(a.shape)
+            return spectrum(a)
+
+        monkeypatch.setattr(gbdt, "spectrum", counted)
+        pair = wk.weyl_pair(make_params(3, 2, seed=27))
+        zs = np.array([1j, 0.5 + 2j])
+        pair.phi(zs), pair.phi_hat(zs), pair.phi(zs[0]), pair.phi_hat(zs[1])
+        assert calls == [(3, 3)]
 
     def test_gamma_identities(self):
         prm = make_params(3, 2, seed=31, negative=False)
         pair = wk.weyl_pair(prm)
-        lhs = pair.gamma - pair.gamma.conj().T
+        lhs = pair.weyl.gamma - pair.weyl.gamma.conj().T
         rhs = 1j * prm.lambda2 @ np.diag(prm.d) @ prm.lambda2.conj().T
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-        lhs2 = pair.gamma_hat.conj().T - pair.gamma_hat
-        diff = pair.psi2_hat - pair.psi1_0_hat
+        hat = pair.weyl_hat
+        lhs2 = hat.gamma.conj().T - hat.gamma
+        diff = hat.psi2 - hat.psi1_0
         rhs2 = 1j * diff @ np.diag(1.0 / np.abs(prm.d)) @ diff.conj().T
         np.testing.assert_allclose(lhs2, rhs2, atol=1e-12)
 
     def test_gamma_spectrum_below_axis_for_negative_d(self):
         prm = make_params(4, 2, seed=40)
         pair = wk.weyl_pair(prm)
-        assert np.linalg.eigvals(pair.gamma).imag.max() <= 1e-9
+        assert np.linalg.eigvals(pair.weyl.gamma).imag.max() <= 1e-9
 
     def test_pole_proximity_raises(self):
         pair = wk.weyl_pair(scalar_params())

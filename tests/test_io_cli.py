@@ -601,6 +601,36 @@ class TestOverflowingInput:
                              "--z", "1e300j", "--n", "10", "--mode", "weyl-dirac"],
                             tmp_path / "o", capsys, "overflows at z = 1e+300j")
 
+    @pytest.mark.parametrize("eps", ["1e-300", "-1e-300", "1e-320"])
+    def test_interpolate_with_tiny_epsilon_exits_1(self, eps, tmp_path, capsys):
+        # the weight eps^-2 of sample q = 0 is beyond the doubles: the sums
+        # would overflow, and the value came out as 0 with exit 0
+        self._fails_cleanly(["interpolate", "--samples", os.path.join(FIXTURES, "kernel.csv"),
+                             "--z", "3j", "--n", "10", f"--epsilon={eps}"], tmp_path / "o",
+                            capsys, f"overflows a double at eps = {float(eps)}")
+
+    @pytest.mark.parametrize("eta", ["1e-300", "1e300"])
+    def test_recover_with_unrepresentable_eta_exits_1(self, eta, tmp_path, capsys):
+        zetas = np.linspace(-40, 40, 2001)
+        wio.write_weyl_samples_csv(tmp_path / "s.csv", zetas, np.full(zetas.size, 1j))
+        self._fails_cleanly(["recover", "--samples", str(tmp_path / "s.csv"), f"--eta={eta}",
+                             "--a", "40"], tmp_path / "o", capsys, f"got eta = {float(eta)}")
+
+    @pytest.mark.parametrize("mode,d", [("dirac", None), ("canonical", [-1.0])])
+    def test_eta_range_checked_before_sampling(self, mode, d):
+        calls = []
+        samp = wk.WeylSampler(fn=lambda zs: calls.append(zs) or np.full((zs.size, 1, 1), 1j),
+                              p=1, source="constant")
+        for eta in (1e-300, 1e300):
+            with pytest.raises(wk.DomainError, match=re.escape(f"got eta = {eta}")):
+                wk.amplitude_from_weyl(samp, eta=eta, a=40.0, mode=mode, d=d)
+        assert not calls
+
+    def test_direct_with_overflowing_state_exits_1(self, tmp_path, capsys):
+        self._fails_cleanly(["direct", "--params", os.path.join(FIXTURES, "scalar_params.json"),
+                             "--xmax=1e300"], tmp_path / "o", capsys,
+                            "state overflow at x = 1e+300")
+
     def test_interpolate_residuals_of_huge_samples(self, tmp_path):
         # the residual norms are taken on a power-of-two scaled difference:
         # huge samples give finite residuals, exactly 2^660 times those of

@@ -1,11 +1,14 @@
-"""The README's Defaults table quotes ``weylkit.defaults`` and its S-node
-block table quotes ``_snode_block``; a value edited in one place only must
+"""The README's Defaults table quotes ``weylkit.defaults``, its S-node
+block table quotes ``_snode_block``, and the attributes it names belong to
+weylkit's classes; a value edited, or a name deleted, in one place only must
 fail here."""
 
 import ast
+import dataclasses
 import os
 import re
 
+import weylkit
 from weylkit import defaults
 from weylkit.structured import _snode_block
 
@@ -41,3 +44,16 @@ def test_snode_block_table_matches_rule():
     for p, cells in rows:
         shown = [int(cell) for cell in cells.split(" | ")]
         assert shown == [_snode_block(int(p), m) for m in ms], f"README shows b = {shown} at p = {p}"
+
+
+def test_named_class_attributes_exist():
+    # a backticked `Class.attr` whose Class weylkit exports names a method,
+    # property or dataclass field of that class
+    named = set(re.findall(r"`([A-Z]\w*)\.(\w+)`", _readme()))
+    classes = {name: cls for name, cls in vars(weylkit).items() if isinstance(cls, type)}
+    checked = [(c, a) for c, a in sorted(named) if c in classes]
+    assert checked, "the README names no attribute of a weylkit class"
+    for cls_name, attr in checked:
+        cls = classes[cls_name]
+        fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+        assert hasattr(cls, attr) or attr in fields, f"README names {cls_name}.{attr}"

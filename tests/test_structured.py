@@ -605,24 +605,6 @@ class TestBatchedDiskOracle:
         chunked = weyl_disk_approx(ham, self.ZS, 6.0, steps_per_unit=64)
         assert np.abs(chunked - whole).max() <= 1e-12 * np.abs(whole).max()
 
-    def test_sampler_calls_the_oracle_once_per_line(self, monkeypatch):
-        ham = self._hamiltonian(1, "callable")
-        zs = np.array([0.5 + 2j, -1 + 4j, 1 + 2j, 4j, 2j])
-        calls = []
-        oracle = wk.structured.weyl_disk_approx
-
-        def counted(*args, **kwargs):
-            calls.append(np.size(args[1]))
-            return oracle(*args, **kwargs)
-
-        monkeypatch.setattr(wk.structured, "weyl_disk_approx", counted)
-        samp = WeylSampler.from_disk_oracle(ham, p=1, length_factor=12.0, steps_per_unit=64)
-        vals = samp(zs)
-        assert sorted(calls) == [2, 3]
-        for z, v in zip(zs, vals):
-            ref = oracle(ham, z, 12.0 / z.imag, steps_per_unit=64)
-            assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
-
     def test_point_below_the_axis_is_named(self, free_hamiltonian):
         with pytest.raises(wk.DomainError, match=r"z = \(1-0\.5j\)"):
             weyl_disk_approx(lambda x: free_hamiltonian, np.array([1j, 1 - 0.5j]), l=2.0)
@@ -729,8 +711,10 @@ def rational_accelerant(pair):
     whose inverse is the matrix exponential psi1_0* e^{-i gamma x} psi2
     (all poles of the transform sit below the real axis).
     """
+    phi = pair.weyl
+
     def k(x):
-        return pair.psi1_0.conj().T @ expm(-1j * pair.gamma * x) @ pair.psi2
+        return phi.psi1_0.conj().T @ expm(-1j * phi.gamma * x) @ phi.psi2
     return k
 
 
